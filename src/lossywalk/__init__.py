@@ -57,7 +57,6 @@ from .invariants import (
     chern_number,
     pancharatnam_phase,
     winding_number,
-    winding_sweep,
 )
 from .symmetries import (
     SymmetryReport,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GapClosure, OrthogonalLink
-from .linalg import eig2_batch, quasienergy
+from .linalg import DEGENERACY_TOL, eig2_batch, quasienergy
 from .walks import WalkParams1D, WalkParams2D, momentum_grid, u1d_ssqw_k, u2d_k
 
 __all__ = [
@@ -41,11 +41,9 @@ __all__ = [
     "pancharatnam_phase",
     "winding_number",
     "chern_number",
-    "winding_sweep",
 ]
 
 LINK_TOL = 1e-12
-DEGENERACY_TOL = 1e-9
 # an exact closing with O(eps) rounding in the operator splits the
 # eigenvalue pair by O(sqrt(eps)) through the discriminant, so the
 # collision detector must sit above that amplification scale
@@ -125,7 +123,7 @@ def band_spectrum_1d(p: WalkParams1D, n_points: int) -> tuple[BandData1D, BandDa
     """Diagonalize the split-step walk on a momentum loop; return (lower, upper).
 
     Raises GapClosure (with the offending momenta) when the two eigenvalues
-    collide within 1e-9 anywhere on the grid.
+    collide within GAP_COLLISION_TOL anywhere on the grid.
     """
     ks = momentum_grid(n_points)
     ops = u1d_ssqw_k(p, ks)
@@ -152,15 +150,20 @@ def band_spectrum_2d(p: WalkParams2D, nx: int, ny: int) -> tuple[BandData2D, Ban
     one pi-period per axis; plaquette wraparound via roll is exact.  The
     grid is offset by a quarter step, q_j = (-pi + 2 pi (j + 1/4) / N) / 2,
     which never lands on the high-symmetry momenta {0, +-pi/2} where the
-    phase-boundary gap closings sit.
+    phase-boundary gap closings sit.  Raises GapClosure (with the offending
+    momentum pairs) when the two eigenvalues collide within
+    GAP_COLLISION_TOL anywhere on the grid.
+
+    The builder gets the axes as (nx, 1) and (1, ny) columns, so its
+    factors are evaluated per axis and only the final product fills the grid.
     """
     qx = (-np.pi + 2.0 * np.pi * (np.arange(nx) + 0.25) / nx) / 2.0
     qy = (-np.pi + 2.0 * np.pi * (np.arange(ny) + 0.25) / ny) / 2.0
-    kxg, kyg = np.meshgrid(qx, qy, indexing="ij")
-    ops = u2d_k(p, kxg, kyg)
+    ops = u2d_k(p, qx[:, None], qy[None, :])
     values, vectors, _ = eig2_batch(ops)
     collisions = np.abs(values[..., 0] - values[..., 1]) < GAP_COLLISION_TOL
     if np.any(collisions):
+        kxg, kyg = np.meshgrid(qx, qy, indexing="ij")
         ks = np.stack([kxg[collisions], kyg[collisions]], axis=-1)
         raise GapClosure([tuple(row) for row in ks])
     low = _split_bands(values)
@@ -227,9 +230,3 @@ def chern_number(band: BandData2D) -> tuple[int, np.ndarray]:
         raise ArithmeticError(f"plaquette sum {total} is not an integer")
     return c, field
 
-
-def winding_sweep(theta1: float, theta2_range, gamma_range, n_points: int = 201):
-    """Lower-band winding over a (theta2, gamma) grid; see sweeps module."""
-    from .sweeps import sweep_winding_vs_gamma
-
-    return sweep_winding_vs_gamma(theta1, theta2_range, gamma_range, n_k=n_points)

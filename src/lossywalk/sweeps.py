@@ -112,7 +112,10 @@ def _workers(workers: int | None) -> int:
     env = os.environ.get(WORKERS_ENV)
     if env:
         return max(1, int(env))
-    return os.cpu_count() or 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
 
 
 def _config_hash(meta: dict, axes) -> bytes:

@@ -105,7 +105,7 @@ def check_phs(model: str, params, n_points: int, tol: float) -> SymmetryReport:
         return _report("PHS", diff, tol, n_points)
     if model == "2d":
         ks = momentum_grid(n_points)
-        kx, ky = np.meshgrid(ks, ks, indexing="ij")
+        kx, ky = ks[:, None], ks[None, :]
         diff = np.conj(u2d_k(params, kx, ky)) - u2d_k(params, -kx, -ky)
         return _report("PHS", diff, tol, n_points)
     raise ValueError(f"unknown model {model!r}; expected '1d' or '2d'")

@@ -14,6 +14,17 @@ Every builder returns a matrix of unit determinant, so eigenvalues come in
 (lambda, 1/lambda) pairs and quasi-energies pair as +-E.  Builders broadcast
 over array-valued momenta and return stacks of shape (..., 2, 2).
 
+Evaluation: inside a builder a 2x2 operator is a tuple of its four entries
+(m00, m01, m10, m11), each an array that broadcasts against the others, and
+products are written out entry by entry (``_mul``); no stacked ``@`` is
+used.  The diagonal factors, T, T_up, T_down and G and their fused products
+such as G_x T_x = diag(e^{gx + ikx}, e^{-gx - ikx}), are applied as row or
+column scalings (``_rows``, ``_cols``), so only the coins need a full
+product.  The (..., 2, 2) stack is assembled once, at the end.  A factor
+that depends on one momentum component is evaluated on that component's
+own shape, so passing ``kx[:, None], ky[None, :]`` to a 2D builder costs
+O(nx + ny) factor work plus one broadcast product over the (nx, ny) grid.
+
 Closed forms implemented here (quasi-energy and Bloch vector of the 1D
 split-step walk and of the 2D walk, and the critical scaling factor where
 the real spectrum breaks down) are cross-checked against the analytic 2x2
@@ -135,56 +146,72 @@ def _stack2(m00, m01, m10, m11) -> np.ndarray:
     return out
 
 
+def _mul(a, b):
+    """Product of two 2x2 operators held as entry tuples (m00, m01, m10, m11)."""
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    return (
+        a00 * b00 + a01 * b10,
+        a00 * b01 + a01 * b11,
+        a10 * b00 + a11 * b10,
+        a10 * b01 + a11 * b11,
+    )
+
+
+def _rows(d, m):
+    """diag(d) @ m for an entry tuple m."""
+    (d0, d1), (m00, m01, m10, m11) = d, m
+    return (d0 * m00, d0 * m01, d1 * m10, d1 * m11)
+
+
+def _cols(m, d):
+    """m @ diag(d) for an entry tuple m."""
+    (m00, m01, m10, m11), (d0, d1) = m, d
+    return (m00 * d0, m01 * d1, m10 * d0, m11 * d1)
+
+
+def _rot(theta):
+    """Entry tuple of the coin R(theta)."""
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    return (c, -s, s, c)
+
+
+def _phase(x):
+    """Diagonal (e^x, e^-x): the conditional shift (x = ik) fused with scalings."""
+    return np.exp(x), np.exp(-x)
+
+
 def rotation_coin(theta) -> np.ndarray:
     """R(theta) = exp(-i theta sigma_y / 2); broadcasts over theta."""
-    theta = np.asarray(theta, dtype=float)
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return _stack2(c, -s, s, c)
+    return _stack2(*_rot(np.asarray(theta, dtype=float)))
 
 
 def scaling_op(delta) -> np.ndarray:
     """Gain/loss factor G_delta = diag(e^delta, e^-delta); det = 1."""
-    delta = np.asarray(delta, dtype=complex)
-    zero = np.zeros_like(delta)
-    return _stack2(np.exp(delta), zero, zero, np.exp(-delta))
-
-
-def _t_full(k) -> np.ndarray:
-    k = np.asarray(k, dtype=complex)
-    zero = np.zeros_like(k)
-    return _stack2(np.exp(1j * k), zero, zero, np.exp(-1j * k))
-
-
-def _t_up(k) -> np.ndarray:
-    k = np.asarray(k, dtype=complex)
-    zero = np.zeros_like(k)
-    one = np.ones_like(k)
-    return _stack2(np.exp(1j * k), zero, zero, one)
-
-
-def _t_down(k) -> np.ndarray:
-    k = np.asarray(k, dtype=complex)
-    zero = np.zeros_like(k)
-    one = np.ones_like(k)
-    return _stack2(one, zero, zero, np.exp(-1j * k))
+    e, e_inv = _phase(np.asarray(delta, dtype=complex))
+    return _stack2(e, 0.0, 0.0, e_inv)
 
 
 def u1d_dtqw_k(theta: float, k) -> np.ndarray:
     """Plain 1D walk step T(k) R(theta) with the full conditional shift."""
-    return _t_full(k) @ rotation_coin(theta)
+    return _stack2(*_rows(_phase(1j * np.asarray(k)), _rot(theta)))
+
+
+def _ssqw(p: WalkParams1D, k, first):
+    """T_down G R(theta2) T_up G^-1 @ first, as an entry tuple.
+
+    T_up G^-1 = diag(e^{ik - delta}, e^delta) and
+    T_down G = diag(e^delta, e^{-ik - delta}) are row scalings.
+    """
+    ik, d = 1j * np.asarray(k), p.delta
+    e_d = np.exp(d)
+    inner = _rows((np.exp(ik - d), e_d), first)
+    return _rows((e_d, np.exp(-ik - d)), _mul(_rot(p.theta2), inner))
 
 
 def u1d_ssqw_k(p: WalkParams1D, k) -> np.ndarray:
     """Split-step walk step T_down G R(theta2) T_up G^-1 R(theta1)."""
-    d = p.delta
-    return (
-        _t_down(k)
-        @ scaling_op(d)
-        @ rotation_coin(p.theta2)
-        @ _t_up(k)
-        @ scaling_op(-d)
-        @ rotation_coin(p.theta1)
-    )
+    return _stack2(*_ssqw(p, k, _rot(p.theta1)))
 
 
 def u1d_ssqw_timesym_k(p: WalkParams1D, k) -> np.ndarray:
@@ -194,17 +221,8 @@ def u1d_ssqw_timesym_k(p: WalkParams1D, k) -> np.ndarray:
     frame in which the particle-hole and chiral relations take their plain
     sigma-matrix form.
     """
-    d = p.delta
-    half = rotation_coin(p.theta1 / 2.0)
-    return (
-        half
-        @ _t_down(k)
-        @ scaling_op(d)
-        @ rotation_coin(p.theta2)
-        @ _t_up(k)
-        @ scaling_op(-d)
-        @ half
-    )
+    half = _rot(p.theta1 / 2.0)
+    return _stack2(*_mul(half, _ssqw(p, k, half)))
 
 
 def _principal_arccos(z) -> np.ndarray:
@@ -262,26 +280,35 @@ def u2d_k(p: WalkParams2D, kx, ky) -> np.ndarray:
     T_x, T_y are full conditional shifts at the respective momentum.  The
     result is pi-periodic in kx and ky (every step displaces the walker by
     an even number of sites).
+
+    The step separates as A(ky) @ B(kx): the x half
+    B = R(t2) G_x T_x R(t1) G_x^-1 T_x is evaluated on kx's own shape and
+    the y half A = G_y T_y R(t1) G_y^-1 T_y on ky's, and only their product
+    broadcasts.  ``u2d_k(p, kx[:, None], ky[None, :])`` therefore builds an
+    (nx, ny) grid with O(nx + ny) factor work plus one elementwise product;
+    meshgrid inputs give the same values at O(nx ny) cost.
     """
-    r1 = rotation_coin(p.theta1)
-    r2 = rotation_coin(p.theta2)
-    gx, gy = scaling_op(p.gamma_x), scaling_op(p.gamma_y)
-    gx_inv, gy_inv = scaling_op(-p.gamma_x), scaling_op(-p.gamma_y)
-    tx, ty = _t_full(kx), _t_full(ky)
-    return gy @ ty @ r1 @ gy_inv @ ty @ r2 @ gx @ tx @ r1 @ gx_inv @ tx
+    r1 = _rot(p.theta1)
+    ikx, iky = 1j * np.asarray(kx), 1j * np.asarray(ky)
+    gx, gy = p.gamma_x, p.gamma_y
+    x_half = _mul(_rot(p.theta2), _rows(_phase(ikx + gx), _cols(r1, _phase(ikx - gx))))
+    y_half = _rows(_phase(iky + gy), _cols(r1, _phase(iky - gy)))
+    return _stack2(*_mul(y_half, x_half))
 
 
 def u2d_triangular_k(theta1: float, theta2: float, kx, ky) -> np.ndarray:
     """Triangular-lattice step T_xy R(t1) T_y R(t2) T_x R(t1), T_xy = T_x T_y.
 
     Unitarily equivalent to the square-lattice ``u2d_k`` at zero scaling:
-    u2d_k = T_x^dag @ u2d_triangular_k @ T_x.
+    u2d_k = T_x^dag @ u2d_triangular_k @ T_x.  Evaluated as
+    T_x [T_y R(t1) T_y] [R(t2) T_x R(t1)], with each bracket on one momentum.
     """
-    r1 = rotation_coin(theta1)
-    kx = np.asarray(kx, dtype=float)
-    ky = np.asarray(ky, dtype=float)
-    txy = _t_full(kx + ky)
-    return txy @ r1 @ _t_full(ky) @ rotation_coin(theta2) @ _t_full(kx) @ r1
+    r1 = _rot(theta1)
+    tx = _phase(1j * np.asarray(kx, dtype=float))
+    ty = _phase(1j * np.asarray(ky, dtype=float))
+    x_half = _mul(_rot(theta2), _rows(tx, r1))
+    y_half = _rows(ty, _cols(r1, ty))
+    return _stack2(*_rows(tx, _mul(y_half, x_half)))
 
 
 def quasi_energy_2d(p: WalkParams2D, kx, ky) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Shared comparison helpers for the test suite."""
+"""Shared comparison helpers and independent oracle builds for the test suite."""
 
 import numpy as np
 
@@ -40,6 +40,70 @@ def chain_operator_by_rolls(n_sites, spec, gamma):
     psi = scale(rotate(psi, t2), gamma)
     psi[:, 1] = np.roll(psi[:, 1], -1, axis=0)
     return psi.reshape(2 * n_sites, 2 * n_sites)
+
+
+def _diag(d0, d1):
+    d0, d1 = np.broadcast_arrays(np.asarray(d0, dtype=complex), np.asarray(d1, dtype=complex))
+    out = np.zeros(d0.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = d0
+    out[..., 1, 1] = d1
+    return out
+
+
+def _coin(theta):
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def _shift(k):
+    return _diag(np.exp(1j * np.asarray(k)), np.exp(-1j * np.asarray(k)))
+
+
+def _shift_up(k):
+    return _diag(np.exp(1j * np.asarray(k)), 1.0)
+
+
+def _shift_down(k):
+    return _diag(1.0, np.exp(-1j * np.asarray(k)))
+
+
+def _scaling(delta):
+    return _diag(np.exp(delta), np.exp(-delta))
+
+
+def dtqw_by_matmul(theta, k):
+    """T(k) R(theta) as a stacked (..., 2, 2) @ product."""
+    return _shift(k) @ _coin(theta)
+
+
+def ssqw_by_matmul(p, k):
+    """T_down G R(theta2) T_up G^-1 R(theta1) as a stacked @ chain."""
+    d = p.delta
+    return (_shift_down(k) @ _scaling(d) @ _coin(p.theta2) @ _shift_up(k)
+            @ _scaling(-d) @ _coin(p.theta1))
+
+
+def ssqw_timesym_by_matmul(p, k):
+    """R(theta1/2) T_down G R(theta2) T_up G^-1 R(theta1/2) as a stacked @ chain."""
+    d, half = p.delta, _coin(p.theta1 / 2.0)
+    return (half @ _shift_down(k) @ _scaling(d) @ _coin(p.theta2) @ _shift_up(k)
+            @ _scaling(-d) @ half)
+
+
+def u2d_by_matmul(p, kx, ky):
+    """G_y T_y R(t1) G_y^-1 T_y R(t2) G_x T_x R(t1) G_x^-1 T_x as a stacked @ chain."""
+    r1, r2 = _coin(p.theta1), _coin(p.theta2)
+    gx, gy = _scaling(p.gamma_x), _scaling(p.gamma_y)
+    gx_inv, gy_inv = _scaling(-p.gamma_x), _scaling(-p.gamma_y)
+    tx, ty = _shift(kx), _shift(ky)
+    return gy @ ty @ r1 @ gy_inv @ ty @ r2 @ gx @ tx @ r1 @ gx_inv @ tx
+
+
+def u2d_triangular_by_matmul(theta1, theta2, kx, ky):
+    """T_xy R(t1) T_y R(t2) T_x R(t1), T_xy = T(kx + ky), as a stacked @ chain."""
+    kx, ky = np.asarray(kx, dtype=float), np.asarray(ky, dtype=float)
+    r1 = _coin(theta1)
+    return _shift(kx + ky) @ r1 @ _shift(ky) @ _coin(theta2) @ _shift(kx) @ r1
 
 
 def assert_multiset_close(got, want, tol):

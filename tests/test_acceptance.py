@@ -195,6 +195,25 @@ def test_criterion_05_chern_anchor_trivial():
     assert dt < 60.0
 
 
+def test_criterion_05_trivial_anchor_gapless_off_grid():
+    # Why criterion 5b passes (docs/NOTES.md): (3pi/2, pi) lies on the gap lines
+    # theta1 + theta2/2 = 2pi and theta1 - theta2/2 = pi.  The step is I at
+    # k = (0, 0) (E = 0) and -I at the zone corners (+-pi/2, +-pi/2) (E = pi),
+    # and the quarter-offset grid of band_spectrum_2d samples neither.
+    p = lw.WalkParams2D(3 * np.pi / 2, np.pi)
+    eye = np.eye(2)
+    assert np.max(np.abs(lw.u2d_k(p, 0.0, 0.0) - eye)) < 1e-12
+    for sx in (-1.0, 1.0):
+        for sy in (-1.0, 1.0):
+            assert np.max(np.abs(lw.u2d_k(p, sx * np.pi / 2, sy * np.pi / 2) + eye)) < 1e-12
+    lower, _ = lw.band_spectrum_2d(p, 201, 201)
+    closings = np.array([-np.pi / 2, 0.0, np.pi / 2])
+    step = np.pi / 201
+    for axis in (lower.kx, lower.ky):
+        nearest = np.min(np.abs(axis[:, None] - closings[None, :]))
+        assert abs(nearest - step / 4) < 1e-12
+
+
 def test_criterion_06_loss_induced_transition():
     t0 = time.perf_counter()
     t1 = np.pi / 4

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from lossywalk import sweeps
 from lossywalk.errors import CheckpointMismatch
 from lossywalk.sweeps import (
     STATUS_GAP_CLOSED,
@@ -108,3 +111,16 @@ def test_table_roundtrip_json():
     assert back.status.tobytes() == table.status.tobytes()
     assert back.meta == table.meta
     assert [n for n, _ in back.axes] == [n for n, _ in table.axes]
+
+
+def test_default_workers_follow_cpu_affinity(monkeypatch):
+    monkeypatch.delenv(sweeps.WORKERS_ENV, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert sweeps._workers(None) == 3
+    assert sweeps._workers(2) == 2
+    monkeypatch.setenv(sweeps.WORKERS_ENV, "4")
+    assert sweeps._workers(None) == 4
+    monkeypatch.delenv(sweeps.WORKERS_ENV)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert sweeps._workers(None) == 8

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import helpers
 from helpers import assert_multiset_close, branch_dist
 
 from lossywalk.errors import DegenerateCoin, GapClosed
@@ -413,3 +416,58 @@ def test_closed_forms_agree_with_eig2_on_random_draws():
         es = -np.angle(values) + 1j * np.log(np.abs(values))
         e_ref = quasi_energy_ssqw(p, k)
         assert min(branch_dist(es[0], e_ref), branch_dist(es[1], e_ref)) < 1e-9
+
+
+# --------------------------------------------------------------------------
+# entry-tuple builders against stacked @-chain oracles (tests/helpers.py)
+
+ANGLES = st.floats(-2 * np.pi, 2 * np.pi)
+SCALINGS = st.floats(-1.0, 1.0)
+MOMENTA = st.floats(-2 * np.pi, 2 * np.pi)
+
+
+@st.composite
+def momentum_pairs(draw):
+    """(kx, ky): two scalars, two equal-length 1D arrays, or (n, 1) x (1, m)."""
+    kind = draw(st.sampled_from(["scalar", "1d", "outer"]))
+    if kind == "scalar":
+        return draw(MOMENTA), draw(MOMENTA)
+    n = draw(st.integers(1, 6))
+    m = n if kind == "1d" else draw(st.integers(1, 6))
+    kx = np.array(draw(st.lists(MOMENTA, min_size=n, max_size=n)))
+    ky = np.array(draw(st.lists(MOMENTA, min_size=m, max_size=m)))
+    if kind == "outer":
+        return kx[:, None], ky[None, :]
+    return kx, ky
+
+
+def assert_rel_close(got, want, rtol=1e-13):
+    """Per-matrix max-entry error within rtol of the oracle's largest entry."""
+    assert got.shape == want.shape
+    err = np.max(np.abs(got - want), axis=(-2, -1))
+    assert np.all(err <= rtol * np.max(np.abs(want), axis=(-2, -1)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(ANGLES, ANGLES, SCALINGS, SCALINGS, momentum_pairs())
+def test_builders_match_matmul_oracles(t1, t2, ga, gb, ks):
+    kx, ky = ks
+    k = np.add(kx, ky)  # scalar, 1D or (n, m)
+    p1 = WalkParams1D(t1, t2, ga, np.pi * gb)  # complex delta = gamma + i phi
+    p2 = WalkParams2D(t1, t2, ga, gb)
+    assert_rel_close(u1d_dtqw_k(t1, k), helpers.dtqw_by_matmul(t1, k))
+    assert_rel_close(u1d_ssqw_k(p1, k), helpers.ssqw_by_matmul(p1, k))
+    assert_rel_close(u1d_ssqw_timesym_k(p1, k), helpers.ssqw_timesym_by_matmul(p1, k))
+    assert_rel_close(u2d_k(p2, kx, ky), helpers.u2d_by_matmul(p2, kx, ky))
+    assert_rel_close(u2d_triangular_k(t1, t2, kx, ky), helpers.u2d_triangular_by_matmul(t1, t2, kx, ky))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(ANGLES, ANGLES, SCALINGS, SCALINGS, st.integers(1, 9), st.integers(1, 9))
+def test_u2d_separable_axes_equal_meshgrid(t1, t2, gx, gy, nx, ny):
+    p = WalkParams2D(t1, t2, gx, gy)
+    qx, qy = momentum_grid(nx) / 2.0, momentum_grid(ny) / 2.0
+    sep = u2d_k(p, qx[:, None], qy[None, :])
+    mesh = u2d_k(p, *np.meshgrid(qx, qy, indexing="ij"))
+    assert sep.shape == (nx, ny, 2, 2)
+    np.testing.assert_array_equal(sep, mesh)
