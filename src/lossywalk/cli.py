@@ -22,7 +22,15 @@ import numpy as np
 
 from . import errors
 from .invariants import band_spectrum_1d, band_spectrum_2d, chern_number, winding_number
-from .lattice import RegionSpec, build_chain_operator, chain_spectrum, detect_edge_states, strip_band_structure
+from .lattice import (
+    RegionSpec,
+    _localization,
+    build_chain_operator,
+    chain_spectrum,
+    detect_edge_states,
+    strip_band_structure,
+)
+from .linalg import quasienergy
 from .sweeps import (
     sweep_chern_2d,
     sweep_chern_vs_gamma,
@@ -269,8 +277,6 @@ def _chain_to_csv(spec: RegionSpec, n: int, gamma: float, outdir: str, stem: str
     pairs = chain_spectrum(op)
     reports = detect_edge_states(pairs, 1e-6 if gamma == 0 else 1e-4, 0.05, 10, spec.boundary)
     lam = np.array([p.value for p in pairs])
-    from .linalg import quasienergy
-
     es = quasienergy(lam)
     write_spectrum_csv(
         os.path.join(outdir, f"{stem}.csv"),
@@ -415,8 +421,7 @@ def _figure_7(outdir: str) -> None:
     cols = {"site": coords.astype(float), "theta1": t1, "theta2": t2}
     for i, r in enumerate(edges):
         vec = next(p.vector for p in pairs if p.value == r.eigenvalue)
-        probs = np.abs(vec[0::2]) ** 2 + np.abs(vec[1::2]) ** 2
-        cols[f"edge{i}_prob"] = probs / probs.sum()
+        cols[f"edge{i}_prob"] = _localization(vec, spec.boundary, 10)[0]
     write_spectrum_csv(os.path.join(outdir, "fig7_partition.csv"), cols)
     emit_plot_script("lines", os.path.join(outdir, "fig7_plot.py"),
                      ["fig7_partition.csv"], "fig7.png",

@@ -7,6 +7,17 @@ y ring.  Basis ordering is site-major with a two-component coin per site:
 index = 2 * site + spin, spin 0 = up, 1 = down, and site i corresponds to
 lattice coordinate n = i - (N - 1) / 2 on the ring of odd length N.
 
+Evaluation: an operator is held as the tuple of its four spin blocks
+(up-up, up-down, down-up, down-down), each an (N, N) array over sites, and
+is built with the entry-tuple algebra of ``walks`` (``_rot``, ``_mul``,
+``_rows``, ``_cols``, ``_phase``).  A site-local factor has (N, 1) column
+entries, so coins act elementwise and G, T_x act as row scalings; the
+real-space shifts T_up, T_down and T are cyclic row rolls of the spin-up
+and spin-down blocks (``_hop``).  A build is therefore O(N^2) elementwise
+work with no matrix product, and the 2N x 2N matrix is interleaved once,
+at the end.  The strip's x half is the same expression as the x half of
+``walks.u2d_k``.
+
 The homogeneous limit block-diagonalizes over the momentum grid, which the
 tests use as the strongest integration check: the chain (strip) spectrum
 equals the union of the 2x2 momentum-space spectra.
@@ -20,6 +31,7 @@ import numpy as np
 
 from .errors import InvalidRegion
 from .linalg import EigenPair, eig_general, quasienergy
+from .walks import WalkParams2D, _cols, _mul, _phase, _rot, _rows, momentum_grid, quasi_energy_2d
 
 __all__ = [
     "RegionSpec",
@@ -32,6 +44,10 @@ __all__ = [
     "strip_band_structure",
     "strip_gap_states",
 ]
+
+
+def _site_coords(n_sites: int) -> np.ndarray:
+    return np.arange(n_sites) - (n_sites - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -52,8 +68,7 @@ class RegionSpec:
 
     def angles(self, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-site (theta1, theta2) arrays on the centered ring."""
-        coords = np.arange(n_sites) - (n_sites - 1) // 2
-        inner = np.abs(coords) <= self.boundary
+        inner = np.abs(_site_coords(n_sites)) <= self.boundary
         t1 = np.where(inner, self.params_inner[0], self.params_outer[0])
         t2 = np.where(inner, self.params_inner[1], self.params_outer[1])
         return t1, t2
@@ -78,54 +93,28 @@ class StripBands:
     re_energies: np.ndarray  # (n_kx, 2 n_y), each row sorted ascending
 
 
-def _site_coords(n_sites: int) -> np.ndarray:
-    return np.arange(n_sites) - (n_sites - 1) // 2
+def _hop(m, up: int, down: int):
+    """Cyclic shift of the spin-up rows by ``up`` sites and the spin-down rows by ``down``.
+
+    T_up is ``_hop(m, 1, 0)``, T_down ``_hop(m, 0, -1)`` and the full
+    conditional shift T ``_hop(m, 1, -1)``, each applied from the left.
+    """
+    m00, m01, m10, m11 = m
+    return (np.roll(m00, up, 0), np.roll(m01, up, 0), np.roll(m10, down, 0), np.roll(m11, down, 0))
 
 
-def _rotation_blockdiag(thetas: np.ndarray) -> np.ndarray:
-    n = len(thetas)
-    m = np.zeros((2 * n, 2 * n), dtype=complex)
-    c, s = np.cos(thetas / 2.0), np.sin(thetas / 2.0)
-    idx = np.arange(n)
-    m[2 * idx, 2 * idx] = c
-    m[2 * idx, 2 * idx + 1] = -s
-    m[2 * idx + 1, 2 * idx] = s
-    m[2 * idx + 1, 2 * idx + 1] = c
-    return m
+def _dense(m, n: int):
+    """Spin blocks of a site-diagonal operator whose entries are (n, 1) columns."""
+    eye = np.eye(n)
+    return tuple(e * eye for e in m)
 
 
-def _shift_up(n: int) -> np.ndarray:
-    """Spin-up amplitudes hop one site forward (cyclic); spin-down stays."""
-    m = np.zeros((2 * n, 2 * n), dtype=complex)
-    idx = np.arange(n)
-    m[2 * ((idx + 1) % n), 2 * idx] = 1.0
-    m[2 * idx + 1, 2 * idx + 1] = 1.0
-    return m
-
-
-def _shift_down(n: int) -> np.ndarray:
-    """Spin-down amplitudes hop one site backward (cyclic); spin-up stays."""
-    m = np.zeros((2 * n, 2 * n), dtype=complex)
-    idx = np.arange(n)
-    m[2 * idx, 2 * idx] = 1.0
-    m[2 * ((idx - 1) % n) + 1, 2 * idx + 1] = 1.0
-    return m
-
-
-def _shift_full(n: int) -> np.ndarray:
-    """Full conditional shift: up hops forward, down hops backward (cyclic)."""
-    m = np.zeros((2 * n, 2 * n), dtype=complex)
-    idx = np.arange(n)
-    m[2 * ((idx + 1) % n), 2 * idx] = 1.0
-    m[2 * ((idx - 1) % n) + 1, 2 * idx + 1] = 1.0
-    return m
-
-
-def _spin_diag(n: int, up: complex, down: complex) -> np.ndarray:
-    d = np.empty(2 * n, dtype=complex)
-    d[0::2] = up
-    d[1::2] = down
-    return np.diag(d)
+def _interleave(m) -> np.ndarray:
+    """The 2n x 2n matrix with entry [2 i + s, 2 j + t] = block (s, t) at [i, j]."""
+    n = m[0].shape[0]
+    out = np.empty((n, 2, n, 2), dtype=complex)
+    out[:, 0, :, 0], out[:, 0, :, 1], out[:, 1, :, 0], out[:, 1, :, 1] = m
+    return out.reshape(2 * n, 2 * n)
 
 
 def build_chain_operator(n_sites: int, spec: RegionSpec, gamma: float) -> np.ndarray:
@@ -137,16 +126,9 @@ def build_chain_operator(n_sites: int, spec: RegionSpec, gamma: float) -> np.nda
     """
     spec.validate(n_sites)
     t1, t2 = spec.angles(n_sites)
-    g = _spin_diag(n_sites, np.exp(gamma), np.exp(-gamma))
-    g_inv = _spin_diag(n_sites, np.exp(-gamma), np.exp(gamma))
-    return (
-        _shift_down(n_sites)
-        @ g
-        @ _rotation_blockdiag(t2)
-        @ _shift_up(n_sites)
-        @ g_inv
-        @ _rotation_blockdiag(t1)
-    )
+    m = _hop(_rows(_phase(-gamma), _dense(_rot(t1[:, None]), n_sites)), 1, 0)
+    m = _hop(_rows(_phase(gamma), _mul(_rot(t2[:, None]), m)), 0, -1)
+    return _interleave(m)
 
 
 def chain_spectrum(op: np.ndarray) -> list[EigenPair]:
@@ -154,9 +136,18 @@ def chain_spectrum(op: np.ndarray) -> list[EigenPair]:
     return eig_general(op)
 
 
-def _site_marginal(vector: np.ndarray) -> np.ndarray:
+def _localization(vector: np.ndarray, boundary: int, window: int):
+    """Site marginal of a state and the localization diagnostics read from it.
+
+    Returns the spin-summed probability per site (normalized), its inverse
+    participation ratio, the coordinate of its peak, and whether that peak
+    lies within ``window`` sites of either region boundary +-``boundary``.
+    """
     probs = np.abs(vector[0::2]) ** 2 + np.abs(vector[1::2]) ** 2
-    return probs / probs.sum()
+    probs = probs / probs.sum()
+    peak = int(_site_coords(len(probs))[int(np.argmax(probs))])
+    near = min(abs(peak - boundary), abs(peak + boundary)) <= window
+    return probs, float(np.sum(probs**2)), peak, near
 
 
 def detect_edge_states(
@@ -177,18 +168,14 @@ def detect_edge_states(
         lam = pair.value
         if abs(lam.imag) > real_axis_tol or abs(lam.real) <= real_axis_tol:
             continue
-        probs = _site_marginal(pair.vector)
-        coords = _site_coords(len(probs))
-        ipr = float(np.sum(probs**2))
-        peak = int(coords[int(np.argmax(probs))])
-        near_boundary = min(abs(peak - boundary), abs(peak + boundary)) <= window
+        _, ipr, peak, near = _localization(pair.vector, boundary, window)
         reports.append(
             EdgeStateReport(
                 eigenvalue=complex(lam),
                 quasi_energy=complex(quasienergy(lam)),
                 ipr=ipr,
                 peak_site=peak,
-                is_edge=bool(ipr >= ipr_min and near_boundary),
+                is_edge=bool(ipr >= ipr_min and near),
             )
         )
     return reports
@@ -206,19 +193,18 @@ def build_strip_operator(
     U = G_y T_y R(t1(y)) G_y^-1 T_y R(t2(y)) G_x T_x R(t1(y)) G_x^-1 T_x with
     T_y the full conditional shift on the y ring, T_x(kx) the momentum-space
     phase diag(e^{i kx}, e^{-i kx}) on every site, and coin angles split by
-    region along y.
+    region along y.  The x half is site-diagonal and is the x half of
+    ``walks.u2d_k`` at per-site angles; the y half hops where ``u2d_k``
+    multiplies by the phase of T_y.
     """
     spec.validate(n_y)
     t1, t2 = spec.angles(n_y)
-    r1 = _rotation_blockdiag(t1)
-    r2 = _rotation_blockdiag(t2)
-    ty = _shift_full(n_y)
-    tx = _spin_diag(n_y, np.exp(1j * kx), np.exp(-1j * kx))
-    gx = _spin_diag(n_y, np.exp(gamma_x), np.exp(-gamma_x))
-    gx_inv = _spin_diag(n_y, np.exp(-gamma_x), np.exp(gamma_x))
-    gy = _spin_diag(n_y, np.exp(gamma_y), np.exp(-gamma_y))
-    gy_inv = _spin_diag(n_y, np.exp(-gamma_y), np.exp(gamma_y))
-    return gy @ ty @ r1 @ gy_inv @ ty @ r2 @ gx @ tx @ r1 @ gx_inv @ tx
+    r1 = _rot(t1[:, None])
+    ikx = 1j * kx
+    x_half = _mul(_rot(t2[:, None]), _rows(_phase(ikx + gamma_x), _cols(r1, _phase(ikx - gamma_x))))
+    m = _hop(_rows(_phase(-gamma_y), _dense(x_half, n_y)), 1, -1)
+    m = _hop(_rows(_phase(gamma_y), _mul(r1, m)), 1, -1)
+    return _interleave(m)
 
 
 def strip_band_structure(
@@ -246,8 +232,6 @@ def bulk_gap_half_width(
     gamma_y: float,
 ) -> float:
     """Smallest |Re E| of the two homogeneous bulks at this transverse momentum."""
-    from .walks import WalkParams2D, momentum_grid, quasi_energy_2d
-
     kys = momentum_grid(n_y) / 2.0
     half = np.inf
     for t1, t2 in (spec.params_inner, spec.params_outer):
@@ -270,23 +254,19 @@ def strip_gap_states(
     The window half-width defaults to the bulk gap at the *same* scaling
     factors; pass ``gap_half`` explicitly (e.g. the zero-loss gap) to count
     states inside a fixed reference window across a loss sweep.  Reported
-    states lie strictly inside the window by ``margin``; localization
-    diagnostics are as in detect_edge_states.
+    states lie strictly inside the window by ``margin``; their IPR and peak
+    site are as in detect_edge_states, and ``is_edge`` marks a peak within
+    10 sites of either region boundary, with no IPR threshold.
     """
     half = bulk_gap_half_width(spec, n_y, kx, gamma_x, gamma_y) if gap_half is None else gap_half
     op = build_strip_operator(n_y, spec, kx, gamma_x, gamma_y)
     lam, vectors = np.linalg.eig(op)
     es = quasienergy(lam)
     out = []
-    coords = _site_coords(n_y)
     for i in np.argsort(es.real):
         if abs(es[i].real) >= half - margin:
             continue
-        probs = np.abs(vectors[0::2, i]) ** 2 + np.abs(vectors[1::2, i]) ** 2
-        probs = probs / probs.sum()
-        ipr = float(np.sum(probs**2))
-        peak = int(coords[int(np.argmax(probs))])
-        near = min(abs(peak - spec.boundary), abs(peak + spec.boundary)) <= 10
+        _, ipr, peak, near = _localization(vectors[:, i], spec.boundary, 10)
         out.append(
             EdgeStateReport(
                 eigenvalue=complex(lam[i]),

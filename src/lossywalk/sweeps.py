@@ -168,11 +168,12 @@ class _Checkpoint:
 
 
 def _run_rows(row_fn, args_list, workers: int):
-    """Evaluate row_fn over args_list, preserving order; pool only if it pays."""
+    """Yield row_fn over args_list in order, each as soon as it is done; pool only if it pays."""
     if workers <= 1 or len(args_list) <= 1:
-        return [row_fn(a) for a in args_list]
+        yield from map(row_fn, args_list)
+        return
     with ProcessPoolExecutor(max_workers=min(workers, len(args_list))) as pool:
-        return list(pool.map(row_fn, args_list, chunksize=1))
+        yield from pool.map(row_fn, args_list, chunksize=1)
 
 
 def _sweep(axes, row_fn, row_args, meta, workers, checkpoint):

@@ -50,7 +50,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateCoin, GapClosed
-from .linalg import BlochDecomposition
+from .linalg import BRANCH_TOL, BlochDecomposition
 
 __all__ = [
     "WalkParams1D",
@@ -127,6 +127,10 @@ class CriticalGamma:
     gamma_c: float | None
     phi_c: float | None
     channel: tuple[float, float]
+
+
+# the Bloch vector n = (nx, ny, nz) / sin E is undefined where |sin E| < this
+GAP_SIN_TOL = 1e-9
 
 
 def momentum_grid(n_points: int) -> np.ndarray:
@@ -259,19 +263,23 @@ def _bloch_ssqw_components(p: WalkParams1D, k):
     return nx, ny, nz
 
 
+def _bloch(e: complex, components, where: str) -> BlochDecomposition:
+    """Bloch decomposition at quasi-energy e from the unnormalized components."""
+    sin_e = np.sin(e)
+    if abs(sin_e) < GAP_SIN_TOL:
+        raise GapClosed(f"band gap closed at {where}")
+    n = np.array(components, dtype=complex) / sin_e
+    ambiguous = min(abs(e.real), abs(e.real - np.pi)) <= BRANCH_TOL
+    return BlochDecomposition(energy=e, n=n, branch_ambiguous=bool(ambiguous))
+
+
 def bloch_ssqw(p: WalkParams1D, k: float) -> BlochDecomposition:
     """Quasi-energy and bilinear-unit Bloch vector of the split-step walk.
 
-    Raises GapClosed when |sin E| < 1e-9 at this momentum.
+    Raises GapClosed when |sin E| < GAP_SIN_TOL at this momentum.
     """
     e = complex(quasi_energy_ssqw(p, k))
-    sin_e = np.sin(e)
-    if abs(sin_e) < 1e-9:
-        raise GapClosed(f"band gap closed at k = {k}")
-    nx, ny, nz = _bloch_ssqw_components(p, k)
-    n = np.array([nx, ny, nz], dtype=complex) / sin_e
-    ambiguous = min(abs(e.real), abs(e.real - np.pi)) <= 1e-9
-    return BlochDecomposition(energy=e, n=n, branch_ambiguous=bool(ambiguous))
+    return _bloch(e, _bloch_ssqw_components(p, k), f"k = {k}")
 
 
 def u2d_k(p: WalkParams2D, kx, ky) -> np.ndarray:
@@ -356,15 +364,12 @@ def _bloch_2d_components(p: WalkParams2D, kx, ky):
 
 
 def bloch_2d(p: WalkParams2D, kx: float, ky: float) -> BlochDecomposition:
-    """Quasi-energy and bilinear-unit Bloch vector of the lossy 2D walk."""
+    """Quasi-energy and bilinear-unit Bloch vector of the lossy 2D walk.
+
+    Raises GapClosed when |sin E| < GAP_SIN_TOL at this momentum.
+    """
     e = complex(quasi_energy_2d(p, kx, ky))
-    sin_e = np.sin(e)
-    if abs(sin_e) < 1e-9:
-        raise GapClosed(f"band gap closed at (kx, ky) = ({kx}, {ky})")
-    nx, ny, nz = _bloch_2d_components(p, kx, ky)
-    n = np.array([nx, ny, nz], dtype=complex) / sin_e
-    ambiguous = min(abs(e.real), abs(e.real - np.pi)) <= 1e-9
-    return BlochDecomposition(energy=e, n=n, branch_ambiguous=bool(ambiguous))
+    return _bloch(e, _bloch_2d_components(p, kx, ky), f"(kx, ky) = ({kx}, {ky})")
 
 
 def critical_gamma(theta1: float, theta2: float, k0: float, e0: float) -> CriticalGamma:

@@ -13,8 +13,8 @@ def branch_dist(a, b):
 def chain_operator_by_rolls(n_sites, spec, gamma):
     """Split-step chain operator built from its action on coin-state arrays.
 
-    A check on ``lattice.build_chain_operator`` that shares none of its
-    dense factor matrices: the amplitudes psi[site, spin] of every basis
+    A check on ``lattice.build_chain_operator`` that shares no code with it
+    or with ``chain_operator_by_matmul``: the amplitudes psi[site, spin] of every basis
     vector are rotated site by site, scaled per spin, and half-shifted with
     np.roll (spin up one site forward, spin down one site back on the ring),
     in the order U = T_down G R(theta2) T_up G^-1 R(theta1).  Site i sits at
@@ -40,6 +40,56 @@ def chain_operator_by_rolls(n_sites, spec, gamma):
     psi = scale(rotate(psi, t2), gamma)
     psi[:, 1] = np.roll(psi[:, 1], -1, axis=0)
     return psi.reshape(2 * n_sites, 2 * n_sites)
+
+
+def _rotation_blockdiag(thetas):
+    n = len(thetas)
+    m = np.zeros((2 * n, 2 * n), dtype=complex)
+    c, s = np.cos(thetas / 2.0), np.sin(thetas / 2.0)
+    idx = np.arange(n)
+    m[2 * idx, 2 * idx] = c
+    m[2 * idx, 2 * idx + 1] = -s
+    m[2 * idx + 1, 2 * idx] = s
+    m[2 * idx + 1, 2 * idx + 1] = c
+    return m
+
+
+def _ring_shift(n, up, down):
+    """Spin up hops ``up`` sites and spin down ``down`` sites on the ring, as a dense matrix."""
+    m = np.zeros((2 * n, 2 * n), dtype=complex)
+    idx = np.arange(n)
+    m[2 * ((idx + up) % n), 2 * idx] = 1.0
+    m[2 * ((idx + down) % n) + 1, 2 * idx + 1] = 1.0
+    return m
+
+
+def _spin_diag(n, up, down):
+    d = np.empty(2 * n, dtype=complex)
+    d[0::2] = up
+    d[1::2] = down
+    return np.diag(d)
+
+
+def chain_operator_by_matmul(n_sites, spec, gamma):
+    """T_down G R(theta2) T_up G^-1 R(theta1) as a product of dense 2N x 2N factors."""
+    t1, t2 = spec.angles(n_sites)
+    g = _spin_diag(n_sites, np.exp(gamma), np.exp(-gamma))
+    g_inv = _spin_diag(n_sites, np.exp(-gamma), np.exp(gamma))
+    return (_ring_shift(n_sites, 0, -1) @ g @ _rotation_blockdiag(t2)
+            @ _ring_shift(n_sites, 1, 0) @ g_inv @ _rotation_blockdiag(t1))
+
+
+def strip_operator_by_matmul(n_y, spec, kx, gamma_x, gamma_y):
+    """G_y T_y R(t1) G_y^-1 T_y R(t2) G_x T_x R(t1) G_x^-1 T_x with dense 2N x 2N factors."""
+    t1, t2 = spec.angles(n_y)
+    r1, r2 = _rotation_blockdiag(t1), _rotation_blockdiag(t2)
+    ty = _ring_shift(n_y, 1, -1)
+    tx = _spin_diag(n_y, np.exp(1j * kx), np.exp(-1j * kx))
+    gx = _spin_diag(n_y, np.exp(gamma_x), np.exp(-gamma_x))
+    gx_inv = _spin_diag(n_y, np.exp(-gamma_x), np.exp(gamma_x))
+    gy = _spin_diag(n_y, np.exp(gamma_y), np.exp(-gamma_y))
+    gy_inv = _spin_diag(n_y, np.exp(-gamma_y), np.exp(gamma_y))
+    return gy @ ty @ r1 @ gy_inv @ ty @ r2 @ gx @ tx @ r1 @ gx_inv @ tx
 
 
 def _diag(d0, d1):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import assert_multiset_close
+from helpers import assert_multiset_close, chain_operator_by_matmul, strip_operator_by_matmul
 
 from lossywalk.errors import InvalidRegion
 from lossywalk.lattice import (
@@ -174,3 +176,50 @@ def test_strip_band_edges_converge_with_width():
     re = np.abs(np.sort(np.angle(lam)))  # |Re E| values
     bulk_like = re[re > edges[1] - 1e-6]
     assert bulk_like.min() < edges[1] + 0.05
+
+
+# --------------------------------------------------------------------------
+# spin-block builders against dense @-chain oracles (tests/helpers.py)
+
+ANGLES = st.floats(-2 * np.pi, 2 * np.pi)
+SCALINGS = st.floats(-0.5, 0.5)
+
+
+@st.composite
+def regions(draw):
+    """(odd ring size <= 61, valid RegionSpec); about half of them homogeneous."""
+    n = 2 * draw(st.integers(2, 30)) + 1
+    inner = (draw(ANGLES), draw(ANGLES))
+    outer = inner if draw(st.booleans()) else (draw(ANGLES), draw(ANGLES))
+    return n, RegionSpec(draw(st.integers(1, (n - 1) // 2 - 1)), inner, outer)
+
+
+def assert_rel_close(got, want, rtol):
+    """Max-entry error within rtol of the reference's largest entry."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+def assert_fourier_blocks(op, blocks):
+    """op maps each plane wave e^{-2 pi i j y / n} (x) coin to itself times blocks[j]."""
+    n = len(blocks)
+    y = np.arange(n)
+    waves = np.exp(-2j * np.pi * np.outer(y, y) / n)
+    planes = np.einsum("yj,ts->ytjs", waves, np.eye(2)).reshape(2 * n, 2 * n)
+    want = np.einsum("yj,jts->ytjs", waves, blocks).reshape(2 * n, 2 * n)
+    assert_rel_close(op @ planes, want, 1e-12)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(regions(), SCALINGS, SCALINGS, SCALINGS, st.floats(-2 * np.pi, 2 * np.pi))
+def test_builders_match_matmul_oracles(region, g, gx, gy, kx):
+    n, spec = region
+    chain = build_chain_operator(n, spec, g)
+    strip = build_strip_operator(n, spec, kx, gx, gy)
+    assert_rel_close(chain, chain_operator_by_matmul(n, spec, g), 1e-13)
+    assert_rel_close(strip, strip_operator_by_matmul(n, spec, kx, gx, gy), 1e-13)
+    if spec.params_inner == spec.params_outer:
+        t1, t2 = spec.params_inner
+        qs = 2.0 * np.pi * np.arange(n) / n
+        assert_fourier_blocks(chain, u1d_ssqw_k(WalkParams1D(t1, t2, g), qs))
+        assert_fourier_blocks(strip, u2d_k(WalkParams2D(t1, t2, gx, gy), kx, qs))

@@ -68,6 +68,33 @@ def test_checkpoint_resume_identical(tmp_path):
     assert resumed.status.tobytes() == full.status.tobytes()
 
 
+def test_interrupted_sweep_keeps_finished_rows(tmp_path, monkeypatch):
+    ck = tmp_path / "sweep.ckpt"
+    gammas = np.linspace(0, 0.3, 3)
+    full = sweep_winding_vs_gamma(-3 * np.pi / 8, T2S, gammas, n_k=101, workers=1)
+    rows_done = 2
+    calls = 0
+    real = sweeps.band_spectrum_1d
+
+    def interrupt_after_rows(*args, **kwargs):
+        nonlocal calls
+        if calls == rows_done * len(gammas):
+            raise KeyboardInterrupt
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sweeps, "band_spectrum_1d", interrupt_after_rows)
+    with pytest.raises(KeyboardInterrupt):
+        sweep_winding_vs_gamma(-3 * np.pi / 8, T2S, gammas, n_k=101, workers=1, checkpoint=str(ck))
+    bitmap = np.frombuffer(ck.read_bytes()[48 : 48 + len(T2S)], dtype=np.uint8)
+    assert bitmap.tolist() == [1] * rows_done + [0] * (len(T2S) - rows_done)
+    monkeypatch.setattr(sweeps, "band_spectrum_1d", real)
+    resumed = sweep_winding_vs_gamma(-3 * np.pi / 8, T2S, gammas, n_k=101, workers=1,
+                                     checkpoint=str(ck))
+    assert resumed.values.tobytes() == full.values.tobytes()
+    assert resumed.status.tobytes() == full.status.tobytes()
+
+
 def test_checkpoint_rejects_other_config(tmp_path):
     ck = tmp_path / "sweep.ckpt"
     sweep_winding_vs_gamma(-3 * np.pi / 8, T2S, np.linspace(0, 0.3, 3), n_k=101,
