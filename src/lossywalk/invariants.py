@@ -17,9 +17,9 @@ link overlap carries the phase Phi/N.  The unwrapped per-link sum then
 recovers Phi robustly (no link sits near the -pi/+pi cut), stays exactly
 pi * integer in the real-spectrum regime, and decays continuously once the
 spectrum turns complex.  Link phases are taken in (-pi, pi]; an overlap that
-is real-negative to within 1e-9 relative imaginary part is canonicalized to
-+pi, which fixes the loop orientation so the nontrivial phase of the
-split-step walk comes out at +1.
+is real-negative to within CUT_REL_TOL relative imaginary part (``_on_cut``)
+is canonicalized to +pi, which fixes the loop orientation so the nontrivial
+phase of the split-step walk comes out at +1.
 """
 
 from __future__ import annotations
@@ -48,6 +48,9 @@ LINK_TOL = 1e-12
 # eigenvalue pair by O(sqrt(eps)) through the discriminant, so the
 # collision detector must sit above that amplification scale
 GAP_COLLISION_TOL = 1e-7
+# an overlap whose |Im| is at most this fraction of its negative real part
+# sits on the -pi/+pi cut, and its phase is taken as +pi
+CUT_REL_TOL = 1e-9
 
 
 @dataclass
@@ -98,6 +101,11 @@ def _split_bands(values: np.ndarray) -> np.ndarray:
     return np.where(lower_first, 0, 1)
 
 
+def _on_cut(z):
+    """Where overlap ``z`` (scalar or array) is real-negative to CUT_REL_TOL: phase +pi."""
+    return (z.real < 0) & (abs(z.imag) <= CUT_REL_TOL * abs(z.real))
+
+
 def _transport_and_spread(states: np.ndarray) -> np.ndarray:
     """Phase-align states along the loop, then spread the holonomy evenly.
 
@@ -113,9 +121,7 @@ def _transport_and_spread(states: np.ndarray) -> np.ndarray:
     closing = np.sum(np.conj(aligned[-1]) * aligned[0])
     if abs(closing) < LINK_TOL:
         raise OrthogonalLink("vanishing overlap on the closing link")
-    phi = float(np.angle(closing))
-    if closing.real < 0 and abs(closing.imag) <= 1e-9 * abs(closing.real):
-        phi = np.pi
+    phi = np.pi if _on_cut(closing) else float(np.angle(closing))
     return aligned * np.exp(1j * np.arange(n) * phi / n)[:, None]
 
 
@@ -191,10 +197,7 @@ def pancharatnam_phase(band: BandData1D) -> float:
     if np.any(mags < LINK_TOL):
         bad = band.k_samples[mags < LINK_TOL]
         raise OrthogonalLink(f"orthogonal link(s) at k = {bad}")
-    phases = np.angle(links)
-    boundary = (links.real < 0) & (np.abs(links.imag) <= 1e-9 * np.abs(links.real))
-    phases = np.where(boundary, np.pi, phases)
-    return float(np.sum(phases))
+    return float(np.sum(np.where(_on_cut(links), np.pi, np.angle(links))))
 
 
 def winding_number(band: BandData1D) -> WindingResult:

@@ -5,12 +5,15 @@ the spreadsheet/plotting interface with one row per cell, row-major, values
 printed with 12 significant digits and status markers as literal strings.
 
 ``emit_plot_script`` writes a self-contained matplotlib script that reads
-the emitted data files sitting next to it.  Script generation is a pure
-string template of its inputs, so regeneration is byte-identical.
+the emitted data files sitting next to it.  Every script is one shared frame
+(shebang, imports, ``here``, and the save-and-print tail) around a per-kind
+body; the panel kinds share their file-list preamble.  Script generation is a
+pure string template of its inputs, so regeneration is byte-identical.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
@@ -26,15 +29,22 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
+@contextlib.contextmanager
+def _opened(path: str, what: str):
+    """Open ``path`` for writing; an OSError names what was being written."""
+    try:
+        with open(path, "w") as fh:
+            yield fh
+    except OSError as exc:
+        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
+
+
 def write_table(table: SweepTable, path: str, fmt: str) -> None:
     """Serialize a sweep table; ``fmt`` is "csv" or "json"."""
     if fmt == "json":
-        try:
-            with open(path, "w") as fh:
-                json.dump(table.to_dict(), fh, indent=1)
-                fh.write("\n")
-        except OSError as exc:
-            raise OSError(f"cannot write table to {path}: {exc}") from exc
+        with _opened(path, "table") as fh:
+            json.dump(table.to_dict(), fh, indent=1)
+            fh.write("\n")
         return
     if fmt != "csv":
         raise ValueError(f"unknown table format {fmt!r}")
@@ -47,11 +57,8 @@ def write_table(table: SweepTable, path: str, fmt: str) -> None:
         row.append("nan" if np.isnan(v) else _fmt(v))
         row.append(STATUS_LABELS[int(table.status[flat])])
         lines.append(",".join(row))
-    try:
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write table to {path}: {exc}") from exc
+    with _opened(path, "table") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_table(path: str) -> SweepTable:
@@ -70,18 +77,17 @@ def write_spectrum_csv(path: str, columns: dict[str, np.ndarray]) -> None:
     lines = [",".join(names)]
     for i in range(n):
         lines.append(",".join(_fmt(float(a[i])) for a in arrays))
-    try:
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write spectrum to {path}: {exc}") from exc
+    with _opened(path, "spectrum") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
-_HEATMAP_TEMPLATE = """\
+# Every plot script is this frame around one body.  The frame is filled in
+# two passes: ``imports`` and ``body`` when the module loads, then the
+# doubled-brace fields (and the body's own fields) per script.
+_FRAME = """\
 #!/usr/bin/env python3
-# Auto-generated plotting script; reads {data} next to this file.
-import json
-import os
+# Auto-generated plotting script; reads {{data}} next to this file.
+{imports}import os
 
 import matplotlib
 matplotlib.use("Agg")
@@ -89,6 +95,20 @@ import matplotlib.pyplot as plt
 import numpy as np
 
 here = os.path.dirname(os.path.abspath(__file__))
+{body}fig.tight_layout()
+fig.savefig(os.path.join(here, {{image!r}}), dpi=160)
+print("wrote", {{image!r}})
+"""
+
+_PANELS = """\
+files = {data!r}
+labels = {labels!r}
+n = len(files)
+"""
+
+_ROW_OF_AXES = "fig, axes = plt.subplots(1, n, figsize=(4 * n, 4), squeeze=False)\n"
+
+_HEATMAP = """\
 with open(os.path.join(here, {data!r})) as fh:
     table = json.load(fh)
 
@@ -116,26 +136,9 @@ ax.set_ylabel(ax_y["name"])
 ax.set_title({title!r})
 ax.set_xlim(xs.min(), xs.max())
 ax.set_ylim(ys.min(), ys.max())
-fig.tight_layout()
-fig.savefig(os.path.join(here, {image!r}), dpi=160)
-print("wrote", {image!r})
 """
 
-_SPECTRUM_TEMPLATE = """\
-#!/usr/bin/env python3
-# Auto-generated plotting script; reads {data_list} next to this file.
-import os
-
-import matplotlib
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-import numpy as np
-
-here = os.path.dirname(os.path.abspath(__file__))
-files = {data_list!r}
-labels = {labels!r}
-n = len(files)
-fig, axes = plt.subplots(1, n, figsize=(4 * n, 4), squeeze=False)
+_SPECTRUM = _PANELS + _ROW_OF_AXES + """\
 phi = np.linspace(0.0, 2.0 * np.pi, 361)
 for ax, fname, label in zip(axes[0], files, labels):
     data = np.genfromtxt(os.path.join(here, fname), delimiter=",", names=True)
@@ -145,26 +148,9 @@ for ax, fname, label in zip(axes[0], files, labels):
     ax.set_ylabel("Im lambda")
     ax.set_title(label)
     ax.set_aspect("equal")
-fig.tight_layout()
-fig.savefig(os.path.join(here, {image!r}), dpi=160)
-print("wrote", {image!r})
 """
 
-_BANDS_TEMPLATE = """\
-#!/usr/bin/env python3
-# Auto-generated plotting script; reads {data_list} next to this file.
-import os
-
-import matplotlib
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-import numpy as np
-
-here = os.path.dirname(os.path.abspath(__file__))
-files = {data_list!r}
-labels = {labels!r}
-n = len(files)
-fig, axes = plt.subplots(1, n, figsize=(4 * n, 4), squeeze=False)
+_BANDS = _PANELS + _ROW_OF_AXES + """\
 for ax, fname, label in zip(axes[0], files, labels):
     raw = np.loadtxt(os.path.join(here, fname), delimiter=",", skiprows=1)
     kx = raw[:, 0]
@@ -174,22 +160,9 @@ for ax, fname, label in zip(axes[0], files, labels):
     ax.set_xlabel("kx")
     ax.set_ylabel("Re E")
     ax.set_title(label)
-fig.tight_layout()
-fig.savefig(os.path.join(here, {image!r}), dpi=160)
-print("wrote", {image!r})
 """
 
-_LINES_TEMPLATE = """\
-#!/usr/bin/env python3
-# Auto-generated plotting script; reads {data} next to this file.
-import os
-
-import matplotlib
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-import numpy as np
-
-here = os.path.dirname(os.path.abspath(__file__))
+_LINES = """\
 raw = np.loadtxt(os.path.join(here, {data!r}), delimiter=",", skiprows=1)
 with open(os.path.join(here, {data!r})) as fh:
     names = fh.readline().strip().split(",")
@@ -200,25 +173,9 @@ for j in range(1, raw.shape[1]):
 ax.set_xlabel(names[0])
 ax.set_title({title!r})
 ax.legend(fontsize=7)
-fig.tight_layout()
-fig.savefig(os.path.join(here, {image!r}), dpi=160)
-print("wrote", {image!r})
 """
 
-_TRAJECTORY_TEMPLATE = """\
-#!/usr/bin/env python3
-# Auto-generated plotting script; reads {data_list} next to this file.
-import os
-
-import matplotlib
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-import numpy as np
-
-here = os.path.dirname(os.path.abspath(__file__))
-files = {data_list!r}
-labels = {labels!r}
-n = len(files)
+_TRAJECTORY = _PANELS + """\
 fig = plt.figure(figsize=(4 * n, 4))
 for i, (fname, label) in enumerate(zip(files, labels)):
     data = np.genfromtxt(os.path.join(here, fname), delimiter=",", names=True)
@@ -229,10 +186,19 @@ for i, (fname, label) in enumerate(zip(files, labels)):
     ax.set_xlabel("nx")
     ax.set_ylabel("ny")
     ax.set_zlabel("nz")
-fig.tight_layout()
-fig.savefig(os.path.join(here, {image!r}), dpi=160)
-print("wrote", {image!r})
 """
+
+# kind -> (whether ``data`` is the whole file list, filled template)
+_TEMPLATES = {
+    kind: (takes_list, _FRAME.format(imports=imports, body=body))
+    for kind, takes_list, imports, body in (
+        ("heatmap", False, "import json\n", _HEATMAP),
+        ("spectrum", True, "", _SPECTRUM),
+        ("bands", True, "", _BANDS),
+        ("lines", False, "", _LINES),
+        ("trajectory", True, "", _TRAJECTORY),
+    )
+}
 
 
 def emit_plot_script(
@@ -252,20 +218,16 @@ def emit_plot_script(
     Bloch-vector paths, one panel per CSV), or "lines" (first CSV column
     against the rest).
     """
-    labels = labels if labels is not None else [os.path.basename(f) for f in data_files]
-    if kind == "heatmap":
-        text = _HEATMAP_TEMPLATE.format(
-            data=data_files[0], title=title, image=image, value_label=value_label
-        )
-    elif kind == "spectrum":
-        text = _SPECTRUM_TEMPLATE.format(data_list=data_files, labels=labels, image=image)
-    elif kind == "bands":
-        text = _BANDS_TEMPLATE.format(data_list=data_files, labels=labels, image=image)
-    elif kind == "trajectory":
-        text = _TRAJECTORY_TEMPLATE.format(data_list=data_files, labels=labels, image=image)
-    elif kind == "lines":
-        text = _LINES_TEMPLATE.format(data=data_files[0], title=title, image=image)
-    else:
+    if kind not in _TEMPLATES:
         raise ValueError(f"unknown plot kind {kind!r}")
-    with open(path, "w") as fh:
+    takes_list, template = _TEMPLATES[kind]
+    labels = labels if labels is not None else [os.path.basename(f) for f in data_files]
+    text = template.format(
+        data=data_files if takes_list else data_files[0],
+        labels=labels,
+        title=title,
+        image=image,
+        value_label=value_label,
+    )
+    with _opened(path, "plot script") as fh:
         fh.write(text)

@@ -7,7 +7,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lossywalk import cli
 from lossywalk.cli import cli_dispatch, parse_angle, parse_range
 from lossywalk.sweeps import sweep_phase_diagram_1d
 from lossywalk.tables import read_table, write_table
@@ -37,6 +40,53 @@ def test_parse_angle_exact_fractions():
 def test_parse_range():
     r = parse_range("0:pi:5")
     assert len(r) == 5 and r[0] == 0.0 and r[-1] == math.pi
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+small = st.one_of(st.none(), st.integers(1, 64))
+
+
+def pi_form(sign, a, b):
+    """Shorthand text and the value the CLI docstring promises for it."""
+    text = f"{sign}{'' if a is None else a}pi{'' if b is None else f'/{b}'}"
+    return text, (-1.0 if sign == "-" else 1.0) * (a or 1) * math.pi / (b or 1)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(["", "+", "-"]), small, small)
+def test_parse_angle_pi_form_is_bit_exact(sign, a, b):
+    text, want = pi_form(sign, a, b)
+    assert parse_angle(text).hex() == want.hex()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(finite)
+def test_parse_angle_decimal_round_trips(x):
+    assert parse_angle(repr(x)).hex() == x.hex()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(finite, finite, st.integers(1, 50))
+def test_parse_range_matches_linspace(x, y, n):
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.testing.assert_array_equal(parse_range(f"{x!r}:{y!r}:{n}"), np.linspace(x, y, n))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(small, small, st.floats(max_value=0.0, exclude_max=True, allow_infinity=False))
+def test_cli_accepts_negative_angle_values(a, b, x):
+    # negative shorthand and decimals must reach the handler as values, not
+    # be taken for option flags
+    shorthand, want = pi_form("-", a, b)
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(cli._HANDLERS, "critical-gamma", lambda ns: seen.append(ns) or 0)
+        mp.setitem(cli._HANDLERS, "phase1d", lambda ns: seen.append(ns) or 0)
+        assert cli_dispatch(["critical-gamma", "--theta1", shorthand, "--theta2", repr(x)]) == 0
+        assert cli_dispatch(["phase1d", "--theta1-range", f"{shorthand}:{x!r}:3"]) == 0
+    assert seen[0].theta1.hex() == want.hex()
+    assert seen[0].theta2.hex() == x.hex()
+    np.testing.assert_array_equal(seen[1].theta1_range, np.linspace(want, x, 3))
 
 
 def test_critical_gamma_command():

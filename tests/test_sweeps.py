@@ -6,6 +6,7 @@ import pytest
 from lossywalk import sweeps
 from lossywalk.errors import CheckpointMismatch
 from lossywalk.sweeps import (
+    STATUS_ERROR,
     STATUS_GAP_CLOSED,
     STATUS_OK,
     SweepTable,
@@ -93,6 +94,30 @@ def test_interrupted_sweep_keeps_finished_rows(tmp_path, monkeypatch):
                                      checkpoint=str(ck))
     assert resumed.values.tobytes() == full.values.tobytes()
     assert resumed.status.tobytes() == full.status.tobytes()
+
+
+@pytest.mark.parametrize("spectrum, sweep", [
+    ("band_spectrum_1d",
+     lambda: sweep_winding_vs_gamma(-3 * np.pi / 8, T2S[:2], np.array([0.0, 0.1]), n_k=51, workers=1)),
+    ("band_spectrum_2d",
+     lambda: sweep_chern_vs_gamma(np.pi / 4, T2S[:2], np.array([0.0, 0.1]), 0.0, grid=21, workers=1)),
+])
+def test_failing_cell_is_error_and_neighbours_are_ok(monkeypatch, spectrum, sweep):
+    # a cell whose computation raises something other than a gap closure is
+    # marked error with a NaN value; the rest of the row still runs
+    real = getattr(sweeps, spectrum)
+
+    def fail_at_second_theta2_second_gamma(params, *args):
+        lossy = params.gamma if hasattr(params, "gamma") else params.gamma_x
+        if params.theta2 == T2S[1] and lossy == 0.1:
+            raise ValueError("injected failure")
+        return real(params, *args)
+
+    monkeypatch.setattr(sweeps, spectrum, fail_at_second_theta2_second_gamma)
+    table = sweep()
+    assert table.status.tolist() == [STATUS_OK, STATUS_OK, STATUS_OK, STATUS_ERROR]
+    assert np.isnan(table.values[3])
+    assert not np.any(np.isnan(table.values[:3]))
 
 
 def test_checkpoint_rejects_other_config(tmp_path):
