@@ -76,6 +76,7 @@ from .lattice import (
     detect_edge_states,
     strip_band_structure,
     strip_gap_states,
+    strip_gap_states_grid,
 )
 from .sweeps import (
     SweepTable,

@@ -368,15 +368,26 @@ def _cmd_chain_spectrum(ns) -> int:
     return 0
 
 
+def _strip_columns(bands) -> dict:
+    """CSV columns of a strip band structure: kx, then e0, e1, ... (one per band)."""
+    cols = {"kx": bands.kx}
+    for j in range(bands.re_energies.shape[1]):
+        cols[f"e{j}"] = bands.re_energies[:, j]
+    return cols
+
+
+def _preset_spec(preset: dict) -> RegionSpec:
+    """The two-region split of a figure preset, its shorthand angles parsed."""
+    return RegionSpec(preset["boundary"], tuple(map(parse_angle, preset["inner"])),
+                      tuple(map(parse_angle, preset["outer"])))
+
+
 def _cmd_strip_bands(ns) -> int:
     spec = RegionSpec(ns.boundary, ns.inner, ns.outer)
     os.makedirs(ns.outdir, exist_ok=True)
     bands = strip_band_structure(spec, ns.ny, ns.kx_samples, ns.gamma_x, ns.gamma_y)
     stem = "strip_bands"
-    cols = {"kx": bands.kx}
-    for j in range(bands.re_energies.shape[1]):
-        cols[f"e{j}"] = bands.re_energies[:, j]
-    write_spectrum_csv(os.path.join(ns.outdir, f"{stem}.csv"), cols)
+    write_spectrum_csv(os.path.join(ns.outdir, f"{stem}.csv"), _strip_columns(bands))
     emit_plot_script("bands", os.path.join(ns.outdir, f"{stem}_plot.py"),
                      [f"{stem}.csv"], f"{stem}.png",
                      labels=[f"gx={ns.gamma_x} gy={ns.gamma_y}"])
@@ -409,8 +420,7 @@ def _figure_3(outdir: str) -> None:
 
 def _figure_7(outdir: str) -> None:
     preset = FIGURE_PRESETS["7"]
-    spec = RegionSpec(preset["boundary"], tuple(map(parse_angle, preset["inner"])),
-                      tuple(map(parse_angle, preset["outer"])))
+    spec = _preset_spec(preset)
     n = preset["n"]
     t1, t2 = spec.angles(n)
     coords = np.arange(n) - (n - 1) // 2
@@ -457,8 +467,7 @@ def _cmd_figure(ns) -> int:
             _emit_sweep(table, ns.outdir, f"fig5_panel{i}",
                         f"Chern, theta1={t1s}, gamma_y={gy}", "C")
     elif fid == "6":
-        spec = RegionSpec(preset["boundary"], tuple(map(parse_angle, preset["inner"])),
-                          tuple(map(parse_angle, preset["outer"])))
+        spec = _preset_spec(preset)
         files = []
         for g in preset["gammas"]:
             stem = f"fig6_gamma{g}"
@@ -470,16 +479,12 @@ def _cmd_figure(ns) -> int:
         _figure_7(ns.outdir)
         print(f"wrote {ns.outdir}/fig7_partition.csv and fig7_plot.py")
     elif fid == "8":
-        spec = RegionSpec(preset["boundary"], tuple(map(parse_angle, preset["inner"])),
-                          tuple(map(parse_angle, preset["outer"])))
+        spec = _preset_spec(preset)
         files = []
         for g in preset["gammas"]:
             bands = strip_band_structure(spec, preset["n_y"], preset["kx_samples"], g, g)
             stem = f"fig8_gamma{g}"
-            cols = {"kx": bands.kx}
-            for j in range(bands.re_energies.shape[1]):
-                cols[f"e{j}"] = bands.re_energies[:, j]
-            write_spectrum_csv(os.path.join(ns.outdir, f"{stem}.csv"), cols)
+            write_spectrum_csv(os.path.join(ns.outdir, f"{stem}.csv"), _strip_columns(bands))
             files.append(f"{stem}.csv")
         emit_plot_script("bands", os.path.join(ns.outdir, "fig8_plot.py"), files,
                          "fig8.png", labels=[f"gamma={g}" for g in preset["gammas"]])

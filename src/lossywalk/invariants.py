@@ -46,7 +46,13 @@ __all__ = [
 LINK_TOL = 1e-12
 # an exact closing with O(eps) rounding in the operator splits the
 # eigenvalue pair by O(sqrt(eps)) through the discriminant, so the
-# collision detector must sit above that amplification scale
+# collision detector must sit above that amplification scale:
+# eig2_batch takes lambda = tr/2 +- sqrt(D) with D = (tr/2)^2 - det.  At a
+# closing D = 0 exactly, but rounding in the O(1) entries, in (tr/2)^2 and
+# in det leaves |D| ~ c eps for a small integer c, and the computed split
+# is 2 sqrt(|D|) = 2 sqrt(c) sqrt(eps).  With eps = 2.2e-16,
+# sqrt(eps) = 1.5e-8, so 1e-7 is about 7 sqrt(eps): a closing still reads
+# as a collision while the rounding in D stays below about 11 eps.
 GAP_COLLISION_TOL = 1e-7
 # an overlap whose |Im| is at most this fraction of its negative real part
 # sits on the -pi/+pi cut, and its phase is taken as +pi

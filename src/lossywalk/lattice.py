@@ -21,11 +21,17 @@ at the end.  The strip's x half is the same expression as the x half of
 The homogeneous limit block-diagonalizes over the momentum grid, which the
 tests use as the strongest integration check: the chain (strip) spectrum
 equals the union of the 2x2 momentum-space spectra.
+
+The strip operator has two exact symmetries in kx: U(-kx) = conj(U(kx)),
+bit for bit, and U(kx + pi) = U(kx), because T_x enters twice.  The grid
+functions ``strip_band_structure`` and ``strip_gap_states_grid`` therefore
+diagonalize once per symmetry class of the kx grid (``_kx_classes``) and
+fill the partner rows from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,6 +49,7 @@ __all__ = [
     "build_strip_operator",
     "strip_band_structure",
     "strip_gap_states",
+    "strip_gap_states_grid",
 ]
 
 
@@ -207,6 +214,30 @@ def build_strip_operator(
     return _interleave(m)
 
 
+def _kx_grid(n: int) -> np.ndarray:
+    return -np.pi + 2.0 * np.pi * np.arange(n) / n
+
+
+def _kx_classes(n: int) -> list[tuple[int, bool]]:
+    """(representative, mirrored) for each point kx_j = -pi + 2 pi j / n of the grid.
+
+    The class of j is {j, j + n/2, n - j, n - j + n/2} mod n (the n/2 shifts,
+    kx -> kx + pi, only for even n; n - j is -kx).  Its representative is its
+    smallest index, which the grid functions diagonalize; every other row is
+    a copy of it (kx + pi) or its mirror (-kx, possibly with + pi).  A pure
+    mirror is preferred over a copy: where -kx_j is exactly a grid point, the
+    mirrored row is bit-equal to a direct solve.  There are n // 4 + 1
+    classes for even n and (n + 1) // 2 for odd n.
+    """
+    half = n // 2 if n % 2 == 0 else 0
+    out = []
+    for j in range(n):
+        mirror, copy = (n - j) % n, (j + half) % n
+        rep = min(j, mirror, copy, (mirror + half) % n)
+        out.append((rep, rep != j and (rep == mirror or rep != copy)))
+    return out
+
+
 def strip_band_structure(
     spec: RegionSpec,
     n_y: int,
@@ -214,13 +245,20 @@ def strip_band_structure(
     gamma_x: float,
     gamma_y: float,
 ) -> StripBands:
-    """Real parts of the strip quasi-energies over a transverse-momentum grid."""
-    ks = -np.pi + 2.0 * np.pi * np.arange(kx_samples) / kx_samples
+    """Real parts of the strip quasi-energies over a transverse-momentum grid.
+
+    Only one kx per symmetry class is diagonalized.  A mirrored row is the
+    representative's row negated and reversed: Re E = -angle(lambda), and the
+    eigenvalues at -kx are the conjugates of those at kx.
+    """
+    ks = _kx_grid(kx_samples)
     rows = np.empty((kx_samples, 2 * n_y))
-    for i, kx in enumerate(ks):
-        op = build_strip_operator(n_y, spec, kx, gamma_x, gamma_y)
-        lam = np.linalg.eigvals(op)
-        rows[i] = np.sort(quasienergy(lam).real)
+    for j, (rep, mirrored) in enumerate(_kx_classes(kx_samples)):
+        if rep == j:
+            lam = np.linalg.eigvals(build_strip_operator(n_y, spec, ks[j], gamma_x, gamma_y))
+            rows[j] = np.sort(quasienergy(lam).real)
+        else:
+            rows[j] = -rows[rep, ::-1] if mirrored else rows[rep]
     return StripBands(kx=ks, re_energies=rows)
 
 
@@ -240,13 +278,16 @@ def bulk_gap_half_width(
     return half
 
 
+_GAP_MARGIN = 1e-3  # reported states lie this far inside the gap window
+
+
 def strip_gap_states(
     spec: RegionSpec,
     n_y: int,
     kx: float,
     gamma_x: float,
     gamma_y: float,
-    margin: float = 1e-3,
+    margin: float = _GAP_MARGIN,
     gap_half: float | None = None,
 ) -> list[EdgeStateReport]:
     """States of the strip whose Re E falls inside the bulk gap around E = 0.
@@ -276,4 +317,43 @@ def strip_gap_states(
                 is_edge=bool(near),
             )
         )
+    return out
+
+
+def strip_gap_states_grid(
+    spec: RegionSpec,
+    n_y: int,
+    kx_samples: int,
+    gamma_x: float,
+    gamma_y: float,
+    gap_half: np.ndarray,
+) -> list[list[EdgeStateReport]]:
+    """``strip_gap_states`` at every point of the ``strip_band_structure`` grid.
+
+    ``gap_half`` is one window half-width per kx.  The strip is
+    diagonalized once per symmetry class, in the widest window of the
+    class; each row then keeps the states inside its own window.  A
+    mirrored row holds the conjugate eigenvalues, quasi-energies -conj(E)
+    and the same IPR, peak site and ``is_edge``, since its eigenvectors are
+    the complex conjugates.
+    """
+    ks = _kx_grid(kx_samples)
+    halves = np.asarray(gap_half, dtype=float)
+    if halves.shape != ks.shape:
+        raise ValueError(f"gap_half has shape {halves.shape}, expected ({kx_samples},)")
+    classes = _kx_classes(kx_samples)
+    widest: dict[int, float] = {}
+    for j, (rep, _) in enumerate(classes):
+        widest[rep] = max(widest.get(rep, -np.inf), halves[j])
+    found = {rep: strip_gap_states(spec, n_y, float(ks[rep]), gamma_x, gamma_y, gap_half=half)
+             for rep, half in widest.items()}
+    out = []
+    for j, (rep, mirrored) in enumerate(classes):
+        kept = [s for s in found[rep] if abs(s.quasi_energy.real) < halves[j] - _GAP_MARGIN]
+        if mirrored:
+            kept = [replace(s, eigenvalue=s.eigenvalue.conjugate(),
+                            quasi_energy=-s.quasi_energy.conjugate()) for s in reversed(kept)]
+        else:
+            kept = [replace(s) for s in kept]
+        out.append(kept)
     return out

@@ -2,6 +2,9 @@
 
 import numpy as np
 
+from lossywalk.lattice import build_strip_operator
+from lossywalk.linalg import quasienergy
+
 
 def branch_dist(a, b):
     """Distance between quasi-energies with the real part compared mod 2 pi."""
@@ -90,6 +93,16 @@ def strip_operator_by_matmul(n_y, spec, kx, gamma_x, gamma_y):
     gy = _spin_diag(n_y, np.exp(gamma_y), np.exp(-gamma_y))
     gy_inv = _spin_diag(n_y, np.exp(-gamma_y), np.exp(gamma_y))
     return gy @ ty @ r1 @ gy_inv @ ty @ r2 @ gx @ tx @ r1 @ gx_inv @ tx
+
+
+def strip_bands_by_loop(spec, n_y, kx_samples, gamma_x, gamma_y):
+    """(kx grid, sorted Re E rows) with one eigvals call per kx, no symmetry used."""
+    ks = -np.pi + 2.0 * np.pi * np.arange(kx_samples) / kx_samples
+    rows = np.empty((kx_samples, 2 * n_y))
+    for i, kx in enumerate(ks):
+        lam = np.linalg.eigvals(build_strip_operator(n_y, spec, kx, gamma_x, gamma_y))
+        rows[i] = np.sort(quasienergy(lam).real)
+    return ks, rows
 
 
 def _diag(d0, d1):

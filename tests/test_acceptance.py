@@ -293,15 +293,13 @@ def test_criterion_08_bulk_boundary_2d():
     t0 = time.perf_counter()
     n_y = 201
     kxs = -np.pi + 2 * np.pi * np.arange(64) / 64
-    ref = {float(kx): bulk_gap_half_width(FIG8_SPEC, n_y, float(kx), 0.0, 0.0) for kx in kxs}
+    ref = [bulk_gap_half_width(FIG8_SPEC, n_y, float(kx), 0.0, 0.0) for kx in kxs]
     counts = {}
     boundary_peaked = {}
     for g in (0.0, 0.2, 0.47):
         total = 0
         peaked = 0
-        for kx in kxs:
-            states = lw.strip_gap_states(FIG8_SPEC, n_y, float(kx), g, g,
-                                         gap_half=ref[float(kx)])
+        for states in lw.strip_gap_states_grid(FIG8_SPEC, n_y, 64, g, g, gap_half=ref):
             total += len(states)
             peaked += sum(1 for s in states if s.is_edge)
         counts[g] = total

@@ -3,11 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_multiset_close, chain_operator_by_matmul, strip_operator_by_matmul
+from helpers import (
+    assert_multiset_close,
+    chain_operator_by_matmul,
+    strip_bands_by_loop,
+    strip_operator_by_matmul,
+)
 
 from lossywalk.errors import InvalidRegion
 from lossywalk.lattice import (
     RegionSpec,
+    _kx_classes,
     build_chain_operator,
     build_strip_operator,
     bulk_gap_half_width,
@@ -15,6 +21,7 @@ from lossywalk.lattice import (
     detect_edge_states,
     strip_band_structure,
     strip_gap_states,
+    strip_gap_states_grid,
 )
 from lossywalk.linalg import eig2_batch, is_unitary
 from lossywalk.walks import WalkParams1D, WalkParams2D, u1d_ssqw_k, u2d_k
@@ -141,6 +148,8 @@ def test_strip_unitary_at_zero_scaling():
 
 
 SMALL_FIG8 = RegionSpec(25, FIG8_SPEC.params_inner, FIG8_SPEC.params_outer)
+STRIP_SPEC = RegionSpec(10, FIG8_SPEC.params_inner, FIG8_SPEC.params_outer)
+STRIP_NY = 41
 
 
 def test_strip_gap_hosts_interface_states():
@@ -156,8 +165,8 @@ def test_strip_gap_states_persist_with_loss():
 
 
 def test_strip_band_structure_rows_sorted():
-    bands = strip_band_structure(RegionSpec(10, FIG8_SPEC.params_inner, FIG8_SPEC.params_outer), 41, 8, 0.0, 0.0)
-    assert bands.re_energies.shape == (8, 82)
+    bands = strip_band_structure(STRIP_SPEC, STRIP_NY, 8, 0.0, 0.0)
+    assert bands.re_energies.shape == (8, 2 * STRIP_NY)
     assert np.all(np.diff(bands.re_energies, axis=1) >= 0)
     assert np.all(np.diff(bands.kx) > 0)
 
@@ -223,3 +232,100 @@ def test_builders_match_matmul_oracles(region, g, gx, gy, kx):
         qs = 2.0 * np.pi * np.arange(n) / n
         assert_fourier_blocks(chain, u1d_ssqw_k(WalkParams1D(t1, t2, g), qs))
         assert_fourier_blocks(strip, u2d_k(WalkParams2D(t1, t2, gx, gy), kx, qs))
+
+
+# --------------------------------------------------------------------------
+# kx symmetry classes of the strip: premises, class count, mirrored rows
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(regions(), SCALINGS, SCALINGS, st.floats(-2 * np.pi, 2 * np.pi))
+def test_strip_kx_symmetry_premises(region, gx, gy, kx):
+    n, spec = region
+    op = build_strip_operator(n, spec, kx, gx, gy)
+    assert np.array_equal(build_strip_operator(n, spec, -kx, gx, gy), op.conj())
+    assert_rel_close(build_strip_operator(n, spec, kx + np.pi, gx, gy), op, 1e-13)
+
+
+def test_kx_classes_cover_the_grid():
+    for n in range(1, 70):
+        classes = _kx_classes(n)
+        reps = {rep for rep, _ in classes}
+        assert len(reps) == (n // 4 + 1 if n % 2 == 0 else (n + 1) // 2)
+        assert all(classes[rep] == (rep, False) for rep in reps)
+        for j, (rep, mirrored) in enumerate(classes):
+            # j is rep, rep + pi, -rep or -rep + pi on the grid
+            partners = {rep, (rep + n // 2) % n} if n % 2 == 0 else {rep}
+            if mirrored:
+                partners = {(n - p) % n for p in partners}
+            assert j in partners
+
+
+def _circle_distance(got, want):
+    """Largest distance from a point of either row to its nearest partner, on the unit circle."""
+    d = np.abs(np.exp(1j * got)[:, None] - np.exp(1j * want)[None, :])
+    return max(d.min(axis=0).max(), d.min(axis=1).max())
+
+
+def _in_gap_counts(rows, halves, margin=1e-3):
+    """States per row inside the zero- and pi-gap windows of half-width halves[j] - margin."""
+    re = np.abs(rows)
+    window = (np.asarray(halves) - margin)[:, None]
+    return np.sum(re < window, axis=1), np.sum(np.pi - re < window, axis=1)
+
+
+@pytest.mark.parametrize("kx_samples", [1, 2, 3, 4, 6, 8])
+def test_strip_bands_match_per_kx_loop(kx_samples):
+    ks, want = strip_bands_by_loop(STRIP_SPEC, STRIP_NY, kx_samples, 0.0, 0.0)
+    got = strip_band_structure(STRIP_SPEC, STRIP_NY, kx_samples, 0.0, 0.0)
+    assert np.array_equal(got.kx, ks)
+    for j in range(kx_samples):
+        assert _circle_distance(got.re_energies[j], want[j]) <= 1e-9, f"kx#{j}"
+    halves = [bulk_gap_half_width(STRIP_SPEC, STRIP_NY, kx, 0.0, 0.0) for kx in ks]
+    _, want = strip_bands_by_loop(STRIP_SPEC, STRIP_NY, kx_samples, 0.2, 0.2)
+    got = strip_band_structure(STRIP_SPEC, STRIP_NY, kx_samples, 0.2, 0.2)
+    for got_counts, want_counts in zip(_in_gap_counts(got.re_energies, halves),
+                                       _in_gap_counts(want, halves)):
+        assert got_counts.tolist() == want_counts.tolist()
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.2, 0.47])
+def test_strip_bands_exact_mirror_rows_bit_equal(gamma):
+    # on the 4-grid, kx = pi/2 is exactly -(-pi/2): its mirrored row is a direct solve
+    ks, want = strip_bands_by_loop(STRIP_SPEC, STRIP_NY, 4, gamma, gamma)
+    assert ks[3] == -ks[1] == np.pi / 2
+    got = strip_band_structure(STRIP_SPEC, STRIP_NY, 4, gamma, gamma)
+    assert _kx_classes(4)[3] == (1, True)
+    assert np.array_equal(got.re_energies[1], want[1])
+    assert np.array_equal(got.re_energies[3], want[3])
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.2])
+def test_strip_gap_states_grid_matches_per_kx_calls(gamma):
+    n = 8
+    ks = -np.pi + 2 * np.pi * np.arange(n) / n
+    halves = np.array([bulk_gap_half_width(STRIP_SPEC, STRIP_NY, kx, 0.0, 0.0) for kx in ks])
+    grid = strip_gap_states_grid(STRIP_SPEC, STRIP_NY, n, gamma, gamma, gap_half=halves)
+    classes = _kx_classes(n)
+    assert len(grid) == n
+    for j, kx in enumerate(ks):
+        want = strip_gap_states(STRIP_SPEC, STRIP_NY, float(kx), gamma, gamma, gap_half=halves[j])
+        got = grid[j]
+        assert len(got) == len(want), f"kx#{j}"
+        # at gamma > 0, nearly equal Re E may swap order between partner rows
+        assert sorted((s.peak_site, s.is_edge) for s in got) == sorted(
+            (s.peak_site, s.is_edge) for s in want)
+        if gamma == 0.0:
+            for g, w in zip(got, want):
+                assert abs(g.eigenvalue - w.eigenvalue) <= 1e-9
+                assert abs(g.ipr - w.ipr) <= 1e-9
+        rep, mirrored = classes[j]
+        if rep == j:
+            assert got == want
+        elif mirrored and kx == -ks[rep]:
+            assert got == want  # exact negation: the mirror is a direct solve
+
+
+def test_strip_gap_states_grid_rejects_wrong_window_shape():
+    with pytest.raises(ValueError):
+        strip_gap_states_grid(STRIP_SPEC, STRIP_NY, 4, 0.0, 0.0, gap_half=np.ones(3))

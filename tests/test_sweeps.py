@@ -1,4 +1,8 @@
+import multiprocessing
 import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -91,6 +95,39 @@ def test_interrupted_sweep_keeps_finished_rows(tmp_path, monkeypatch):
     assert bitmap.tolist() == [1] * rows_done + [0] * (len(T2S) - rows_done)
     monkeypatch.setattr(sweeps, "band_spectrum_1d", real)
     resumed = sweep_winding_vs_gamma(-3 * np.pi / 8, T2S, gammas, n_k=101, workers=1,
+                                     checkpoint=str(ck))
+    assert resumed.values.tobytes() == full.values.tobytes()
+    assert resumed.status.tobytes() == full.status.tobytes()
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="pool workers must inherit the patched cell function")
+def test_killed_worker_keeps_finished_rows(tmp_path, monkeypatch):
+    # the first cell of row 1 kills its own pool worker, but only once row 0
+    # is in the checkpoint; pool.map yields in order, so rows 2 and 3 are
+    # never written even if they finish
+    ck = tmp_path / "sweep.ckpt"
+    marker = tmp_path / "resume"
+    gammas = np.linspace(0, 0.3, 3)
+    full = sweep_winding_vs_gamma(-3 * np.pi / 8, T2S, gammas, n_k=101, workers=1)
+    real = sweeps.band_spectrum_1d
+    test_pid = os.getpid()
+
+    def kill_in_row_one(params, *args):
+        if params.theta2 == T2S[1] and not marker.exists() and os.getpid() != test_pid:
+            deadline = time.monotonic() + 60.0
+            while ck.read_bytes()[48] == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(params, *args)
+
+    monkeypatch.setattr(sweeps, "band_spectrum_1d", kill_in_row_one)
+    with pytest.raises(BrokenProcessPool):
+        sweep_winding_vs_gamma(-3 * np.pi / 8, T2S, gammas, n_k=101, workers=2, checkpoint=str(ck))
+    bitmap = np.frombuffer(ck.read_bytes()[48 : 48 + len(T2S)], dtype=np.uint8)
+    assert bitmap.tolist() == [1, 0, 0, 0]
+    marker.touch()
+    resumed = sweep_winding_vs_gamma(-3 * np.pi / 8, T2S, gammas, n_k=101, workers=2,
                                      checkpoint=str(ck))
     assert resumed.values.tobytes() == full.values.tobytes()
     assert resumed.status.tobytes() == full.status.tobytes()
