@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 LINK_TOL = 1e-12
+# a winding or Chern number within this of an integer counts as that integer
+INTEGER_TOL = 1e-6
 # an exact closing with O(eps) rounding in the operator splits the
 # eigenvalue pair by O(sqrt(eps)) through the discriminant, so the
 # collision detector must sit above that amplification scale:
@@ -112,23 +114,27 @@ def _on_cut(z):
     return (z.real < 0) & (abs(z.imag) <= CUT_REL_TOL * abs(z.real))
 
 
-def _transport_and_spread(states: np.ndarray) -> np.ndarray:
-    """Phase-align states along the loop, then spread the holonomy evenly.
+def _transport_and_spread(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Phase-align (..., N, 2) loops of states, then spread each holonomy evenly.
 
     After this gauge every cyclic link overlap has phase Phi/N where Phi is
     the closed-loop holonomy in (-pi, pi] (boundary canonicalized to +pi).
+    Also returns, per loop, whether a raw or the closing link is below
+    LINK_TOL; a single (N, 2) loop raises OrthogonalLink there instead.
     """
-    n = states.shape[0]
-    raw = np.sum(np.conj(states[:-1]) * states[1:], axis=-1)
-    if np.any(np.abs(raw) < LINK_TOL):
+    n, single = states.shape[-2], states.ndim == 2
+    raw = np.sum(np.conj(states[..., :-1, :]) * states[..., 1:, :], axis=-1)
+    thin = np.any(np.abs(raw) < LINK_TOL, axis=-1)
+    if single and thin:
         raise OrthogonalLink("vanishing overlap between adjacent band states")
-    chi = np.concatenate([[0.0], np.cumsum(np.angle(raw))])
-    aligned = states * np.exp(-1j * chi)[:, None]
-    closing = np.sum(np.conj(aligned[-1]) * aligned[0])
-    if abs(closing) < LINK_TOL:
+    chi = np.concatenate([np.zeros_like(raw[..., :1].real), np.cumsum(np.angle(raw), axis=-1)], axis=-1)
+    aligned = states * np.exp(-1j * chi)[..., None]
+    closing = np.sum(np.conj(aligned[..., -1, :]) * aligned[..., 0, :], axis=-1)
+    thin = thin | (np.abs(closing) < LINK_TOL)
+    if single and thin:
         raise OrthogonalLink("vanishing overlap on the closing link")
-    phi = np.pi if _on_cut(closing) else float(np.angle(closing))
-    return aligned * np.exp(1j * np.arange(n) * phi / n)[:, None]
+    phi = np.where(_on_cut(closing), np.pi, np.angle(closing))[..., None]
+    return aligned * np.exp(1j * np.arange(n) * phi / n)[..., None], thin
 
 
 def band_spectrum_1d(p: WalkParams1D, n_points: int) -> tuple[BandData1D, BandData1D]:
@@ -136,22 +142,32 @@ def band_spectrum_1d(p: WalkParams1D, n_points: int) -> tuple[BandData1D, BandDa
 
     Raises GapClosure (with the offending momenta) when the two eigenvalues
     collide within GAP_COLLISION_TOL anywhere on the grid.
+    Array fields given as (..., 1) columns make a batch of loops, equal bit
+    for bit to one call per cell; there a collision or a link below LINK_TOL
+    in either band makes the cell's states and energies NaN instead, and
+    non-finite data in another cell raises FloatingPointError.
     """
     ks = momentum_grid(n_points)
     ops = u1d_ssqw_k(p, ks)
     values, vectors, _ = eig2_batch(ops)
-    collisions = np.abs(values[:, 0] - values[:, 1]) < GAP_COLLISION_TOL
-    if np.any(collisions):
+    collisions = np.abs(values[..., 0] - values[..., 1]) < GAP_COLLISION_TOL
+    if ops.ndim == 3 and np.any(collisions):
         raise GapClosure(ks[collisions])
-    low = _split_bands(values)
-    idx = np.arange(n_points)
+    closed = np.any(collisions, axis=-1)
+    low = _split_bands(values)[..., None]
     bands = []
     for label, sel in (("lower", low), ("upper", 1 - low)):
-        energies = quasienergy(values[idx, sel])
-        states = vectors[idx, :, sel]
-        states = _canonical_phase(states)
-        states = _transport_and_spread(states)
+        energies = quasienergy(np.take_along_axis(values, sel, axis=-1)[..., 0])
+        states = np.take_along_axis(vectors, sel[..., None, :], axis=-1)[..., 0]
+        states, thin = _transport_and_spread(_canonical_phase(states))
+        closed = closed | thin
         bands.append(BandData1D(k_samples=ks.copy(), states=states, energies=energies, band_label=label))
+    if ops.ndim > 3:
+        for band in bands:
+            if not np.all(np.isfinite(band.states[~closed])):
+                raise FloatingPointError("non-finite band states in a gapped cell")
+            band.states[closed] = np.nan
+            band.energies[closed] = np.nan
     return bands[0], bands[1]
 
 
@@ -195,22 +211,28 @@ def pancharatnam_phase(band: BandData1D) -> float:
     Sum over j of arg<psi(k_j)|psi(k_j+1)> with each link phase in (-pi, pi]
     (real-negative overlaps canonicalized to +pi) and indices cyclic.  Equals
     the holonomy arg of the full overlap product modulo 2 pi; in the gauge
-    produced by band_spectrum_1d the sum recovers it without wrapping.
+    produced by band_spectrum_1d the sum recovers it without wrapping.  A
+    batch of loops gives one phase per loop, NaN where a link is below
+    LINK_TOL; a single loop raises OrthogonalLink there.
     """
     states = band.states
-    links = np.sum(np.conj(states) * np.roll(states, -1, axis=0), axis=-1)
-    mags = np.abs(links)
-    if np.any(mags < LINK_TOL):
-        bad = band.k_samples[mags < LINK_TOL]
-        raise OrthogonalLink(f"orthogonal link(s) at k = {bad}")
-    return float(np.sum(np.where(_on_cut(links), np.pi, np.angle(links))))
+    links = np.sum(np.conj(states) * np.roll(states, -1, axis=-2), axis=-1)
+    orthogonal = np.abs(links) < LINK_TOL
+    phases = np.where(_on_cut(links), np.pi, np.angle(links))
+    if states.ndim > 2:
+        return np.where(np.any(orthogonal, axis=-1), np.nan, np.sum(phases, axis=-1))
+    if np.any(orthogonal):
+        raise OrthogonalLink(f"orthogonal link(s) at k = {band.k_samples[orthogonal]}")
+    return float(np.sum(phases))
 
 
 def winding_number(band: BandData1D) -> WindingResult:
-    """Winding number of one band: geometric loop phase divided by pi."""
+    """Winding number of one band: loop phase / pi (arrays for a batch, NaN w where closed)."""
     total = pancharatnam_phase(band)
     w = total / np.pi
-    return WindingResult(w=float(w), is_integer=bool(abs(w - round(w)) < 1e-6), total_phase=total)
+    if np.ndim(w):
+        return WindingResult(w=w, is_integer=np.abs(w - np.rint(w)) < INTEGER_TOL, total_phase=total)
+    return WindingResult(w=float(w), is_integer=bool(abs(w - round(w)) < INTEGER_TOL), total_phase=total)
 
 
 def chern_number(band: BandData2D) -> tuple[int, np.ndarray]:
@@ -235,7 +257,7 @@ def chern_number(band: BandData2D) -> tuple[int, np.ndarray]:
     field = np.angle(l1 * l2 * l3 * l4)
     total = field.sum() / (2.0 * np.pi)
     c = int(np.rint(total))
-    if abs(total - c) > 1e-6:
+    if abs(total - c) > INTEGER_TOL:
         raise ArithmeticError(f"plaquette sum {total} is not an integer")
     return c, field
 

@@ -4,8 +4,13 @@ A sweep evaluates a pure cell function over the Cartesian product of named
 axes and stores row-major float results plus a per-cell status marker.
 Rows (first axis) are distributed over a process pool; results land in
 preallocated slots indexed by grid position, so the table is bit-identical
-regardless of worker count or scheduling, and any cell recomputed in
-isolation matches its in-sweep value.
+regardless of worker count or scheduling.
+
+A winding row is one batched ``band_spectrum_1d`` and ``winding_number``
+call; its masks make a cell with colliding eigenvalues or vanishing links
+NaN and gap_closed.  If the batch raises, the row reruns cell by cell, so
+errors are the cells' own.  A batch of one equals the row, bit for bit.
+Chern rows stay per cell: one cell already diagonalises a whole 2D grid.
 
 Checkpoint file layout (little-endian, fixed width), version 1:
 
@@ -238,7 +243,13 @@ def _row(cell, cells):
 # refuses to install if either is missing.
 
 def _winding_gamma_row(cells):
-    return _row(_winding_value, cells)
+    t1, t2, g, n_k = (np.array(col)[:, None] for col in zip(*cells))
+    try:
+        lower, _ = band_spectrum_1d(WalkParams1D(t1, t2, g), int(n_k[0, 0]))
+        w = winding_number(lower).w
+    except Exception:
+        return _row(_winding_value, cells)
+    return w, np.where(np.isnan(w), STATUS_GAP_CLOSED, STATUS_OK).astype(np.uint8)
 
 
 def _chern_gamma_row(cells):

@@ -76,7 +76,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WalkParams1D:
-    """Split-step walk parameters: coin angles and complex scaling delta = gamma + i phi."""
+    """Split-step walk parameters: coin angles and complex scaling delta = gamma + i phi.
+
+    Array fields broadcast against the momenta: (n, 1) columns give n walks.
+    """
 
     theta1: float
     theta2: float
@@ -85,11 +88,15 @@ class WalkParams1D:
 
     def __post_init__(self):
         for name in ("theta1", "theta2", "gamma", "phi"):
-            if not np.isfinite(getattr(self, name)):
+            finite = np.isfinite(getattr(self, name))
+            if not (finite.all() if finite.ndim else finite):  # a scalar skips the reduction
                 raise ValueError(f"{name} must be finite")
 
     @property
     def delta(self) -> complex:
+        """gamma + i phi, exact to the signed zero; a complex array if a field is an array."""
+        if isinstance(self.gamma, np.ndarray) or isinstance(self.phi, np.ndarray):
+            return np.vectorize(complex, otypes=[complex])(self.gamma, self.phi)
         return complex(self.gamma, self.phi)
 
 

@@ -2,8 +2,12 @@
 
 import numpy as np
 
+from lossywalk.errors import GapClosed, GapClosure, OrthogonalLink
+from lossywalk.invariants import band_spectrum_1d, winding_number
 from lossywalk.lattice import build_strip_operator
 from lossywalk.linalg import quasienergy
+from lossywalk.sweeps import STATUS_ERROR, STATUS_GAP_CLOSED, STATUS_OK
+from lossywalk.walks import WalkParams1D
 
 
 def branch_dist(a, b):
@@ -103,6 +107,26 @@ def strip_bands_by_loop(spec, n_y, kx_samples, gamma_x, gamma_y):
         lam = np.linalg.eigvals(build_strip_operator(n_y, spec, kx, gamma_x, gamma_y))
         rows[i] = np.sort(quasienergy(lam).real)
     return ks, rows
+
+
+def winding_row_by_cells(cells):
+    """(values, statuses) of a winding row from one scalar call per cell.
+
+    Each (theta1, theta2, gamma, n_k) cell gets its own band_spectrum_1d and
+    winding_number call; a gap closure or vanishing link is gap_closed, any
+    other exception is error, both with a NaN value.
+    """
+    vals = np.full(len(cells), np.nan)
+    stat = np.full(len(cells), STATUS_OK, dtype=np.uint8)
+    for j, (theta1, theta2, gamma, n_k) in enumerate(cells):
+        try:
+            lower, _ = band_spectrum_1d(WalkParams1D(theta1, theta2, gamma), n_k)
+            vals[j] = winding_number(lower).w
+        except (GapClosure, OrthogonalLink, GapClosed):
+            stat[j] = STATUS_GAP_CLOSED
+        except Exception:
+            stat[j] = STATUS_ERROR
+    return vals, stat
 
 
 def _diag(d0, d1):

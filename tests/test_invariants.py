@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from lossywalk import invariants
 from lossywalk.errors import GapClosure, OrthogonalLink
 from lossywalk.invariants import (
     BandData1D,
+    _transport_and_spread,
     BandData2D,
     band_spectrum_1d,
     band_spectrum_2d,
@@ -105,6 +107,62 @@ def test_band_spectrum_gap_closure_reported():
     with pytest.raises(GapClosure) as err:
         band_spectrum_1d(WalkParams1D(-np.pi / 2, np.pi / 2, 0.0), 200)  # even grid hits k = 0
     assert len(err.value.k_samples) >= 1
+
+
+def test_batched_link_masks_match_scalar_raises():
+    # three loops: a vanishing raw link, a vanishing closing link only, none
+    r = 1 / np.sqrt(2)
+    raw_thin = [[1, 0], [0, 1], [r, r]]
+    closing_thin = [[1, 0], [r, r], [0, 1]]
+    gapped = [[1, 0], [r, r], [1, 0]]
+    batch = np.array([raw_thin, closing_thin, gapped], dtype=complex)
+    gauged, thin = _transport_and_spread(batch)
+    assert thin.tolist() == [True, True, False]
+    for loop, where in ((raw_thin, "adjacent"), (closing_thin, "closing")):
+        with pytest.raises(OrthogonalLink, match=where):
+            _transport_and_spread(np.array(loop, dtype=complex))
+    single, _ = _transport_and_spread(np.array(gapped, dtype=complex))
+    assert gauged[2].tobytes() == single.tobytes()
+    phases = pancharatnam_phase(make_band(batch))
+    assert np.isnan(phases[:2]).all()
+    assert phases[2] == pancharatnam_phase(make_band(gapped))
+
+
+def test_batched_band_spectrum_marks_closed_cells_and_matches_scalar_calls():
+    cells = [(-3 * np.pi / 8, np.pi / 8, 0.25), (-np.pi / 2, np.pi / 2, 0.0), (-3 * np.pi / 8, np.pi / 4, 0.3)]
+    cols = [np.array(c)[:, None] for c in zip(*cells)]
+    lower, upper = band_spectrum_1d(WalkParams1D(*cols), 200)
+    assert lower.states.shape == (3, 200, 2) and upper.energies.shape == (3, 200)
+    for band in (lower, upper):
+        assert np.isnan(band.states[1]).all() and np.isnan(band.energies[1]).all()
+    for i in (0, 2):
+        want = band_spectrum_1d(WalkParams1D(*cells[i]), 200)
+        for got, ref in zip((lower, upper), want):
+            assert got.states[i].tobytes() == ref.states.tobytes()
+            assert got.energies[i].tobytes() == ref.energies.tobytes()
+    result = winding_number(lower)
+    assert np.isnan(result.w[1]) and result.is_integer.tolist() == [True, False, False]
+
+
+def test_batch_closes_a_cell_on_an_upper_band_link(monkeypatch):
+    # a vanishing link in the upper band alone closes the cell, as the scalar
+    # call's OrthogonalLink from the upper band does
+    real = invariants._transport_and_spread
+    bands_seen = []
+
+    def upper_thin_in_first_cell(states):
+        gauged, thin = real(states)
+        bands_seen.append(thin.copy())
+        if len(bands_seen) == 2:
+            thin[0] = True
+        return gauged, thin
+
+    monkeypatch.setattr(invariants, "_transport_and_spread", upper_thin_in_first_cell)
+    gammas = np.array([[0.0], [0.1]])
+    lower, upper = band_spectrum_1d(WalkParams1D(-3 * np.pi / 8, np.pi / 8, gammas), 51)
+    assert not np.any(bands_seen[0]) and len(bands_seen) == 2
+    for band in (lower, upper):
+        assert np.isnan(band.states[0]).all() and np.isfinite(band.states[1]).all()
 
 
 # --------------------------------------------------------------------------

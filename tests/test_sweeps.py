@@ -2,13 +2,18 @@ import multiprocessing
 import os
 import signal
 import time
+import warnings
 from concurrent.futures.process import BrokenProcessPool
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import winding_row_by_cells
 from lossywalk import sweeps
-from lossywalk.errors import CheckpointMismatch
+from lossywalk.errors import CheckpointMismatch, DegenerateCoin
 from lossywalk.sweeps import (
     STATUS_ERROR,
     STATUS_GAP_CLOSED,
@@ -19,6 +24,7 @@ from lossywalk.sweeps import (
     sweep_phase_diagram_1d,
     sweep_winding_vs_gamma,
 )
+from lossywalk.walks import min_positive_critical_gamma
 
 T1S = np.linspace(-3 * np.pi / 8, -np.pi / 8, 3)
 T2S = np.linspace(np.pi / 8, 5 * np.pi / 8, 4)
@@ -40,6 +46,75 @@ def test_gapless_cells_get_markers_not_exceptions():
     table = sweep_phase_diagram_1d(np.array([-np.pi / 2]), np.array([np.pi / 2]), n_k=200, workers=1)
     assert table.status[0] == STATUS_GAP_CLOSED
     assert np.isnan(table.values[0])
+
+
+@st.composite
+def winding_rows(draw):
+    """One row of (theta1, theta2, gamma, n_k) cells at a shared theta1 and n_k.
+
+    theta2 is either free or on a gap line theta1 +- theta2 in 2 pi Z (even
+    n_k puts both closing momenta 0 and pi on the grid), and gamma runs from
+    0 to twice the smallest critical scaling, so rows mix gapped, closed and
+    complex-spectrum cells.
+    """
+    theta1 = draw(st.floats(-np.pi, np.pi))
+    n_k = draw(st.sampled_from([16, 51, 64, 101, 200]))
+    cells = []
+    for _ in range(draw(st.integers(1, 8))):
+        on_line = st.tuples(st.sampled_from([-1.0, 1.0]), st.sampled_from([-1, 0, 1]))
+        theta2 = draw(st.one_of(st.floats(-np.pi, np.pi),
+                                on_line.map(lambda sm: sm[0] * theta1 + 2 * np.pi * sm[1])))
+        try:
+            gamma_c = min(min_positive_critical_gamma(theta1, theta2), 1.0)
+        except DegenerateCoin:
+            gamma_c = 1.0
+        cells.append((theta1, theta2, draw(st.floats(0.0, 2.0)) * gamma_c, n_k))
+    return cells
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(winding_rows())
+def test_batched_winding_row_equals_per_cell_loop(cells):
+    with mock.patch.object(sweeps, "band_spectrum_1d", wraps=sweeps.band_spectrum_1d) as spy:
+        vals, stat = sweeps._winding_gamma_row(cells)
+    assert spy.call_count == 1  # the batch ran; no per-cell fallback
+    want_vals, want_stat = winding_row_by_cells(cells)
+    assert vals.tobytes() == want_vals.tobytes()
+    assert stat.tobytes() == want_stat.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_overflowing_cell_stays_error_next_to_ok_cells():
+    # e^{2 gamma} overflows near gamma = 355: the scalar call ends in a NaN
+    # winding (error), which the batch must not report as a gap closure
+    cells = [(-3 * np.pi / 8, np.pi / 8, g, 51) for g in (0.1, 400.0, 0.2)]
+    vals, stat = sweeps._winding_gamma_row(cells)
+    want_vals, want_stat = winding_row_by_cells(cells)
+    assert stat.tolist() == [STATUS_OK, STATUS_ERROR, STATUS_OK] == want_stat.tolist()
+    assert vals.tobytes() == want_vals.tobytes()
+
+
+def test_fig2a_row_runs_batched_without_warnings(monkeypatch):
+    # a warning turned into an exception would send the row to the per-cell
+    # fallback, so one band_spectrum_1d call also proves the batch was clean
+    calls = []
+    real = sweeps.band_spectrum_1d
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sweeps, "band_spectrum_1d", counting)
+    t2s = np.linspace(-np.pi, np.pi, 101)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = sweep_phase_diagram_1d(np.array([-np.pi / 2]), t2s, n_k=201, workers=1)
+    assert len(calls) == 1
+    assert np.any(table.status == STATUS_GAP_CLOSED)
+    want_vals, want_stat = winding_row_by_cells([(-np.pi / 2, t2, 0.0, 201) for t2 in t2s])
+    assert table.values.tobytes() == want_vals.tobytes()
+    assert table.status.tobytes() == want_stat.tobytes()
 
 
 def test_determinism_across_worker_counts():
@@ -82,8 +157,9 @@ def test_interrupted_sweep_keeps_finished_rows(tmp_path, monkeypatch):
     real = sweeps.band_spectrum_1d
 
     def interrupt_after_rows(*args, **kwargs):
+        # one batched band_spectrum_1d call per row
         nonlocal calls
-        if calls == rows_done * len(gammas):
+        if calls == rows_done:
             raise KeyboardInterrupt
         calls += 1
         return real(*args, **kwargs)
@@ -114,7 +190,7 @@ def test_killed_worker_keeps_finished_rows(tmp_path, monkeypatch):
     test_pid = os.getpid()
 
     def kill_in_row_one(params, *args):
-        if params.theta2 == T2S[1] and not marker.exists() and os.getpid() != test_pid:
+        if np.any(params.theta2 == T2S[1]) and not marker.exists() and os.getpid() != test_pid:
             deadline = time.monotonic() + 60.0
             while ck.read_bytes()[48] == 0 and time.monotonic() < deadline:
                 time.sleep(0.01)
@@ -141,12 +217,13 @@ def test_killed_worker_keeps_finished_rows(tmp_path, monkeypatch):
 ])
 def test_failing_cell_is_error_and_neighbours_are_ok(monkeypatch, spectrum, sweep):
     # a cell whose computation raises something other than a gap closure is
-    # marked error with a NaN value; the rest of the row still runs
+    # marked error with a NaN value; the rest of the row still runs.  The
+    # winding row passes its cells as one batch, so the hook tests any cell
     real = getattr(sweeps, spectrum)
 
     def fail_at_second_theta2_second_gamma(params, *args):
         lossy = params.gamma if hasattr(params, "gamma") else params.gamma_x
-        if params.theta2 == T2S[1] and lossy == 0.1:
+        if np.any((params.theta2 == T2S[1]) & (lossy == 0.1)):
             raise ValueError("injected failure")
         return real(params, *args)
 
