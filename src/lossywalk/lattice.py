@@ -26,7 +26,8 @@ The strip operator has two exact symmetries in kx: U(-kx) = conj(U(kx)),
 bit for bit, and U(kx + pi) = U(kx), because T_x enters twice.  The grid
 functions ``strip_band_structure`` and ``strip_gap_states_grid`` therefore
 diagonalize once per symmetry class of the kx grid (``_kx_classes``) and
-fill the partner rows from it.
+fill the partner rows from it, in real arithmetic where 2 kx is a multiple
+of pi.
 """
 
 from __future__ import annotations
@@ -117,9 +118,9 @@ def _dense(m, n: int):
 
 
 def _interleave(m) -> np.ndarray:
-    """The 2n x 2n matrix with entry [2 i + s, 2 j + t] = block (s, t) at [i, j]."""
+    """2n x 2n matrix, entry [2 i + s, 2 j + t] = block (s, t) at [i, j], in the blocks' dtype."""
     n = m[0].shape[0]
-    out = np.empty((n, 2, n, 2), dtype=complex)
+    out = np.empty((n, 2, n, 2), dtype=np.result_type(*m))
     out[:, 0, :, 0], out[:, 0, :, 1], out[:, 1, :, 0], out[:, 1, :, 1] = m
     return out.reshape(2 * n, 2 * n)
 
@@ -129,7 +130,8 @@ def build_chain_operator(n_sites: int, spec: RegionSpec, gamma: float) -> np.nda
 
     U = T_down G R(theta2(n)) T_up G^-1 R(theta1(n)) with cyclic half-shifts,
     per-site rotation angles from ``spec`` and a homogeneous gain/loss factor
-    G = diag(e^gamma, e^-gamma) on every site.
+    G = diag(e^gamma, e^-gamma) on every site.  Every factor is real, and
+    so is the returned float64 matrix.
     """
     spec.validate(n_sites)
     t1, t2 = spec.angles(n_sites)
@@ -218,8 +220,8 @@ def _kx_grid(n: int) -> np.ndarray:
     return -np.pi + 2.0 * np.pi * np.arange(n) / n
 
 
-def _kx_classes(n: int) -> list[tuple[int, bool]]:
-    """(representative, mirrored) for each point kx_j = -pi + 2 pi j / n of the grid.
+def _kx_classes(n: int) -> list[tuple[int, bool, bool]]:
+    """(representative, mirrored, real) for each point kx_j = -pi + 2 pi j / n of the grid.
 
     The class of j is {j, j + n/2, n - j, n - j + n/2} mod n (the n/2 shifts,
     kx -> kx + pi, only for even n; n - j is -kx).  Its representative is its
@@ -227,14 +229,17 @@ def _kx_classes(n: int) -> list[tuple[int, bool]]:
     a copy of it (kx + pi) or its mirror (-kx, possibly with + pi).  A pure
     mirror is preferred over a copy: where -kx_j is exactly a grid point, the
     mirrored row is bit-equal to a direct solve.  There are n // 4 + 1
-    classes for even n and (n + 1) // 2 for odd n.
+    classes for even n and (n + 1) // 2 for odd n.  A class is ``real`` when
+    4 rep / n is an integer (2 kx in pi Z): its operator is real, and every
+    other member is a copy.
     """
     half = n // 2 if n % 2 == 0 else 0
     out = []
     for j in range(n):
         mirror, copy = (n - j) % n, (j + half) % n
         rep = min(j, mirror, copy, (mirror + half) % n)
-        out.append((rep, rep != j and (rep == mirror or rep != copy)))
+        real = 4 * rep % n == 0
+        out.append((rep, not real and rep != j and (rep == mirror or rep != copy), real))
     return out
 
 
@@ -247,16 +252,16 @@ def strip_band_structure(
 ) -> StripBands:
     """Real parts of the strip quasi-energies over a transverse-momentum grid.
 
-    Only one kx per symmetry class is diagonalized.  A mirrored row is the
-    representative's row negated and reversed: Re E = -angle(lambda), and the
-    eigenvalues at -kx are the conjugates of those at kx.
+    Only one kx per symmetry class is diagonalized (its real part for a real
+    class).  A mirrored row is the representative's row negated and reversed:
+    Re E = -angle(lambda), and the eigenvalues at -kx are conjugates.
     """
     ks = _kx_grid(kx_samples)
     rows = np.empty((kx_samples, 2 * n_y))
-    for j, (rep, mirrored) in enumerate(_kx_classes(kx_samples)):
+    for j, (rep, mirrored, real) in enumerate(_kx_classes(kx_samples)):
         if rep == j:
-            lam = np.linalg.eigvals(build_strip_operator(n_y, spec, ks[j], gamma_x, gamma_y))
-            rows[j] = np.sort(quasienergy(lam).real)
+            op = build_strip_operator(n_y, spec, ks[j], gamma_x, gamma_y)
+            rows[j] = np.sort(quasienergy(np.linalg.eigvals(op.real if real else op)).real)
         else:
             rows[j] = -rows[rep, ::-1] if mirrored else rows[rep]
     return StripBands(kx=ks, re_energies=rows)
@@ -300,12 +305,17 @@ def strip_gap_states(
     10 sites of either region boundary, with no IPR threshold.
     """
     half = bulk_gap_half_width(spec, n_y, kx, gamma_x, gamma_y) if gap_half is None else gap_half
+    return _gap_reports(spec, n_y, kx, gamma_x, gamma_y, half - margin)
+
+
+def _gap_reports(spec, n_y, kx, gamma_x, gamma_y, window, real=False) -> list[EdgeStateReport]:
+    """Strip states with |Re E| < ``window``; ``real`` diagonalizes the operator's real part."""
     op = build_strip_operator(n_y, spec, kx, gamma_x, gamma_y)
-    lam, vectors = np.linalg.eig(op)
+    lam, vectors = np.linalg.eig(op.real if real else op)
     es = quasienergy(lam)
     out = []
     for i in np.argsort(es.real):
-        if abs(es[i].real) >= half - margin:
+        if abs(es[i].real) >= window:
             continue
         _, ipr, peak, near = _localization(vectors[:, i], spec.boundary, 10)
         out.append(
@@ -331,11 +341,11 @@ def strip_gap_states_grid(
     """``strip_gap_states`` at every point of the ``strip_band_structure`` grid.
 
     ``gap_half`` is one window half-width per kx.  The strip is
-    diagonalized once per symmetry class, in the widest window of the
-    class; each row then keeps the states inside its own window.  A
-    mirrored row holds the conjugate eigenvalues, quasi-energies -conj(E)
-    and the same IPR, peak site and ``is_edge``, since its eigenvectors are
-    the complex conjugates.
+    diagonalized once per symmetry class (its real part for a real class),
+    in the widest window of the class; each row then keeps the states inside
+    its own window.  A mirrored row holds the conjugate eigenvalues,
+    quasi-energies -conj(E) and the same IPR, peak site and ``is_edge``,
+    since its eigenvectors are the complex conjugates.
     """
     ks = _kx_grid(kx_samples)
     halves = np.asarray(gap_half, dtype=float)
@@ -343,12 +353,12 @@ def strip_gap_states_grid(
         raise ValueError(f"gap_half has shape {halves.shape}, expected ({kx_samples},)")
     classes = _kx_classes(kx_samples)
     widest: dict[int, float] = {}
-    for j, (rep, _) in enumerate(classes):
+    for j, (rep, _, _) in enumerate(classes):
         widest[rep] = max(widest.get(rep, -np.inf), halves[j])
-    found = {rep: strip_gap_states(spec, n_y, float(ks[rep]), gamma_x, gamma_y, gap_half=half)
-             for rep, half in widest.items()}
+    found = {rep: _gap_reports(spec, n_y, float(ks[rep]), gamma_x, gamma_y, half - _GAP_MARGIN,
+                               classes[rep][2]) for rep, half in widest.items()}
     out = []
-    for j, (rep, mirrored) in enumerate(classes):
+    for j, (rep, mirrored, _) in enumerate(classes):
         kept = [s for s in found[rep] if abs(s.quasi_energy.real) < halves[j] - _GAP_MARGIN]
         if mirrored:
             kept = [replace(s, eigenvalue=s.eigenvalue.conjugate(),

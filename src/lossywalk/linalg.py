@@ -4,7 +4,8 @@ The 2x2 eigenproblem is solved analytically (quadratic formula plus adjugate
 eigenvectors) and is fully vectorized over leading axes; it is the hot path
 for every momentum-grid computation in the package.  General NxN spectra
 (real-space chains and strips) go through LAPACK via ``numpy.linalg.eig``
-behind the same canonical-ordering contract.
+behind the same canonical-ordering contract, in real arithmetic when the
+matrix is real (every chain) and in complex arithmetic otherwise.
 
 Quasi-energy branch convention used throughout: an eigenvalue lambda of a
 one-step operator corresponds to E = i log(lambda) with the principal
@@ -74,8 +75,8 @@ class BlochDecomposition:
     branch_ambiguous: bool = False
 
 
-def _check_finite(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
+def _check_finite(m: np.ndarray, dtype=complex) -> np.ndarray:
+    m = np.asarray(m, dtype=dtype)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
@@ -137,12 +138,12 @@ def eig2(m: np.ndarray) -> Eig2Result:
 
 
 def eig_general(m: np.ndarray) -> list[EigenPair]:
-    """Full right eigendecomposition of a dense NxN complex matrix.
+    """Full right eigendecomposition of a dense NxN matrix, in real LAPACK if it is real.
 
-    Eigenpairs are returned sorted by (Re, Im) of the eigenvalue, ascending;
-    eigenvectors are normalized to unit Euclidean norm.
+    Eigenvalues and unit-norm eigenvectors are complex either way, and the
+    pairs are sorted by (Re, Im) of the eigenvalue, ascending.
     """
-    m = _check_finite(m)
+    m = _check_finite(m, np.result_type(np.asarray(m), float))
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     try:
@@ -150,8 +151,8 @@ def eig_general(m: np.ndarray) -> list[EigenPair]:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     order = np.lexsort((values.imag, values.real))
-    values = values[order]
-    vectors = vectors[:, order]
+    values = values[order].astype(complex, copy=False)
+    vectors = vectors[:, order].astype(complex, copy=False)
     vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
     return [EigenPair(complex(values[i]), vectors[:, i].copy()) for i in range(len(values))]
 

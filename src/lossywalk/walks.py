@@ -91,6 +91,8 @@ class WalkParams1D:
             finite = np.isfinite(getattr(self, name))
             if not (finite.all() if finite.ndim else finite):  # a scalar skips the reduction
                 raise ValueError(f"{name} must be finite")
+        if np.any(np.abs(self.gamma) > GAMMA_MAX):
+            raise ValueError(f"|gamma| must not exceed {GAMMA_MAX:.1f}: e^(2 gamma) overflows")
 
     @property
     def delta(self) -> complex:
@@ -138,6 +140,8 @@ class CriticalGamma:
 
 # the Bloch vector n = (nx, ny, nz) / sin E is undefined where |sin E| < this
 GAP_SIN_TOL = 1e-9
+# e^{2 gamma} enters the split-step operator and overflows float64 beyond this (about 354.9)
+GAMMA_MAX = np.log(np.finfo(float).max) / 2.0
 
 
 def momentum_grid(n_points: int) -> np.ndarray:

@@ -74,6 +74,23 @@ def test_eig_general_diagonal_sorted():
     assert np.allclose(vals, [-3.0, 2.0j, 1.0])
 
 
+@pytest.mark.parametrize("m, want", [
+    (np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]]),
+     [np.exp(-0.3j), np.exp(0.3j)]),  # a complex conjugate pair
+    (np.diag([2.0, -1.0, 0.5]), [-1.0, 0.5, 2.0]),  # all real: LAPACK returns real vectors
+])
+def test_eig_general_real_input(m, want):
+    pairs = eig_general(m)
+    vals = np.array([p.value for p in pairs])
+    assert np.allclose(vals, want, atol=1e-15)
+    assert np.all(np.lexsort((vals.imag, vals.real)) == np.arange(len(vals)))
+    for p in pairs:
+        assert isinstance(p.value, complex)
+        assert p.vector.dtype == np.complex128
+        assert abs(np.linalg.norm(p.vector) - 1.0) < 1e-15
+        assert np.linalg.norm(m @ p.vector - p.value * p.vector) < 1e-15
+
+
 def test_eig_general_permutation_vs_polynomial_oracle():
     m = np.zeros((6, 6), dtype=complex)
     for i in range(6):

@@ -24,7 +24,7 @@ from lossywalk.sweeps import (
     sweep_phase_diagram_1d,
     sweep_winding_vs_gamma,
 )
-from lossywalk.walks import min_positive_critical_gamma
+from lossywalk.walks import WalkParams1D, min_positive_critical_gamma
 
 T1S = np.linspace(-3 * np.pi / 8, -np.pi / 8, 3)
 T2S = np.linspace(np.pi / 8, 5 * np.pi / 8, 4)
@@ -86,13 +86,21 @@ def test_batched_winding_row_equals_per_cell_loop(cells):
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_overflowing_cell_stays_error_next_to_ok_cells():
-    # e^{2 gamma} overflows near gamma = 355: the scalar call ends in a NaN
-    # winding (error), which the batch must not report as a gap closure
+    # e^{2 gamma} overflows beyond gamma = 354.9, where WalkParams1D rejects the
+    # cell (error), which the batch must not report as a gap closure
     cells = [(-3 * np.pi / 8, np.pi / 8, g, 51) for g in (0.1, 400.0, 0.2)]
     vals, stat = sweeps._winding_gamma_row(cells)
     want_vals, want_stat = winding_row_by_cells(cells)
     assert stat.tolist() == [STATUS_OK, STATUS_ERROR, STATUS_OK] == want_stat.tolist()
     assert vals.tobytes() == want_vals.tobytes()
+    # the error names its cause
+    cause = r"\|gamma\| must not exceed 354.9: e\^\(2 gamma\) overflows"
+    for g in (400.0, -400.0):
+        with pytest.raises(ValueError, match=cause):
+            WalkParams1D(-3 * np.pi / 8, np.pi / 8, g)
+    with pytest.raises(ValueError, match="overflows"):
+        WalkParams1D(-3 * np.pi / 8, np.pi / 8, np.array([[0.1], [400.0]]))
+    WalkParams1D(-3 * np.pi / 8, np.pi / 8, 354.8)
 
 
 def test_fig2a_row_runs_batched_without_warnings(monkeypatch):
