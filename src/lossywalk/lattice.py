@@ -26,8 +26,8 @@ The strip operator has two exact symmetries in kx: U(-kx) = conj(U(kx)),
 bit for bit, and U(kx + pi) = U(kx), because T_x enters twice.  The grid
 functions ``strip_band_structure`` and ``strip_gap_states_grid`` therefore
 diagonalize once per symmetry class of the kx grid (``_kx_classes``) and
-fill the partner rows from it, in real arithmetic where 2 kx is a multiple
-of pi.
+fill the partner rows from it; ``strip_band_structure`` does so in real
+arithmetic where 2 kx is a multiple of pi.
 """
 
 from __future__ import annotations
@@ -305,17 +305,12 @@ def strip_gap_states(
     10 sites of either region boundary, with no IPR threshold.
     """
     half = bulk_gap_half_width(spec, n_y, kx, gamma_x, gamma_y) if gap_half is None else gap_half
-    return _gap_reports(spec, n_y, kx, gamma_x, gamma_y, half - margin)
-
-
-def _gap_reports(spec, n_y, kx, gamma_x, gamma_y, window, real=False) -> list[EdgeStateReport]:
-    """Strip states with |Re E| < ``window``; ``real`` diagonalizes the operator's real part."""
     op = build_strip_operator(n_y, spec, kx, gamma_x, gamma_y)
-    lam, vectors = np.linalg.eig(op.real if real else op)
+    lam, vectors = np.linalg.eig(op)
     es = quasienergy(lam)
     out = []
     for i in np.argsort(es.real):
-        if abs(es[i].real) >= window:
+        if abs(es[i].real) >= half - margin:
             continue
         _, ipr, peak, near = _localization(vectors[:, i], spec.boundary, 10)
         out.append(
@@ -341,11 +336,13 @@ def strip_gap_states_grid(
     """``strip_gap_states`` at every point of the ``strip_band_structure`` grid.
 
     ``gap_half`` is one window half-width per kx.  The strip is
-    diagonalized once per symmetry class (its real part for a real class),
-    in the widest window of the class; each row then keeps the states inside
-    its own window.  A mirrored row holds the conjugate eigenvalues,
+    diagonalized once per symmetry class, by ``strip_gap_states`` in the
+    widest window of the class; each row then keeps the states inside its
+    own window.  A mirrored row holds the conjugate eigenvalues,
     quasi-energies -conj(E) and the same IPR, peak site and ``is_edge``,
-    since its eigenvectors are the complex conjugates.
+    since its eigenvectors are the complex conjugates.  A copied row (kx + pi,
+    or the other member of a real class) holds the representative's states,
+    equal to the per-kx call up to rounding.
     """
     ks = _kx_grid(kx_samples)
     halves = np.asarray(gap_half, dtype=float)
@@ -355,8 +352,8 @@ def strip_gap_states_grid(
     widest: dict[int, float] = {}
     for j, (rep, _, _) in enumerate(classes):
         widest[rep] = max(widest.get(rep, -np.inf), halves[j])
-    found = {rep: _gap_reports(spec, n_y, float(ks[rep]), gamma_x, gamma_y, half - _GAP_MARGIN,
-                               classes[rep][2]) for rep, half in widest.items()}
+    found = {rep: strip_gap_states(spec, n_y, float(ks[rep]), gamma_x, gamma_y, gap_half=half)
+             for rep, half in widest.items()}
     out = []
     for j, (rep, mirrored, _) in enumerate(classes):
         kept = [s for s in found[rep] if abs(s.quasi_energy.real) < halves[j] - _GAP_MARGIN]

@@ -88,11 +88,12 @@ class WalkParams1D:
 
     def __post_init__(self):
         for name in ("theta1", "theta2", "gamma", "phi"):
-            finite = np.isfinite(getattr(self, name))
-            if not (finite.all() if finite.ndim else finite):  # a scalar skips the reduction
-                raise ValueError(f"{name} must be finite")
-        if np.any(np.abs(self.gamma) > GAMMA_MAX):
-            raise ValueError(f"|gamma| must not exceed {GAMMA_MAX:.1f}: e^(2 gamma) overflows")
+            # one test per field, false for NaN and +-inf as well
+            ok = np.abs(getattr(self, name)) < (GAMMA_MAX if name == "gamma" else np.inf)
+            if not (ok.all() if ok.ndim else ok):  # a scalar skips the reduction
+                raise ValueError(f"{name} must be finite" if name != "gamma" else
+                                 f"gamma must be finite and |gamma| below {GAMMA_MAX:.1f}, "
+                                 "where e^(2 gamma) overflows")
 
     @property
     def delta(self) -> complex:

@@ -94,7 +94,7 @@ def test_overflowing_cell_stays_error_next_to_ok_cells():
     assert stat.tolist() == [STATUS_OK, STATUS_ERROR, STATUS_OK] == want_stat.tolist()
     assert vals.tobytes() == want_vals.tobytes()
     # the error names its cause
-    cause = r"\|gamma\| must not exceed 354.9: e\^\(2 gamma\) overflows"
+    cause = r"gamma must be finite and \|gamma\| below 354.9, where e\^\(2 gamma\) overflows"
     for g in (400.0, -400.0):
         with pytest.raises(ValueError, match=cause):
             WalkParams1D(-3 * np.pi / 8, np.pi / 8, g)
