@@ -19,7 +19,6 @@ from .errors import (
 )
 from .linalg import (
     BlochDecomposition,
-    EigenPair,
     Eig2Result,
     eig2,
     eig_general,

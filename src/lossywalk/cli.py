@@ -274,9 +274,8 @@ def _emit_sweep(table, outdir: str, stem: str, title: str, value_label: str) -> 
 
 def _chain_to_csv(spec: RegionSpec, n: int, gamma: float, outdir: str, stem: str) -> None:
     op = build_chain_operator(n, spec, gamma)
-    pairs = chain_spectrum(op)
-    reports = detect_edge_states(pairs, 1e-6 if gamma == 0 else 1e-4, 0.05, 10, spec.boundary)
-    lam = np.array([p.value for p in pairs])
+    lam, vectors = chain_spectrum(op)
+    reports = detect_edge_states(lam, vectors, 1e-6 if gamma == 0 else 1e-4, spec.boundary)
     es = quasienergy(lam)
     write_spectrum_csv(
         os.path.join(outdir, f"{stem}.csv"),
@@ -288,7 +287,7 @@ def _chain_to_csv(spec: RegionSpec, n: int, gamma: float, outdir: str, stem: str
         },
     )
     n_edge = sum(1 for r in reports if r.is_edge)
-    print(f"{stem}: {len(pairs)} eigenvalues, {n_edge} edge state(s)")
+    print(f"{stem}: {len(lam)} eigenvalues, {n_edge} edge state(s)")
 
 
 def _cmd_winding(ns) -> int:
@@ -425,13 +424,13 @@ def _figure_7(outdir: str) -> None:
     t1, t2 = spec.angles(n)
     coords = np.arange(n) - (n - 1) // 2
     op = build_chain_operator(n, spec, 0.0)
-    pairs = chain_spectrum(op)
-    reports = detect_edge_states(pairs, 1e-6, 0.05, 10, spec.boundary)
+    lam, vectors = chain_spectrum(op)
+    reports = detect_edge_states(lam, vectors, 1e-6, spec.boundary)
     edges = [r for r in reports if r.is_edge]
     cols = {"site": coords.astype(float), "theta1": t1, "theta2": t2}
     for i, r in enumerate(edges):
-        vec = next(p.vector for p in pairs if p.value == r.eigenvalue)
-        cols[f"edge{i}_prob"] = _localization(vec, spec.boundary, 10)[0]
+        col = np.flatnonzero(lam == r.eigenvalue)[0]
+        cols[f"edge{i}_prob"] = _localization(vectors[:, col], spec.boundary)[0]
     write_spectrum_csv(os.path.join(outdir, "fig7_partition.csv"), cols)
     emit_plot_script("lines", os.path.join(outdir, "fig7_plot.py"),
                      ["fig7_partition.csv"], "fig7.png",

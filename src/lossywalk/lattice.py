@@ -28,6 +28,11 @@ functions ``strip_band_structure`` and ``strip_gap_states_grid`` therefore
 diagonalize once per symmetry class of the kx grid (``_kx_classes``) and
 fill the partner rows from it; ``strip_band_structure`` does so in real
 arithmetic where 2 kx is a multiple of pi.
+
+One loop reports the edge states of both geometries: a state is an edge
+state when its site marginal peaks within ``EDGE_WINDOW`` sites of a region
+boundary and, on the chain only, its inverse participation ratio reaches
+``EDGE_IPR_MIN``.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidRegion
-from .linalg import EigenPair, eig_general, quasienergy
+from .linalg import eig_general, quasienergy
 from .walks import WalkParams2D, _cols, _mul, _phase, _rot, _rows, momentum_grid, quasi_energy_2d
 
 __all__ = [
@@ -82,9 +87,13 @@ class RegionSpec:
         return t1, t2
 
 
-@dataclass
+EDGE_WINDOW = 10  # sites between a state's peak and a region boundary
+EDGE_IPR_MIN = 0.05  # inverse participation ratio a chain edge state reaches
+
+
+@dataclass(frozen=True)
 class EdgeStateReport:
-    """One near-real eigenvalue with its localization diagnostics."""
+    """One selected eigenvalue with its localization diagnostics."""
 
     eigenvalue: complex
     quasi_energy: complex
@@ -140,54 +149,49 @@ def build_chain_operator(n_sites: int, spec: RegionSpec, gamma: float) -> np.nda
     return _interleave(m)
 
 
-def chain_spectrum(op: np.ndarray) -> list[EigenPair]:
-    """Full eigendecomposition of a chain/strip operator, canonically sorted."""
+def chain_spectrum(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``eig_general`` of a chain/strip operator: (Re, Im)-sorted values, unit vector columns."""
     return eig_general(op)
 
 
-def _localization(vector: np.ndarray, boundary: int, window: int):
+def _localization(vector: np.ndarray, boundary: int):
     """Site marginal of a state and the localization diagnostics read from it.
 
     Returns the spin-summed probability per site (normalized), its inverse
     participation ratio, the coordinate of its peak, and whether that peak
-    lies within ``window`` sites of either region boundary +-``boundary``.
+    lies within ``EDGE_WINDOW`` sites of either region boundary +-``boundary``.
     """
     probs = np.abs(vector[0::2]) ** 2 + np.abs(vector[1::2]) ** 2
     probs = probs / probs.sum()
     peak = int(_site_coords(len(probs))[int(np.argmax(probs))])
-    near = min(abs(peak - boundary), abs(peak + boundary)) <= window
+    near = min(abs(peak - boundary), abs(peak + boundary)) <= EDGE_WINDOW
     return probs, float(np.sum(probs**2)), peak, near
 
 
-def detect_edge_states(
-    pairs: list[EigenPair],
-    real_axis_tol: float,
-    ipr_min: float,
-    window: int,
-    boundary: int,
-) -> list[EdgeStateReport]:
-    """Pick near-real eigenvalues (quasi-energy near 0 or pi) and rate their localization.
+def _reports(values, vectors, keep, boundary: int, ipr_min: float) -> list[EdgeStateReport]:
+    """One report per index of ``keep``, in its order.
+
+    ``is_edge`` marks a peak near a region boundary with ipr >= ``ipr_min``.
+    """
+    es = quasienergy(values)
+    out = []
+    for i in keep:
+        _, ipr, peak, near = _localization(vectors[:, i], boundary)
+        out.append(EdgeStateReport(eigenvalue=complex(values[i]), quasi_energy=complex(es[i]),
+                                   ipr=ipr, peak_site=peak, is_edge=bool(near and ipr >= ipr_min)))
+    return out
+
+
+def detect_edge_states(values: np.ndarray, vectors: np.ndarray, real_axis_tol: float,
+                       boundary: int) -> list[EdgeStateReport]:
+    """Pick the near-real eigenvalues of a ``chain_spectrum`` and rate their localization.
 
     A state is flagged ``is_edge`` when its inverse participation ratio over
-    site marginals reaches ``ipr_min`` and the marginal peaks within
-    ``window`` sites of either region boundary +-``boundary``.
+    site marginals reaches ``EDGE_IPR_MIN`` and the marginal peaks within
+    ``EDGE_WINDOW`` sites of either region boundary +-``boundary``.
     """
-    reports = []
-    for pair in pairs:
-        lam = pair.value
-        if abs(lam.imag) > real_axis_tol or abs(lam.real) <= real_axis_tol:
-            continue
-        _, ipr, peak, near = _localization(pair.vector, boundary, window)
-        reports.append(
-            EdgeStateReport(
-                eigenvalue=complex(lam),
-                quasi_energy=complex(quasienergy(lam)),
-                ipr=ipr,
-                peak_site=peak,
-                is_edge=bool(ipr >= ipr_min and near),
-            )
-        )
-    return reports
+    near_real = (np.abs(values.imag) <= real_axis_tol) & (np.abs(values.real) > real_axis_tol)
+    return _reports(values, vectors, np.flatnonzero(near_real), boundary, EDGE_IPR_MIN)
 
 
 def build_strip_operator(
@@ -292,37 +296,22 @@ def strip_gap_states(
     kx: float,
     gamma_x: float,
     gamma_y: float,
-    margin: float = _GAP_MARGIN,
-    gap_half: float | None = None,
+    gap_half: float,
 ) -> list[EdgeStateReport]:
-    """States of the strip whose Re E falls inside the bulk gap around E = 0.
+    """States of the strip whose Re E falls inside the bulk gap around E = 0, by ascending Re E.
 
-    The window half-width defaults to the bulk gap at the *same* scaling
-    factors; pass ``gap_half`` explicitly (e.g. the zero-loss gap) to count
-    states inside a fixed reference window across a loss sweep.  Reported
-    states lie strictly inside the window by ``margin``; their IPR and peak
-    site are as in detect_edge_states, and ``is_edge`` marks a peak within
-    10 sites of either region boundary, with no IPR threshold.
+    ``gap_half`` is the window half-width: ``bulk_gap_half_width`` at the
+    same scaling factors, or a fixed reference (e.g. the zero-loss gap) to
+    count states inside one window across a loss sweep.  Reported states lie
+    strictly inside the window by ``_GAP_MARGIN``; their IPR and peak site
+    are as in detect_edge_states, and ``is_edge`` marks a peak within
+    ``EDGE_WINDOW`` sites of either region boundary, with no IPR threshold.
     """
-    half = bulk_gap_half_width(spec, n_y, kx, gamma_x, gamma_y) if gap_half is None else gap_half
-    op = build_strip_operator(n_y, spec, kx, gamma_x, gamma_y)
-    lam, vectors = np.linalg.eig(op)
-    es = quasienergy(lam)
-    out = []
-    for i in np.argsort(es.real):
-        if abs(es[i].real) >= half - margin:
-            continue
-        _, ipr, peak, near = _localization(vectors[:, i], spec.boundary, 10)
-        out.append(
-            EdgeStateReport(
-                eigenvalue=complex(lam[i]),
-                quasi_energy=complex(es[i]),
-                ipr=ipr,
-                peak_site=peak,
-                is_edge=bool(near),
-            )
-        )
-    return out
+    values, vectors = eig_general(build_strip_operator(n_y, spec, kx, gamma_x, gamma_y))
+    re = quasienergy(values).real
+    order = np.argsort(re, kind="stable")
+    keep = order[np.abs(re[order]) < gap_half - _GAP_MARGIN]
+    return _reports(values, vectors, keep, spec.boundary, 0.0)
 
 
 def strip_gap_states_grid(
@@ -360,7 +349,5 @@ def strip_gap_states_grid(
         if mirrored:
             kept = [replace(s, eigenvalue=s.eigenvalue.conjugate(),
                             quasi_energy=-s.quasi_energy.conjugate()) for s in reversed(kept)]
-        else:
-            kept = [replace(s) for s in kept]
         out.append(kept)
     return out

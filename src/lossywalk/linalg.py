@@ -17,7 +17,7 @@ chosen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,14 +32,6 @@ DEGENERACY_TOL = 1e-9
 BRANCH_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class EigenPair:
-    """One eigenvalue with its unit-norm right eigenvector."""
-
-    value: complex
-    vector: np.ndarray
-
-
 @dataclass
 class Eig2Result:
     """Analytic eigendecomposition of a 2x2 matrix.
@@ -52,13 +44,6 @@ class Eig2Result:
     values: np.ndarray
     vectors: np.ndarray
     degenerate: bool
-
-    @property
-    def pairs(self) -> tuple[EigenPair, EigenPair]:
-        return (
-            EigenPair(complex(self.values[0]), self.vectors[:, 0].copy()),
-            EigenPair(complex(self.values[1]), self.vectors[:, 1].copy()),
-        )
 
 
 @dataclass
@@ -137,11 +122,12 @@ def eig2(m: np.ndarray) -> Eig2Result:
     return Eig2Result(values=values, vectors=vectors, degenerate=bool(degenerate))
 
 
-def eig_general(m: np.ndarray) -> list[EigenPair]:
+def eig_general(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full right eigendecomposition of a dense NxN matrix, in real LAPACK if it is real.
 
-    Eigenvalues and unit-norm eigenvectors are complex either way, and the
-    pairs are sorted by (Re, Im) of the eigenvalue, ascending.
+    Returns ``(values, vectors)``, complex either way: the eigenvalues sorted
+    by (Re, Im), ascending, and ``vectors[:, i]`` the unit-norm eigenvector
+    of ``values[i]``.
     """
     m = _check_finite(m, np.result_type(np.asarray(m), float))
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -153,8 +139,7 @@ def eig_general(m: np.ndarray) -> list[EigenPair]:
     order = np.lexsort((values.imag, values.real))
     values = values[order].astype(complex, copy=False)
     vectors = vectors[:, order].astype(complex, copy=False)
-    vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
-    return [EigenPair(complex(values[i]), vectors[:, i].copy()) for i in range(len(values))]
+    return values, vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
 
 
 def is_unitary(m: np.ndarray, tol: float) -> bool:

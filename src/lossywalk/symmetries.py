@@ -26,7 +26,6 @@ from .errors import NoBracket
 from .linalg import SIGMA_X, SIGMA_Z, eig2_batch
 from .walks import (
     WalkParams1D,
-    WalkParams2D,
     momentum_grid,
     u1d_ssqw_k,
     u1d_ssqw_timesym_k,
@@ -88,8 +87,7 @@ def check_exact_pt(p: WalkParams1D, n_points: int, tol: float) -> SymmetryReport
     ks = np.concatenate([momentum_grid(n_points), [0.0]])
     values, _, _ = eig2_batch(u1d_ssqw_k(p, ks))
     im_e = np.log(np.abs(values))  # Im E = log|lambda|
-    viol = float(np.max(np.abs(im_e)))
-    return SymmetryReport(relation="ExactPT", max_violation=viol, passed=bool(viol <= tol), grid_size=n_points)
+    return _report("ExactPT", im_e, tol, n_points)
 
 
 def check_phs(model: str, params, n_points: int, tol: float) -> SymmetryReport:

@@ -93,7 +93,7 @@ class WalkParams1D:
             if not (ok.all() if ok.ndim else ok):  # a scalar skips the reduction
                 raise ValueError(f"{name} must be finite" if name != "gamma" else
                                  f"gamma must be finite and |gamma| below {GAMMA_MAX:.1f}, "
-                                 "where e^(2 gamma) overflows")
+                                 "where the eigensolver's e^(4 gamma) overflows")
 
     @property
     def delta(self) -> complex:
@@ -141,8 +141,9 @@ class CriticalGamma:
 
 # the Bloch vector n = (nx, ny, nz) / sin E is undefined where |sin E| < this
 GAP_SIN_TOL = 1e-9
-# e^{2 gamma} enters the split-step operator and overflows float64 beyond this (about 354.9)
-GAMMA_MAX = np.log(np.finfo(float).max) / 2.0
+# the split-step operator has entries of size e^{2 gamma}, and eig2_batch squares
+# them ((tr/2)^2, |v|^2): beyond this (about 177.4) they overflow float64
+GAMMA_MAX = np.log(np.finfo(float).max) / 4.0
 
 
 def momentum_grid(n_points: int) -> np.ndarray:

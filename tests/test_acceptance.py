@@ -258,12 +258,12 @@ def test_criterion_07_bulk_boundary_1d():
     counts = {}
     for g, tol in ((0.0, 1e-6), (0.2, 1e-4)):
         op = lw.build_chain_operator(201, FIG6_SPEC, g)
-        reports = lw.detect_edge_states(lw.chain_spectrum(op), tol, 0.05, 10, 50)
+        reports = lw.detect_edge_states(*lw.chain_spectrum(op), tol, 50)
         counts[g] = sum(1 for r in reports if r.is_edge)
     edges_ok = counts[0.0] == 2 and counts[0.2] == 2
     op = lw.build_chain_operator(201, FIG6_SPEC, 0.25)
     build_err = float(np.max(np.abs(op - chain_operator_by_rolls(201, FIG6_SPEC, 0.25))))
-    lam = np.array([p.value for p in lw.chain_spectrum(op)])
+    lam = lw.chain_spectrum(op)[0]
     im_e = np.sort(np.abs(np.log(np.abs(lam))))[::-1]
     n_complex = int((im_e > 1e-3).sum())
     separated = im_e[9] > 1e-2 and im_e[10] < 1e-9

@@ -1,0 +1,48 @@
+"""Every name a ``lossywalk`` module imports is used in that module.
+
+No linter ships with the project, so this stdlib ``ast`` check stands in
+for one.  ``__init__`` (whose imports are the package's re-exports) and
+``from __future__`` imports are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "lossywalk"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import and never read, nor listed in ``__all__``."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    return sorted(imported - used)
+
+
+def test_unused_imports_finds_only_unread_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, os.path\n"
+        "import numpy as np\n"
+        "from json import dumps, loads\n"
+        "__all__ = ['loads']\n"
+        "x = np.zeros(dumps(1))\n"
+    )
+    assert unused_imports(source) == ["os"]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+                         ids=lambda p: p.name)
+def test_module_imports_are_used(path):
+    assert unused_imports(path.read_text()) == []

@@ -12,6 +12,8 @@ from helpers import (
 
 from lossywalk.errors import InvalidRegion
 from lossywalk.lattice import (
+    EDGE_IPR_MIN,
+    EDGE_WINDOW,
     RegionSpec,
     _kx_classes,
     build_chain_operator,
@@ -69,7 +71,7 @@ def test_chain_unit_determinant():
 
 def test_chain_two_real_eigenvalues_at_interface():
     op = build_chain_operator(201, FIG6_SPEC, 0.0)
-    lam = np.array([p.value for p in chain_spectrum(op)])
+    lam = chain_spectrum(op)[0]
     real_axis = np.abs(lam.imag) < 1e-6
     assert real_axis.sum() == 2
     assert np.all(np.abs(np.abs(lam) - 1.0) < 1e-8)  # unitary: unit circle
@@ -80,7 +82,7 @@ def test_chain_two_real_eigenvalues_at_interface():
 def test_edge_state_detection_interface():
     for g, tol in ((0.0, 1e-6), (0.2, 1e-4)):
         op = build_chain_operator(201, FIG6_SPEC, g)
-        reports = detect_edge_states(chain_spectrum(op), tol, 0.05, 10, FIG6_SPEC.boundary)
+        reports = detect_edge_states(*chain_spectrum(op), tol, FIG6_SPEC.boundary)
         edges = [r for r in reports if r.is_edge]
         assert len(edges) == 2
         # the two boundary modes hybridize into even/odd pairs with weight
@@ -93,13 +95,13 @@ def test_edge_state_detection_interface():
 def test_no_edge_states_on_homogeneous_ring():
     spec = RegionSpec(50, (-3 * np.pi / 8, np.pi / 4), (-3 * np.pi / 8, np.pi / 4))
     op = build_chain_operator(201, spec, 0.0)
-    reports = detect_edge_states(chain_spectrum(op), 1e-6, 0.05, 10, spec.boundary)
+    reports = detect_edge_states(*chain_spectrum(op), 1e-6, spec.boundary)
     assert sum(1 for r in reports if r.is_edge) == 0
 
 
 def test_chain_bulk_on_unit_circle_below_critical():
     op = build_chain_operator(201, FIG6_SPEC, 0.2)  # below min(0.2110, 0.2832)
-    lam = np.array([p.value for p in chain_spectrum(op)])
+    lam = chain_spectrum(op)[0]
     off = np.abs(np.abs(lam) - 1.0)
     # all but the persisting edge pair stay on the circle
     assert (off > 1e-6).sum() <= 2
@@ -108,7 +110,7 @@ def test_chain_bulk_on_unit_circle_below_critical():
 
 def test_chain_broken_regime_many_complex_energies():
     op = build_chain_operator(201, FIG6_SPEC, 0.25)
-    lam = np.array([p.value for p in chain_spectrum(op)])
+    lam = chain_spectrum(op)[0]
     im_e = np.abs(np.log(np.abs(lam)))
     assert (im_e > 1e-3).sum() >= 10
 
@@ -116,7 +118,7 @@ def test_chain_broken_regime_many_complex_energies():
 def test_chain_pt_eigenvalue_pairing():
     # exact-PT regime: spectrum closed under lambda -> 1/conj(lambda)
     op = build_chain_operator(201, FIG6_SPEC, 0.2)
-    lam = np.array([p.value for p in chain_spectrum(op)])
+    lam = chain_spectrum(op)[0]
     assert_multiset_close(lam, 1.0 / np.conj(lam), 1e-6)
 
 
@@ -124,7 +126,7 @@ def test_edge_count_stable_under_boundary_shift():
     for lb in (40, 50, 60):
         spec = RegionSpec(lb, FIG6_SPEC.params_inner, FIG6_SPEC.params_outer)
         op = build_chain_operator(201, spec, 0.1)
-        reports = detect_edge_states(chain_spectrum(op), 1e-4, 0.05, 10, lb)
+        reports = detect_edge_states(*chain_spectrum(op), 1e-4, lb)
         assert sum(1 for r in reports if r.is_edge) == 2
 
 
@@ -153,13 +155,15 @@ STRIP_NY = 41
 
 
 def test_strip_gap_hosts_interface_states():
-    states = strip_gap_states(SMALL_FIG8, 101, 1.0, 0.0, 0.0)
+    half = bulk_gap_half_width(SMALL_FIG8, 101, 1.0, 0.0, 0.0)
+    states = strip_gap_states(SMALL_FIG8, 101, 1.0, 0.0, 0.0, gap_half=half)
     assert len(states) >= 1
     assert all(s.is_edge for s in states)  # peaked at the region boundaries
 
 
 def test_strip_gap_states_persist_with_loss():
-    states = strip_gap_states(SMALL_FIG8, 101, 1.0, 0.2, 0.2)
+    half = bulk_gap_half_width(SMALL_FIG8, 101, 1.0, 0.2, 0.2)
+    states = strip_gap_states(SMALL_FIG8, 101, 1.0, 0.2, 0.2, gap_half=half)
     assert len(states) >= 1
     assert any(s.is_edge for s in states)
 
@@ -243,7 +247,7 @@ def test_chain_is_real_with_conjugate_closed_unit_determinant_spectrum(region, g
     assert chain.dtype == np.float64
     assert not np.any(oracle.imag)  # every factor is real
     assert_rel_close(chain, oracle.real, 1e-13)
-    lam = np.array([p.value for p in chain_spectrum(chain)])
+    lam = chain_spectrum(chain)[0]
     # real LAPACK returns exact conjugate pairs
     conj = np.conj(lam)
     assert np.array_equal(lam, conj[np.lexsort((conj.imag, conj.real))])
@@ -367,6 +371,32 @@ def test_strip_gap_states_grid_matches_per_kx_calls(gamma):
             assert got == want
         elif mirrored and kx == -ks[rep]:
             assert got == want  # exact negation: the mirror is a direct solve
+
+
+def _near_boundary(report, boundary):
+    return min(abs(report.peak_site - boundary), abs(report.peak_site + boundary)) <= EDGE_WINDOW
+
+
+def test_is_edge_rules_of_chain_and_strip():
+    # a chain edge state peaks near a region boundary and reaches EDGE_IPR_MIN
+    low_ipr_near = 0
+    for n, lb, g, tol in ((201, 50, 0.0, 1e-6), (201, 50, 0.25, 1e-4), (101, 25, 0.3, 1e-4)):
+        spec = RegionSpec(lb, FIG6_SPEC.params_inner, FIG6_SPEC.params_outer)
+        reports = detect_edge_states(*chain_spectrum(build_chain_operator(n, spec, g)), tol, lb)
+        assert reports
+        for r in reports:
+            assert r.is_edge == (_near_boundary(r, lb) and r.ipr >= EDGE_IPR_MIN)
+            low_ipr_near += _near_boundary(r, lb) and r.ipr < EDGE_IPR_MIN
+    assert low_ipr_near > 0  # the IPR threshold decides some chain states
+    # a strip in-gap state is an edge state by its peak alone
+    ks = -np.pi + 2 * np.pi * np.arange(8) / 8
+    halves = np.array([bulk_gap_half_width(STRIP_SPEC, STRIP_NY, kx, 0.0, 0.0) for kx in ks])
+    states = [s for row in strip_gap_states_grid(STRIP_SPEC, STRIP_NY, 8, 0.47, 0.47, gap_half=halves)
+              for s in row]
+    assert states
+    assert all(s.is_edge == _near_boundary(s, STRIP_SPEC.boundary) for s in states)
+    # not vacuous: 32 of the 76 are edge states below the chain's IPR threshold
+    assert any(s.is_edge and s.ipr < EDGE_IPR_MIN for s in states)
 
 
 def test_strip_gap_states_grid_rejects_wrong_window_shape():

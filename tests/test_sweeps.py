@@ -86,21 +86,28 @@ def test_batched_winding_row_equals_per_cell_loop(cells):
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_overflowing_cell_stays_error_next_to_ok_cells():
-    # e^{2 gamma} overflows beyond gamma = 354.9, where WalkParams1D rejects the
-    # cell (error), which the batch must not report as a gap closure
-    cells = [(-3 * np.pi / 8, np.pi / 8, g, 51) for g in (0.1, 400.0, 0.2)]
+    # eig2_batch squares entries of size e^{2 gamma}, which overflows beyond
+    # gamma = 177.4 (the eigenvalues came out inf and the cell gap_closed);
+    # WalkParams1D rejects such a cell (error), which the batch must not
+    # report as a gap closure
+    cells = [(-3 * np.pi / 8, np.pi / 8, g, 51) for g in (0.1, 178.0, 300.0, 354.8, 400.0, 0.2)]
     vals, stat = sweeps._winding_gamma_row(cells)
     want_vals, want_stat = winding_row_by_cells(cells)
-    assert stat.tolist() == [STATUS_OK, STATUS_ERROR, STATUS_OK] == want_stat.tolist()
+    assert stat.tolist() == [STATUS_OK] + [STATUS_ERROR] * 4 + [STATUS_OK] == want_stat.tolist()
     assert vals.tobytes() == want_vals.tobytes()
     # the error names its cause
-    cause = r"gamma must be finite and \|gamma\| below 354.9, where e\^\(2 gamma\) overflows"
-    for g in (400.0, -400.0):
+    cause = r"gamma must be finite and \|gamma\| below 177.4, where the eigensolver's e\^\(4 gamma\) overflows"
+    for g in (178.0, 300.0, 354.8, 400.0, -400.0):
         with pytest.raises(ValueError, match=cause):
             WalkParams1D(-3 * np.pi / 8, np.pi / 8, g)
     with pytest.raises(ValueError, match="overflows"):
-        WalkParams1D(-3 * np.pi / 8, np.pi / 8, np.array([[0.1], [400.0]]))
-    WalkParams1D(-3 * np.pi / 8, np.pi / 8, 354.8)
+        WalkParams1D(-3 * np.pi / 8, np.pi / 8, np.array([[0.1], [178.0]]))
+    # just below the bound the cell is accepted and ok for either sign
+    below = np.log(np.finfo(float).max) / 4.0 - 1e-9
+    cells = [(-3 * np.pi / 8, np.pi / 8, g, 51) for g in (below, -below)]
+    vals, stat = sweeps._winding_gamma_row(cells)
+    assert stat.tolist() == [STATUS_OK, STATUS_OK] == winding_row_by_cells(cells)[1].tolist()
+    assert np.all(np.isfinite(vals))
 
 
 def test_fig2a_row_runs_batched_without_warnings(monkeypatch):
