@@ -19,8 +19,6 @@ from .errors import (
 )
 from .linalg import (
     BlochDecomposition,
-    Eig2Result,
-    eig2,
     eig_general,
     exp_bloch,
     hamiltonian_from_unitary,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GapClosure, OrthogonalLink
-from .linalg import DEGENERACY_TOL, eig2_batch, quasienergy
+from .linalg import eig2_batch, quasienergy
 from .walks import WalkParams1D, WalkParams2D, momentum_grid, u1d_ssqw_k, u2d_k
 
 __all__ = [
@@ -46,15 +46,18 @@ __all__ = [
 LINK_TOL = 1e-12
 # a winding or Chern number within this of an integer counts as that integer
 INTEGER_TOL = 1e-6
+# two quasi-energies whose real parts differ by less than this are ordered by Im E
+DEGENERACY_TOL = 1e-9
 # an exact closing with O(eps) rounding in the operator splits the
 # eigenvalue pair by O(sqrt(eps)) through the discriminant, so the
 # collision detector must sit above that amplification scale:
-# eig2_batch takes lambda = tr/2 +- sqrt(D) with D = (tr/2)^2 - det.  At a
-# closing D = 0 exactly, but rounding in the O(1) entries, in (tr/2)^2 and
-# in det leaves |D| ~ c eps for a small integer c, and the computed split
-# is 2 sqrt(|D|) = 2 sqrt(c) sqrt(eps).  With eps = 2.2e-16,
-# sqrt(eps) = 1.5e-8, so 1e-7 is about 7 sqrt(eps): a closing still reads
-# as a collision while the rounding in D stays below about 11 eps.
+# eig2_batch takes lambda = tr/2 +- sqrt(D) with D = (tr/2)^2 - 1 (det U = 1
+# is not computed).  At a closing D = 0 exactly, but rounding in the O(1)
+# entries, in tr/2 and in (tr/2)^2 - 1 leaves |D| ~ c eps for a small
+# integer c, and the computed split is 2 sqrt(|D|) = 2 sqrt(c) sqrt(eps).
+# With eps = 2.2e-16, sqrt(eps) = 1.5e-8, so 1e-7 is about 7 sqrt(eps): a
+# closing still reads as a collision while the rounding in D stays below
+# about 11 eps.
 GAP_COLLISION_TOL = 1e-7
 # an overlap whose |Im| is at most this fraction of its negative real part
 # sits on the -pi/+pi cut, and its phase is taken as +pi
@@ -149,7 +152,7 @@ def band_spectrum_1d(p: WalkParams1D, n_points: int) -> tuple[BandData1D, BandDa
     """
     ks = momentum_grid(n_points)
     ops = u1d_ssqw_k(p, ks)
-    values, vectors, _ = eig2_batch(ops)
+    values, vectors = eig2_batch(ops)
     collisions = np.abs(values[..., 0] - values[..., 1]) < GAP_COLLISION_TOL
     if ops.ndim == 3 and np.any(collisions):
         raise GapClosure(ks[collisions])
@@ -188,7 +191,7 @@ def band_spectrum_2d(p: WalkParams2D, nx: int, ny: int) -> tuple[BandData2D, Ban
     qx = (-np.pi + 2.0 * np.pi * (np.arange(nx) + 0.25) / nx) / 2.0
     qy = (-np.pi + 2.0 * np.pi * (np.arange(ny) + 0.25) / ny) / 2.0
     ops = u2d_k(p, qx[:, None], qy[None, :])
-    values, vectors, _ = eig2_batch(ops)
+    values, vectors = eig2_batch(ops)
     collisions = np.abs(values[..., 0] - values[..., 1]) < GAP_COLLISION_TOL
     if np.any(collisions):
         kxg, kyg = np.meshgrid(qx, qy, indexing="ij")

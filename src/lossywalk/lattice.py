@@ -220,10 +220,6 @@ def build_strip_operator(
     return _interleave(m)
 
 
-def _kx_grid(n: int) -> np.ndarray:
-    return -np.pi + 2.0 * np.pi * np.arange(n) / n
-
-
 def _kx_classes(n: int) -> list[tuple[int, bool, bool]]:
     """(representative, mirrored, real) for each point kx_j = -pi + 2 pi j / n of the grid.
 
@@ -260,7 +256,7 @@ def strip_band_structure(
     class).  A mirrored row is the representative's row negated and reversed:
     Re E = -angle(lambda), and the eigenvalues at -kx are conjugates.
     """
-    ks = _kx_grid(kx_samples)
+    ks = momentum_grid(kx_samples)
     rows = np.empty((kx_samples, 2 * n_y))
     for j, (rep, mirrored, real) in enumerate(_kx_classes(kx_samples)):
         if rep == j:
@@ -333,7 +329,7 @@ def strip_gap_states_grid(
     or the other member of a real class) holds the representative's states,
     equal to the per-kx call up to rounding.
     """
-    ks = _kx_grid(kx_samples)
+    ks = momentum_grid(kx_samples)
     halves = np.asarray(gap_half, dtype=float)
     if halves.shape != ks.shape:
         raise ValueError(f"gap_half has shape {halves.shape}, expected ({kx_samples},)")

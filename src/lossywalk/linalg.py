@@ -1,11 +1,13 @@
 """Dense complex linear algebra for two-band walk operators.
 
-The 2x2 eigenproblem is solved analytically (quadratic formula plus adjugate
-eigenvectors) and is fully vectorized over leading axes; it is the hot path
-for every momentum-grid computation in the package.  General NxN spectra
-(real-space chains and strips) go through LAPACK via ``numpy.linalg.eig``
-behind the same canonical-ordering contract, in real arithmetic when the
-matrix is real (every chain) and in complex arithmetic otherwise.
+The 2x2 eigenproblem takes unit-determinant operators (every walk step in
+the package) and is solved analytically: lambda0 = tr/2 +- sqrt((tr/2)^2 - 1),
+lambda1 = 1/lambda0, plus adjugate eigenvectors.  It is fully vectorized over
+leading axes; it is the hot path for every momentum-grid computation in the
+package.  General NxN spectra (real-space chains and strips) go through
+LAPACK via ``numpy.linalg.eig`` behind the same canonical-ordering contract,
+in real arithmetic when the matrix is real (every chain) and in complex
+arithmetic otherwise.
 
 Quasi-energy branch convention used throughout: an eigenvalue lambda of a
 one-step operator corresponds to E = i log(lambda) with the principal
@@ -28,22 +30,7 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
-DEGENERACY_TOL = 1e-9
 BRANCH_TOL = 1e-9
-
-
-@dataclass
-class Eig2Result:
-    """Analytic eigendecomposition of a 2x2 matrix.
-
-    ``vectors[:, i]`` is the unit eigenvector of ``values[i]``.  For a
-    degenerate spectrum ``degenerate`` is set; a defective matrix yields two
-    equal vectors, a scaled identity yields the standard basis.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-    degenerate: bool
 
 
 @dataclass
@@ -67,28 +54,27 @@ def _check_finite(m: np.ndarray, dtype=complex) -> np.ndarray:
     return m
 
 
-def eig2_batch(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized analytic eigendecomposition of a (..., 2, 2) stack.
+def eig2_batch(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized analytic eigendecomposition of a (..., 2, 2) stack of unit-determinant matrices.
 
-    Returns ``(values, vectors, degenerate)`` with shapes (..., 2),
-    (..., 2, 2) (columns are eigenvectors) and (...,) bool.
+    Returns ``(values, vectors)`` with shapes (..., 2) and (..., 2, 2)
+    (columns are unit eigenvectors).  The roots are tr/2 +- sqrt(D) with
+    D = (tr/2)^2 - 1; values[..., 0] takes the sign that grows |lambda|, so
+    |lambda0| >= 1, and values[..., 1] = 1/lambda0.  No determinant is formed:
+    ad - bc would cancel between products of the size of the entries squared.
+    A defective matrix yields two equal vectors, +-identity the standard basis.
+    The input is not checked for unit determinant.
     """
     m = np.asarray(m, dtype=complex)
     a, b = m[..., 0, 0], m[..., 0, 1]
     c, d = m[..., 1, 0], m[..., 1, 1]
     half_tr = 0.5 * (a + d)
-    det = a * d - b * c
-    disc = np.sqrt(half_tr * half_tr - det)
+    disc = np.sqrt(half_tr * half_tr - 1.0)
     # avoid cancellation: add the root on the side that grows |lambda|
     flip = np.real(np.conj(half_tr) * disc) < 0
-    disc = np.where(flip, -disc, disc)
-    lam0 = half_tr + disc
-    # second root from the product when safe, from the sum otherwise
-    small = np.abs(lam0) < 1e-300
-    lam1 = np.where(small, half_tr - disc, det / np.where(small, 1.0, lam0))
-
+    lam0 = half_tr + np.where(flip, -disc, disc)
+    lam1 = 1.0 / lam0
     scale = np.max(np.abs(m), axis=(-2, -1))
-    degenerate = np.abs(lam0 - lam1) <= DEGENERACY_TOL * np.maximum(1.0, scale)
 
     def _vector(lam):
         v1 = np.stack([b, lam - a], axis=-1)
@@ -107,19 +93,7 @@ def eig2_batch(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     vec1, iso1 = _vector(lam1)
     # scaled identity: return the standard basis rather than two copies of e1
     vec1 = np.where((iso0 & iso1)[..., None], np.array([0.0, 1.0]), vec1)
-
-    values = np.stack([lam0, lam1], axis=-1)
-    vectors = np.stack([vec0, vec1], axis=-1)
-    return values, vectors, degenerate
-
-
-def eig2(m: np.ndarray) -> Eig2Result:
-    """Analytic eigendecomposition of a single 2x2 complex matrix."""
-    m = _check_finite(m)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    values, vectors, degenerate = eig2_batch(m)
-    return Eig2Result(values=values, vectors=vectors, degenerate=bool(degenerate))
+    return np.stack([lam0, lam1], axis=-1), np.stack([vec0, vec1], axis=-1)
 
 
 def eig_general(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,7 +166,7 @@ def hamiltonian_from_unitary(u: np.ndarray) -> BlochDecomposition:
     det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
     if abs(det - 1.0) > 1e-9:
         raise ValueError(f"operator must have unit determinant, |det-1| = {abs(det - 1.0):.2e}")
-    values, _, _ = eig2_batch(u)
+    values, _ = eig2_batch(u)
     energy, _ = principal_quasienergy_pair(values)
     ambiguous = min(abs(energy.real), abs(energy.real - np.pi)) <= BRANCH_TOL
     sin_e = np.sin(energy)

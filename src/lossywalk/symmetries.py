@@ -85,7 +85,7 @@ def check_exact_pt(p: WalkParams1D, n_points: int, tol: float) -> SymmetryReport
     the reality transition is then located without grid-resolution bias.
     """
     ks = np.concatenate([momentum_grid(n_points), [0.0]])
-    values, _, _ = eig2_batch(u1d_ssqw_k(p, ks))
+    values, _ = eig2_batch(u1d_ssqw_k(p, ks))
     im_e = np.log(np.abs(values))  # Im E = log|lambda|
     return _report("ExactPT", im_e, tol, n_points)
 

@@ -116,6 +116,9 @@ class WalkParams2D:
         for name in ("theta1", "theta2", "gamma_x", "gamma_y"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if abs(self.gamma_x) + abs(self.gamma_y) >= GAMMA_MAX:
+            raise ValueError(f"|gamma_x| + |gamma_y| must be below {GAMMA_MAX:.1f}, "
+                             "where the eigensolver's e^(4 (|gamma_x| + |gamma_y|)) overflows")
 
 
 class CriticalKind(Enum):
@@ -141,8 +144,9 @@ class CriticalGamma:
 
 # the Bloch vector n = (nx, ny, nz) / sin E is undefined where |sin E| < this
 GAP_SIN_TOL = 1e-9
-# the split-step operator has entries of size e^{2 gamma}, and eig2_batch squares
-# them ((tr/2)^2, |v|^2): beyond this (about 177.4) they overflow float64
+# the split-step operator has entries of size e^{2 gamma} (the 2D step
+# e^{2 (|gamma_x| + |gamma_y|)}), and eig2_batch squares them ((tr/2)^2,
+# |v|^2): beyond this (about 177.4) they overflow float64
 GAMMA_MAX = np.log(np.finfo(float).max) / 4.0
 
 

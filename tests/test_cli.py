@@ -115,6 +115,25 @@ def test_chern_command():
     assert out.strip() == "1"
 
 
+def test_chern_rejects_loss_beyond_overflow_bound():
+    code, out = run_cli(["--json", "chern", "--theta1", "3pi/8", "--theta2", "1.0",
+                         "--gamma-x", "200", "--grid", "21"])
+    assert code == 1
+    assert json.loads(out) == {"error": "validation", "message": (
+        "|gamma_x| + |gamma_y| must be below 177.4, "
+        "where the eigensolver's e^(4 (|gamma_x| + |gamma_y|)) overflows")}
+
+
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_strip_bands_rejects_nonpositive_kx_samples(tmp_path, samples):
+    code, out = run_cli(["--json", "--outdir", str(tmp_path), "strip-bands", "--ny", "11",
+                         "--boundary", "2", "--inner", "0.3,0.4", "--outer", "1.0,2.0",
+                         "--kx-samples", samples])
+    assert code == 1
+    assert json.loads(out) == {"error": "validation", "message": "n_points must be positive"}
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_symmetry_check_command():
     code, out = run_cli(["symmetry-check", "--theta1", "-3pi/8", "--theta2", "pi/4",
                          "--gamma", "0.15", "--nk", "101"])

@@ -1,19 +1,32 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import assert_multiset_close
 
 from lossywalk.linalg import (
     SIGMA_Y,
     SIGMA_Z,
-    eig2,
+    eig2_batch,
     eig_general,
     exp_bloch,
     hamiltonian_from_unitary,
     is_unitary,
     quasienergy,
 )
-from lossywalk.walks import WalkParams1D, bloch_ssqw, quasi_energy_ssqw, rotation_coin, scaling_op, u1d_ssqw_k
+from lossywalk.walks import (
+    GAMMA_MAX,
+    WalkParams1D,
+    WalkParams2D,
+    bloch_ssqw,
+    momentum_grid,
+    quasi_energy_ssqw,
+    rotation_coin,
+    scaling_op,
+    u1d_ssqw_k,
+    u2d_k,
+)
 
 
 def char_poly_roots(m):
@@ -24,20 +37,21 @@ def char_poly_roots(m):
 
 
 def test_eig2_identity_degenerate():
-    res = eig2(np.eye(2))
-    assert np.allclose(sorted(res.values.real), [1.0, 1.0])
-    assert np.allclose(res.values.imag, 0.0)
-    assert res.degenerate
+    values, vectors = eig2_batch(np.eye(2))
+    assert np.allclose(sorted(values.real), [1.0, 1.0])
+    assert np.allclose(values.imag, 0.0)
+    assert values[0] == values[1]
     # scaled identity is not defective: standard basis comes back
-    assert abs(np.linalg.det(res.vectors)) > 0.5
+    assert abs(np.linalg.det(vectors)) > 0.5
 
 
 def test_eig2_sigma_z():
-    res = eig2(SIGMA_Z)
-    vals = sorted(res.values.real)
-    assert np.allclose(vals, [-1.0, 1.0])
-    for value, v in zip(res.values, res.vectors.T):
-        expected = [1.0, 0.0] if value.real > 0 else [0.0, 1.0]
+    # i sigma_z: the unit-determinant sibling of sigma_z, eigenvalues +-i
+    values, vectors = eig2_batch(1j * SIGMA_Z)
+    assert np.allclose(sorted(values.imag), [-1.0, 1.0])
+    assert np.allclose(values.real, 0.0)
+    for value, v in zip(values, vectors.T):
+        expected = [1.0, 0.0] if value.imag > 0 else [0.0, 1.0]
         assert np.allclose(np.abs(v), expected, atol=1e-12)
 
 
@@ -45,12 +59,13 @@ def test_eig2_random_nonnormal_vs_quadratic_oracle():
     rng = np.random.default_rng(7)
     for _ in range(200):
         m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        res = eig2(m)
-        got = np.sort_complex(res.values)
+        m = m / np.sqrt(np.linalg.det(m))  # unit determinant
+        values, vectors = eig2_batch(m)
+        got = np.sort_complex(values)
         want = np.sort_complex(char_poly_roots(m))
         assert np.max(np.abs(got - want)) < 1e-10
         scale = np.max(np.abs(m))
-        for value, v in zip(res.values, res.vectors.T):
+        for value, v in zip(values, vectors.T):
             resid = np.linalg.norm(m @ v - value * v)
             assert resid <= 1e-10 * max(1.0, scale)
             assert abs(np.linalg.norm(v) - 1.0) < 1e-12
@@ -58,11 +73,38 @@ def test_eig2_random_nonnormal_vs_quadratic_oracle():
 
 def test_eig2_defective_flagged_not_raised():
     m = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)  # Jordan block
-    res = eig2(m)
-    assert res.degenerate
+    values, vectors = eig2_batch(m)
+    assert values[0] == values[1]
     # both vectors equal (up to phase) the single eigenvector (1, 0)
-    for v in res.vectors.T:
+    for v in vectors.T:
         assert np.allclose(np.abs(v), [1.0, 0.0], atol=1e-6)
+
+
+ANGLES = st.floats(-2 * np.pi, 2 * np.pi)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(ANGLES, ANGLES, st.floats(0.0, GAMMA_MAX - 1e-9), st.sampled_from([-1.0, 1.0]), st.floats(0.0, 1.0))
+def test_eig2_pair_is_reciprocal_at_any_loss(t1, t2, loss, sign, share):
+    # det U = 1, so lambda1 = 1/lambda0 must hold to rounding at every |gamma|
+    # below the overflow bound
+    ks = momentum_grid(51)
+    p1 = WalkParams1D(t1, t2, sign * loss)
+    p2 = WalkParams2D(t1, t2, sign * share * loss, -sign * (1.0 - share) * loss)
+    for u in (u1d_ssqw_k(p1, ks), u2d_k(p2, ks[:, None] / 2, ks[None, :] / 2)):
+        values, _ = eig2_batch(u)
+        assert np.max(np.abs(values[..., 0] * values[..., 1] - 1.0)) <= 1e-12
+    if loss <= 20.0:
+        # the growing root carries Im E = log|lambda0| >= 0 of the closed form.
+        # Near a gap closing the quadratic formula and arccos both lose digits
+        # as eps / split (GAP_COLLISION_TOL), so 1e-12 holds once the pair is
+        # split by more than about 3.5e-3 relative to |lambda0|
+        values, _ = eig2_batch(u1d_ssqw_k(p1, ks))
+        got = np.log(np.abs(values[:, 0]))
+        want = np.abs(quasi_energy_ssqw(p1, ks).imag)
+        split = np.abs(values[:, 0] - values[:, 1]) / np.abs(values[:, 0])
+        err = np.abs(got - want) / np.maximum(1.0, want)
+        assert np.all((err <= 1e-12) | (err * split <= 16 * np.finfo(float).eps))
 
 
 def test_eig_general_diagonal_sorted():

@@ -128,7 +128,7 @@ def test_2d_has_no_exact_pt():
     kx, ky = np.meshgrid(ks, ks, indexing="ij")
     from lossywalk.walks import u2d_k
 
-    values, _, _ = eig2_batch(u2d_k(p, kx, ky))
+    values, _ = eig2_batch(u2d_k(p, kx, ky))
     assert np.max(np.abs(np.log(np.abs(values)))) > 1e-8
 
 
@@ -138,7 +138,7 @@ def test_spectrum_closed_under_conjugation():
     rng = np.random.default_rng(22)
     for _ in range(50):
         p = WalkParams1D(rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi, np.pi), rng.uniform(0, 1))
-        values, _, _ = eig2_batch(u1d_ssqw_k(p, rng.uniform(-np.pi, np.pi)))
+        values, _ = eig2_batch(u1d_ssqw_k(p, rng.uniform(-np.pi, np.pi)))
         es = -np.angle(values) + 1j * np.log(np.abs(values))
         # {E0, E1} == {conj(E0), conj(E1)} within tolerance, mod 2 pi
         d1 = max(branch_dist(es[0], np.conj(es[0])), branch_dist(es[1], np.conj(es[1])))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from helpers import assert_multiset_close, branch_dist
 from lossywalk.errors import DegenerateCoin, GapClosed
 from lossywalk.linalg import IDENTITY_2, SIGMA_X, eig2_batch, exp_bloch, is_unitary
 from lossywalk.walks import (
+    GAMMA_MAX,
     CriticalKind,
     WalkParams1D,
     WalkParams2D,
@@ -75,13 +78,13 @@ def test_dtqw_free_walk():
     u = u1d_dtqw_k(0.0, 0.37)
     assert np.allclose(u, np.diag([np.exp(0.37j), np.exp(-0.37j)]))
     # principal quasi-energy is |k|
-    values, _, _ = eig2_batch(u)
+    values, _ = eig2_batch(u)
     assert np.min(np.abs(-np.angle(values) - 0.37)) < 1e-14
 
 
 def test_dtqw_dispersion_relation():
     # cos E = cos(theta/2) cos k, checked at theta = pi/2, k = 0
-    values, _, _ = eig2_batch(u1d_dtqw_k(np.pi / 2, 0.0))
+    values, _ = eig2_batch(u1d_dtqw_k(np.pi / 2, 0.0))
     cos_e = np.cos(-np.angle(values[0]))
     assert abs(cos_e - np.cos(np.pi / 4)) < 1e-12
 
@@ -90,7 +93,7 @@ def test_dtqw_random_vs_eig2_oracle():
     rng = np.random.default_rng(RNG_SEED)
     for _ in range(100):
         theta, k = rng.uniform(-np.pi, np.pi, 2)
-        values, _, _ = eig2_batch(u1d_dtqw_k(theta, k))
+        values, _ = eig2_batch(u1d_dtqw_k(theta, k))
         got = np.sort(np.cos(-np.angle(values)).real)
         want = np.cos(theta / 2) * np.cos(k)
         assert min(abs(got[0] - want), abs(got[1] - want)) < 1e-10
@@ -111,7 +114,7 @@ def test_ssqw_unitary_at_zero_scaling():
 
 def test_ssqw_quasi_energy_against_eig2():
     p = WalkParams1D(-np.pi / 2, np.pi / 2, 0.25)
-    values, _, _ = eig2_batch(u1d_ssqw_k(p, 0.7))
+    values, _ = eig2_batch(u1d_ssqw_k(p, 0.7))
     es = -np.angle(values) + 1j * np.log(np.abs(values))
     e_ref = quasi_energy_ssqw(p, 0.7)
     assert min(abs(es[0] - e_ref), abs(es[1] - e_ref)) < 1e-10
@@ -122,8 +125,8 @@ def test_timesym_same_spectrum():
     for _ in range(50):
         p = random_params_1d(rng)
         k = rng.uniform(-np.pi, np.pi)
-        v1, _, _ = eig2_batch(u1d_ssqw_k(p, k))
-        v2, _, _ = eig2_batch(u1d_ssqw_timesym_k(p, k))
+        v1, _ = eig2_batch(u1d_ssqw_k(p, k))
+        v2, _ = eig2_batch(u1d_ssqw_timesym_k(p, k))
         assert_multiset_close(v1, v2, 1e-10)
 
 
@@ -217,7 +220,7 @@ def test_u2d_unitary_at_zero_scaling():
 
 def test_u2d_quasi_energy_against_eig2():
     p = WalkParams2D(7 * np.pi / 6, 7 * np.pi / 6)
-    values, _, _ = eig2_batch(u2d_k(p, 0.3, 0.9))
+    values, _ = eig2_batch(u2d_k(p, 0.3, 0.9))
     es = -np.angle(values) + 1j * np.log(np.abs(values))
     e_ref = quasi_energy_2d(p, 0.3, 0.9)
     assert min(abs(es[0] - e_ref), abs(es[1] - e_ref)) < 1e-10
@@ -247,8 +250,8 @@ def test_triangular_same_spectrum_as_square():
     for _ in range(50):
         t1, t2 = rng.uniform(-np.pi, np.pi, 2)
         kx, ky = rng.uniform(-np.pi, np.pi, 2)
-        v1, _, _ = eig2_batch(u2d_triangular_k(t1, t2, kx, ky))
-        v2, _, _ = eig2_batch(u2d_k(WalkParams2D(t1, t2), kx, ky))
+        v1, _ = eig2_batch(u2d_triangular_k(t1, t2, kx, ky))
+        v2, _ = eig2_batch(u2d_k(WalkParams2D(t1, t2), kx, ky))
         assert_multiset_close(v1, v2, 1e-10)
 
 
@@ -379,9 +382,31 @@ def test_quasi_energies_pair_as_plus_minus():
     rng = np.random.default_rng(RNG_SEED + 9)
     for _ in range(50):
         for u in _all_builders(rng):
-            values, _, _ = eig2_batch(u)
+            values, _ = eig2_batch(u)
             # lambda0 * lambda1 = 1 <=> E0 = -E1 (mod 2 pi)
             assert abs(values[0] * values[1] - 1.0) < 1e-10
+
+
+def test_walk_params_2d_bounds_the_summed_loss():
+    # u2d_k entries have size e^{2 (|gx| + |gy|)}, which eig2_batch squares
+    cause = (r"\|gamma_x\| \+ \|gamma_y\| must be below 177.4, "
+             r"where the eigensolver's e\^\(4 \(\|gamma_x\| \+ \|gamma_y\|\)\) overflows")
+    for gx, gy in ((GAMMA_MAX, 0.0), (-200.0, 0.0), (0.0, -GAMMA_MAX), (100.0, -80.0), (-90.0, -90.0)):
+        with pytest.raises(ValueError, match=cause):
+            WalkParams2D(3 * np.pi / 8, 1.0, gx, gy)
+    # just below the bound, with either sign on either axis, eig2_batch is finite and silent
+    rng = np.random.default_rng(RNG_SEED)
+    below = GAMMA_MAX - 1e-9
+    q = momentum_grid(21) / 2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(300):
+            t1, t2 = rng.uniform(-np.pi, np.pi, 2)
+            share = rng.uniform()
+            sx, sy = rng.choice([-1.0, 1.0], 2)
+            p = WalkParams2D(t1, t2, sx * share * below, sy * (1.0 - share) * below)
+            values, vectors = eig2_batch(u2d_k(p, q[:, None], q[None, :]))
+            assert np.all(np.isfinite(values)) and np.all(np.isfinite(vectors))
 
 
 def test_unitary_iff_zero_scaling():
@@ -412,7 +437,7 @@ def test_closed_forms_agree_with_eig2_on_random_draws():
     for _ in range(1000):
         p = random_params_1d(rng)
         k = rng.uniform(-np.pi, np.pi)
-        values, _, _ = eig2_batch(u1d_ssqw_k(p, k))
+        values, _ = eig2_batch(u1d_ssqw_k(p, k))
         es = -np.angle(values) + 1j * np.log(np.abs(values))
         e_ref = quasi_energy_ssqw(p, k)
         assert min(branch_dist(es[0], e_ref), branch_dist(es[1], e_ref)) < 1e-9
