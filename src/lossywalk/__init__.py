@@ -17,28 +17,19 @@ from .errors import (
     NoBracket,
     OrthogonalLink,
 )
-from .linalg import (
-    BlochDecomposition,
-    eig_general,
-    exp_bloch,
-    hamiltonian_from_unitary,
-    is_unitary,
-    quasienergy,
-)
+from .linalg import eig_general, quasienergy
 from .walks import (
+    BlochDecomposition,
     CriticalGamma,
     CriticalKind,
     WalkParams1D,
     WalkParams2D,
-    bloch_2d,
     bloch_ssqw,
     critical_gamma,
     min_positive_critical_gamma,
     momentum_grid,
     quasi_energy_2d,
     quasi_energy_ssqw,
-    rotation_coin,
-    scaling_op,
     u1d_dtqw_k,
     u1d_ssqw_k,
     u1d_ssqw_timesym_k,

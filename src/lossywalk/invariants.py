@@ -48,16 +48,16 @@ LINK_TOL = 1e-12
 INTEGER_TOL = 1e-6
 # two quasi-energies whose real parts differ by less than this are ordered by Im E
 DEGENERACY_TOL = 1e-9
-# an exact closing with O(eps) rounding in the operator splits the
-# eigenvalue pair by O(sqrt(eps)) through the discriminant, so the
-# collision detector must sit above that amplification scale:
-# eig2_batch takes lambda = tr/2 +- sqrt(D) with D = (tr/2)^2 - 1 (det U = 1
-# is not computed).  At a closing D = 0 exactly, but rounding in the O(1)
-# entries, in tr/2 and in (tr/2)^2 - 1 leaves |D| ~ c eps for a small
-# integer c, and the computed split is 2 sqrt(|D|) = 2 sqrt(c) sqrt(eps).
-# With eps = 2.2e-16, sqrt(eps) = 1.5e-8, so 1e-7 is about 7 sqrt(eps): a
-# closing still reads as a collision while the rounding in D stays below
-# about 11 eps.
+# a closing is an exactly degenerate eigenvalue pair, and the collision
+# detector must sit above the split that rounding leaves there.
+# eig2_batch takes lambda = tr/2 +- sqrt(D) with D = ((a - d)/2)^2 + bc.
+# At a normal closing (U = +-I) a - d, b and c are all O(eps), so D is
+# O(eps^2) and the split O(eps).  At an exceptional point (U defective,
+# b or c of order 1) the O(eps) rounding in the entries enters bc
+# linearly, |D| ~ c eps for a small integer c, and the split is
+# 2 sqrt(c eps).  With eps = 2.2e-16, sqrt(eps) = 1.5e-8, so 1e-7 is about
+# 7 sqrt(eps): both kinds read as collisions while the rounding in D stays
+# below about 11 eps.
 GAP_COLLISION_TOL = 1e-7
 # an overlap whose |Im| is at most this fraction of its negative real part
 # sits on the -pi/+pi cut, and its phase is taken as +pi

@@ -25,10 +25,10 @@ that depends on one momentum component is evaluated on that component's
 own shape, so passing ``kx[:, None], ky[None, :]`` to a 2D builder costs
 O(nx + ny) factor work plus one broadcast product over the (nx, ny) grid.
 
-Closed forms implemented here (quasi-energy and Bloch vector of the 1D
-split-step walk and of the 2D walk, and the critical scaling factor where
-the real spectrum breaks down) are cross-checked against the analytic 2x2
-eigensolver in the test suite.
+Closed forms implemented here (quasi-energy of the 1D split-step walk and
+of the 2D walk, the Bloch vector of the 1D walk, and the critical scaling
+factor where the real spectrum breaks down) are cross-checked against the
+analytic 2x2 eigensolver in the test suite.
 
 Convention notes, verified to machine precision in tests:
 
@@ -50,16 +50,14 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateCoin, GapClosed
-from .linalg import BRANCH_TOL, BlochDecomposition
 
 __all__ = [
     "WalkParams1D",
     "WalkParams2D",
     "CriticalKind",
     "CriticalGamma",
+    "BlochDecomposition",
     "momentum_grid",
-    "rotation_coin",
-    "scaling_op",
     "u1d_dtqw_k",
     "u1d_ssqw_k",
     "u1d_ssqw_timesym_k",
@@ -68,7 +66,6 @@ __all__ = [
     "u2d_k",
     "u2d_triangular_k",
     "quasi_energy_2d",
-    "bloch_2d",
     "critical_gamma",
     "min_positive_critical_gamma",
 ]
@@ -142,11 +139,26 @@ class CriticalGamma:
     channel: tuple[float, float]
 
 
+@dataclass
+class BlochDecomposition:
+    """Complex quasi-energy E and complex Bloch vector n with n.n = 1.
+
+    The underlying generator is H = E n.sigma, so U = exp(-i E n.sigma).
+    ``branch_ambiguous`` flags Re E within BRANCH_TOL of {0, pi}.
+    """
+
+    energy: complex
+    n: np.ndarray
+    branch_ambiguous: bool = False
+
+
 # the Bloch vector n = (nx, ny, nz) / sin E is undefined where |sin E| < this
 GAP_SIN_TOL = 1e-9
+# a quasi-energy with Re E this close to 0 or pi sits where the branches +-E meet
+BRANCH_TOL = 1e-9
 # the split-step operator has entries of size e^{2 gamma} (the 2D step
-# e^{2 (|gamma_x| + |gamma_y|)}), and eig2_batch squares them ((tr/2)^2,
-# |v|^2): beyond this (about 177.4) they overflow float64
+# e^{2 (|gamma_x| + |gamma_y|)}), and eig2_batch squares them (the
+# discriminant, |v|^2): beyond this (about 177.4) they overflow float64
 GAMMA_MAX = np.log(np.finfo(float).max) / 4.0
 
 
@@ -200,17 +212,6 @@ def _rot(theta):
 def _phase(x):
     """Diagonal (e^x, e^-x): the conditional shift (x = ik) fused with scalings."""
     return np.exp(x), np.exp(-x)
-
-
-def rotation_coin(theta) -> np.ndarray:
-    """R(theta) = exp(-i theta sigma_y / 2); broadcasts over theta."""
-    return _stack2(*_rot(np.asarray(theta, dtype=float)))
-
-
-def scaling_op(delta) -> np.ndarray:
-    """Gain/loss factor G_delta = diag(e^delta, e^-delta); det = 1."""
-    e, e_inv = _phase(np.asarray(delta, dtype=complex))
-    return _stack2(e, 0.0, 0.0, e_inv)
 
 
 def u1d_dtqw_k(theta: float, k) -> np.ndarray:
@@ -268,35 +269,25 @@ def quasi_energy_ssqw(p: WalkParams1D, k) -> np.ndarray:
     return _principal_arccos(z)
 
 
-def _bloch_ssqw_components(p: WalkParams1D, k):
-    c1, s1 = np.cos(p.theta1 / 2.0), np.sin(p.theta1 / 2.0)
-    c2, s2 = np.cos(p.theta2 / 2.0), np.sin(p.theta2 / 2.0)
-    d = p.delta
-    ch, sh = np.cosh(2.0 * d), np.sinh(2.0 * d)
-    k = np.asarray(k, dtype=float)
-    nx = s1 * c2 * np.sin(k) - 1j * c1 * s2 * sh
-    ny = s1 * c2 * np.cos(k) + c1 * s2 * ch
-    nz = -c1 * c2 * np.sin(k) - 1j * s1 * s2 * sh
-    return nx, ny, nz
-
-
-def _bloch(e: complex, components, where: str) -> BlochDecomposition:
-    """Bloch decomposition at quasi-energy e from the unnormalized components."""
-    sin_e = np.sin(e)
-    if abs(sin_e) < GAP_SIN_TOL:
-        raise GapClosed(f"band gap closed at {where}")
-    n = np.array(components, dtype=complex) / sin_e
-    ambiguous = min(abs(e.real), abs(e.real - np.pi)) <= BRANCH_TOL
-    return BlochDecomposition(energy=e, n=n, branch_ambiguous=bool(ambiguous))
-
-
 def bloch_ssqw(p: WalkParams1D, k: float) -> BlochDecomposition:
     """Quasi-energy and bilinear-unit Bloch vector of the split-step walk.
 
     Raises GapClosed when |sin E| < GAP_SIN_TOL at this momentum.
     """
     e = complex(quasi_energy_ssqw(p, k))
-    return _bloch(e, _bloch_ssqw_components(p, k), f"k = {k}")
+    sin_e = np.sin(e)
+    if abs(sin_e) < GAP_SIN_TOL:
+        raise GapClosed(f"band gap closed at k = {k}")
+    c1, s1 = np.cos(p.theta1 / 2.0), np.sin(p.theta1 / 2.0)
+    c2, s2 = np.cos(p.theta2 / 2.0), np.sin(p.theta2 / 2.0)
+    ch, sh = np.cosh(2.0 * p.delta), np.sinh(2.0 * p.delta)
+    n = np.array([
+        s1 * c2 * np.sin(k) - 1j * c1 * s2 * sh,
+        s1 * c2 * np.cos(k) + c1 * s2 * ch,
+        -c1 * c2 * np.sin(k) - 1j * s1 * s2 * sh,
+    ], dtype=complex) / sin_e
+    ambiguous = min(abs(e.real), abs(e.real - np.pi)) <= BRANCH_TOL
+    return BlochDecomposition(energy=e, n=n, branch_ambiguous=bool(ambiguous))
 
 
 def u2d_k(p: WalkParams2D, kx, ky) -> np.ndarray:
@@ -351,42 +342,6 @@ def quasi_energy_2d(p: WalkParams2D, kx, ky) -> np.ndarray:
         - np.sin(p.theta1) * s2 * np.cos(v - wp) * np.cos(u + w)
     )
     return _principal_arccos(z)
-
-
-def _bloch_2d_components(p: WalkParams2D, kx, ky):
-    kx = np.asarray(kx, dtype=float)
-    ky = np.asarray(ky, dtype=float)
-    u = kx + ky
-    v = kx - ky
-    w = 1j * p.gamma_x - 1j * p.gamma_y
-    wp = 1j * p.gamma_x + 1j * p.gamma_y
-    c1t, s1t = np.cos(p.theta1), np.sin(p.theta1)
-    c2, s2 = np.cos(p.theta2 / 2.0), np.sin(p.theta2 / 2.0)
-    nx = (
-        -s1t * c2 * np.cos(u - w) * np.sin(v + wp)
-        - c1t * s2 * np.cos(v - wp) * np.sin(v + wp)
-        - s2 * np.sin(v - wp) * np.cos(v + wp)
-    )
-    ny = (
-        s1t * c2 * np.cos(u - w) * np.cos(v + wp)
-        + c1t * s2 * np.cos(v - wp) * np.cos(v + wp)
-        - s2 * np.sin(v - wp) * np.sin(v + wp)
-    )
-    nz = (
-        -c1t * c2 * np.cos(u - w) * np.sin(u + w)
-        - c2 * np.sin(u - w) * np.cos(u + w)
-        + s1t * s2 * np.cos(v - wp) * np.sin(u + w)
-    )
-    return nx, ny, nz
-
-
-def bloch_2d(p: WalkParams2D, kx: float, ky: float) -> BlochDecomposition:
-    """Quasi-energy and bilinear-unit Bloch vector of the lossy 2D walk.
-
-    Raises GapClosed when |sin E| < GAP_SIN_TOL at this momentum.
-    """
-    e = complex(quasi_energy_2d(p, kx, ky))
-    return _bloch(e, _bloch_2d_components(p, kx, ky), f"(kx, ky) = ({kx}, {ky})")
 
 
 def critical_gamma(theta1: float, theta2: float, k0: float, e0: float) -> CriticalGamma:

@@ -10,6 +10,21 @@ from lossywalk.sweeps import STATUS_ERROR, STATUS_GAP_CLOSED, STATUS_OK
 from lossywalk.walks import WalkParams1D
 
 
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+
+
+def is_unitary(m, tol):
+    """True iff max|M^dag M - I| <= tol."""
+    m = np.asarray(m)
+    return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= tol)
+
+
+def exp_bloch(energy, n):
+    """exp(-i E n.sigma) = cos(E) I - i sin(E) n.sigma for a bilinear-unit n."""
+    n_sigma = np.array([[n[2], n[0] - 1j * n[1]], [n[0] + 1j * n[1], -n[2]]])
+    return np.cos(energy) * np.eye(2) - 1j * np.sin(energy) * n_sigma
+
+
 def branch_dist(a, b):
     """Distance between quasi-energies with the real part compared mod 2 pi."""
     a, b = complex(a), complex(b)

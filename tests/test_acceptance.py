@@ -11,15 +11,13 @@ and then the derived value.
 import time
 
 import numpy as np
-import pytest
 
 from helpers import assert_multiset_close, branch_dist, chain_operator_by_rolls
 
 import lossywalk as lw
-from lossywalk.errors import GapClosure, OrthogonalLink
 from lossywalk.lattice import bulk_gap_half_width
 from lossywalk.linalg import eig2_batch
-from lossywalk.sweeps import STATUS_GAP_CLOSED, STATUS_OK
+from lossywalk.sweeps import STATUS_OK
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:

@@ -1,7 +1,6 @@
 import ast
 import json
 import math
-import os
 import subprocess
 import sys
 

@@ -1,4 +1,4 @@
-"""Every name a ``lossywalk`` module imports is used in that module.
+"""Every name a ``lossywalk`` module or a test module imports is used in that module.
 
 No linter ships with the project, so this stdlib ``ast`` check stands in
 for one.  ``__init__`` (whose imports are the package's re-exports) and
@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "lossywalk"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "lossywalk"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,7 +44,6 @@ def test_unused_imports_finds_only_unread_names():
     assert unused_imports(source) == ["os"]
 
 
-@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []

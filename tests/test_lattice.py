@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from helpers import (
     assert_multiset_close,
     chain_operator_by_matmul,
+    is_unitary,
     strip_bands_by_loop,
     strip_operator_by_matmul,
 )
@@ -25,7 +26,7 @@ from lossywalk.lattice import (
     strip_gap_states,
     strip_gap_states_grid,
 )
-from lossywalk.linalg import eig2_batch, is_unitary, quasienergy
+from lossywalk.linalg import eig2_batch, quasienergy
 from lossywalk.walks import WalkParams1D, WalkParams2D, u1d_ssqw_k, u2d_k
 
 FIG6_SPEC = RegionSpec(50, (-3 * np.pi / 8, 5 * np.pi / 8), (-3 * np.pi / 8, np.pi / 4))
@@ -274,6 +275,37 @@ def test_strip_real_where_two_kx_is_a_multiple_of_pi(region, gx, gy, kx):
     op = build_strip_operator(n, spec, kx, gx, gy)
     assert np.max(np.abs(op.imag)) <= 1e-15 * np.max(np.abs(op))
     assert np.array_equal(build_strip_operator(n, spec, -kx, gx, gy).real, op.real)
+
+
+@st.composite
+def two_region_rings(draw, shared_theta1):
+    """(odd ring size in [21, 41], RegionSpec of two random regions)."""
+    n = 2 * draw(st.integers(10, 20)) + 1
+    inner = (draw(ANGLES), draw(ANGLES))
+    outer = (inner[0] if shared_theta1 else draw(ANGLES), draw(ANGLES))
+    return n, RegionSpec(draw(st.integers(1, (n - 1) // 2 - 1)), inner, outer)
+
+
+def assert_reciprocal_pairs(op, rtol):
+    """The spectrum of op maps onto itself under lambda -> 1/lambda."""
+    lam = np.linalg.eigvals(op)
+    assert_multiset_close(lam, 1.0 / lam, rtol * max(1.0, np.max(np.abs(lam))))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(two_region_rings(shared_theta1=False), SCALINGS, SCALINGS, ANGLES)
+def test_strip_spectrum_pairs_as_lambda_and_inverse(ring, gx, gy, kx):
+    n, spec = ring
+    assert_reciprocal_pairs(build_strip_operator(n, spec, kx, gx, gy), 1e-9)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(two_region_rings(shared_theta1=True), SCALINGS)
+def test_chain_spectrum_pairs_as_lambda_and_inverse_at_shared_theta1(ring, g):
+    # figures 6 and 7 share theta1 between the regions; a chain whose regions
+    # differ in theta1 does not pair at gamma != 0 (docs/NOTES.md)
+    n, spec = ring
+    assert_reciprocal_pairs(build_chain_operator(n, spec, g), 1e-9)
 
 
 def test_kx_classes_cover_the_grid():

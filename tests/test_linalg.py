@@ -3,27 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_multiset_close
+from helpers import assert_multiset_close, is_unitary
 
-from lossywalk.linalg import (
-    SIGMA_Y,
-    SIGMA_Z,
-    eig2_batch,
-    eig_general,
-    exp_bloch,
-    hamiltonian_from_unitary,
-    is_unitary,
-    quasienergy,
-)
+from lossywalk.linalg import SIGMA_Z, eig2_batch, eig_general, quasienergy
 from lossywalk.walks import (
     GAMMA_MAX,
     WalkParams1D,
     WalkParams2D,
-    bloch_ssqw,
     momentum_grid,
     quasi_energy_ssqw,
-    rotation_coin,
-    scaling_op,
+    u1d_dtqw_k,
     u1d_ssqw_k,
     u2d_k,
 )
@@ -107,6 +96,17 @@ def test_eig2_pair_is_reciprocal_at_any_loss(t1, t2, loss, sign, share):
         assert np.all((err <= 1e-12) | (err * split <= 16 * np.finfo(float).eps))
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.floats(-(GAMMA_MAX - 1e-9), GAMMA_MAX - 1e-9), st.sampled_from([0.0, -np.pi]))
+def test_eig2_normal_degenerate_pair_splits_at_rounding(gamma, k):
+    # at theta1 = theta2 = 0 the walk is diag(e^{ik}, e^{-ik}) at every gamma:
+    # normal, with the exactly degenerate pair +-1 at k in {0, -pi}.  The
+    # discriminant ((a - d)/2)^2 + bc is O(eps^2) there, so |lambda| = 1 to
+    # rounding; (tr/2)^2 - 1 would be O(eps) and split the pair by O(sqrt(eps))
+    values, _ = eig2_batch(u1d_ssqw_k(WalkParams1D(0.0, 0.0, gamma), k))
+    assert np.max(np.abs(np.abs(values) - 1.0)) <= 1e-12
+
+
 def test_eig_general_diagonal_sorted():
     m = np.diag([1.0, 2.0j, -3.0]).astype(complex)
     vals, _ = eig_general(m)
@@ -160,52 +160,12 @@ def test_chain_operator_unitary_spectrum():
     assert np.max(np.abs(np.abs(vals) - 1.0)) < 1e-8
 
 
-def test_hamiltonian_from_unitary_identity():
-    b = hamiltonian_from_unitary(np.eye(2, dtype=complex))
-    assert abs(b.energy) < 1e-12
-    assert b.branch_ambiguous
-
-
-def test_hamiltonian_from_unitary_single_axis():
-    u = exp_bloch(np.pi / 3, np.array([0.0, 1.0, 0.0]))
-    assert np.allclose(u, rotation_coin(2 * np.pi / 3))  # e^{-i(pi/3) sigma_y}
-    b = hamiltonian_from_unitary(u)
-    assert abs(b.energy - np.pi / 3) < 1e-12
-    assert np.allclose(b.n, [0.0, 1.0, 0.0], atol=1e-12)
-    assert not b.branch_ambiguous
-
-
-def test_hamiltonian_from_unitary_matches_closed_forms():
-    p = WalkParams1D(-np.pi / 2, np.pi / 2, 0.1)
-    u = u1d_ssqw_k(p, 1.0)
-    b = hamiltonian_from_unitary(u)
-    assert abs(b.energy - quasi_energy_ssqw(p, 1.0)) < 1e-9
-    ref = bloch_ssqw(p, 1.0)
-    assert np.max(np.abs(b.n - ref.n)) < 1e-9
-
-
-def test_hamiltonian_reexponentiation_roundtrip():
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        p = WalkParams1D(rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi, np.pi), rng.uniform(0, 1))
-        u = u1d_ssqw_k(p, rng.uniform(-np.pi, np.pi))
-        b = hamiltonian_from_unitary(u)
-        if b.n is None:
-            continue
-        assert np.max(np.abs(exp_bloch(b.energy, b.n) - u)) < 1e-8
-        assert abs(np.sum(b.n**2) - 1.0) < 1e-9  # bilinear normalization
-
-
-def test_hamiltonian_from_unitary_rejects_non_unit_det():
-    with pytest.raises(ValueError):
-        hamiltonian_from_unitary(2.0 * np.eye(2))
-
-
 def test_is_unitary_examples():
-    assert is_unitary(rotation_coin(0.7321), 1e-12)
-    assert not is_unitary(scaling_op(0.3), 1e-6)
+    # the test oracle on the coin R(theta) = u1d_dtqw_k(theta, 0) and on G_delta
+    assert is_unitary(u1d_dtqw_k(0.7321, 0.0), 1e-12)
+    assert not is_unitary(np.diag(np.exp([0.3, -0.3])), 1e-6)
     assert is_unitary(u1d_ssqw_k(WalkParams1D(0.4, -1.1, 0.0), 0.3), 1e-12)
-    assert is_unitary(scaling_op(1j * np.pi / 2), 1e-12)  # purely imaginary delta
+    assert is_unitary(np.diag(np.exp([0.5j * np.pi, -0.5j * np.pi])), 1e-12)  # purely imaginary delta
 
 
 def test_quasienergy_branch():

@@ -1,10 +1,9 @@
 import numpy as np
-import pytest
 
-from helpers import branch_dist
+from helpers import SIGMA_Y, branch_dist
 
 from lossywalk.errors import NoBracket
-from lossywalk.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, eig2_batch
+from lossywalk.linalg import SIGMA_X, SIGMA_Z, eig2_batch
 from lossywalk.symmetries import (
     check_cs,
     check_exact_pt,

@@ -6,23 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import assert_multiset_close, branch_dist
+from helpers import assert_multiset_close, branch_dist, exp_bloch, is_unitary
 
 from lossywalk.errors import DegenerateCoin, GapClosed
-from lossywalk.linalg import IDENTITY_2, SIGMA_X, eig2_batch, exp_bloch, is_unitary
+from lossywalk.linalg import SIGMA_X, eig2_batch, quasienergy
 from lossywalk.walks import (
     GAMMA_MAX,
     CriticalKind,
     WalkParams1D,
     WalkParams2D,
-    bloch_2d,
     bloch_ssqw,
     critical_gamma,
     momentum_grid,
     quasi_energy_2d,
     quasi_energy_ssqw,
-    rotation_coin,
-    scaling_op,
     u1d_dtqw_k,
     u1d_ssqw_k,
     u1d_ssqw_timesym_k,
@@ -40,14 +37,14 @@ def random_params_1d(rng, gamma_max=1.0):
 
 
 # --------------------------------------------------------------------------
-# coin and scaling operators
+# the coin R(theta), which is the plain walk at k = 0
 
 def test_rotation_zero_is_identity():
-    assert np.allclose(rotation_coin(0.0), IDENTITY_2)
+    assert np.allclose(u1d_dtqw_k(0.0, 0.0), np.eye(2))
 
 
 def test_rotation_double_cover():
-    assert np.allclose(rotation_coin(2 * np.pi), -IDENTITY_2, atol=1e-15)
+    assert np.allclose(u1d_dtqw_k(2 * np.pi, 0.0), -np.eye(2), atol=1e-15)
 
 
 def test_rotation_quarter_vs_series_oracle():
@@ -59,16 +56,19 @@ def test_rotation_quarter_vs_series_oracle():
     for n in range(1, 40):
         term = term @ a / n
         series += term
-    assert np.max(np.abs(rotation_coin(theta) - series)) < 1e-14
-    assert abs(rotation_coin(theta)[0, 0] - 1 / np.sqrt(2)) < 1e-15
+    assert np.max(np.abs(u1d_dtqw_k(theta, 0.0) - series)) < 1e-14
+    assert abs(u1d_dtqw_k(theta, 0.0)[0, 0] - 1 / np.sqrt(2)) < 1e-15
 
 
-def test_scaling_op_values():
-    assert np.allclose(scaling_op(0.0), IDENTITY_2)
-    g = scaling_op(0.3)
-    assert np.allclose(np.diag(g), [np.exp(0.3), np.exp(-0.3)])
-    assert not is_unitary(g, 1e-6)
-    assert np.allclose(scaling_op(1j * np.pi / 2), np.diag([1j, -1j]))
+def test_exp_bloch_about_y_is_rotation():
+    # the reconstruction oracle: exp(-i (pi/3) sigma_y) = R(2 pi/3), which is
+    # the split-step walk at theta2 = 0, k = 0, with E = pi/3 and n = y
+    u = exp_bloch(np.pi / 3, np.array([0.0, 1.0, 0.0]))
+    assert np.allclose(u, u1d_dtqw_k(2 * np.pi / 3, 0.0))
+    b = bloch_ssqw(WalkParams1D(2 * np.pi / 3, 0.0), 0.0)
+    assert abs(b.energy - np.pi / 3) < 1e-12
+    assert np.allclose(b.n, [0.0, 1.0, 0.0], atol=1e-12)
+    assert not b.branch_ambiguous
 
 
 # --------------------------------------------------------------------------
@@ -177,9 +177,17 @@ def test_bloch_ssqw_real_at_zero_scaling():
 
 
 def test_bloch_ssqw_reconstruction():
-    p = WalkParams1D(-3 * np.pi / 8, np.pi / 8, 0.25)
-    b = bloch_ssqw(p, np.pi / 2)
-    assert np.max(np.abs(exp_bloch(b.energy, b.n) - u1d_ssqw_k(p, np.pi / 2))) < 1e-8
+    # exp(-i E n.sigma) rebuilds the operator from the closed forms alone
+    rng = np.random.default_rng(RNG_SEED + 13)
+    for _ in range(200):
+        p = random_params_1d(rng)
+        k = rng.uniform(-np.pi, np.pi)
+        try:
+            b = bloch_ssqw(p, k)
+        except GapClosed:
+            continue
+        assert np.max(np.abs(exp_bloch(b.energy, b.n) - u1d_ssqw_k(p, k))) < 1e-8
+        assert abs(np.sum(b.n**2) - 1.0) < 1e-9  # bilinear normalization
 
 
 def test_bloch_ssqw_axis_aligned_at_k0_theta2_0():
@@ -219,11 +227,14 @@ def test_u2d_unitary_at_zero_scaling():
 
 
 def test_u2d_quasi_energy_against_eig2():
-    p = WalkParams2D(7 * np.pi / 6, 7 * np.pi / 6)
-    values, _ = eig2_batch(u2d_k(p, 0.3, 0.9))
-    es = -np.angle(values) + 1j * np.log(np.abs(values))
-    e_ref = quasi_energy_2d(p, 0.3, 0.9)
-    assert min(abs(es[0] - e_ref), abs(es[1] - e_ref)) < 1e-10
+    rng = np.random.default_rng(RNG_SEED + 6)
+    for _ in range(100):
+        t1, t2, kx, ky = rng.uniform(-np.pi, np.pi, 4)
+        p = WalkParams2D(t1, t2, *rng.uniform(-0.8, 0.8, 2))
+        values, _ = eig2_batch(u2d_k(p, kx, ky))
+        es = quasienergy(values)
+        e_ref = quasi_energy_2d(p, kx, ky)
+        assert min(branch_dist(es[0], e_ref), branch_dist(es[1], e_ref)) < 1e-9
 
 
 def test_triangular_square_equivalence():
@@ -272,33 +283,6 @@ def test_quasi_energy_2d_first_order_complexification():
     )
     rhs = 1j * gx * np.sin(t1) * np.sin(t2 / 2) * np.sin(2 * ky)
     assert abs(lhs - rhs) / abs(rhs) < 1e-3
-
-
-def test_bloch_2d_real_at_zero_scaling():
-    p = WalkParams2D(7 * np.pi / 6, 7 * np.pi / 6)
-    ks = momentum_grid(21) / 2.0
-    for kx in ks[::5]:
-        for ky in ks[::5]:
-            b = bloch_2d(p, float(kx), float(ky))
-            assert np.max(np.abs(b.n.imag)) < 1e-9
-            assert abs(np.sum(b.n**2) - 1.0) < 1e-9
-
-
-def test_bloch_2d_reconstruction():
-    rng = np.random.default_rng(RNG_SEED + 6)
-    for _ in range(100):
-        p = WalkParams2D(
-            rng.uniform(-np.pi, np.pi),
-            rng.uniform(-np.pi, np.pi),
-            rng.uniform(0, 0.8),
-            rng.uniform(0, 0.8),
-        )
-        kx, ky = rng.uniform(-np.pi, np.pi, 2)
-        try:
-            b = bloch_2d(p, kx, ky)
-        except GapClosed:
-            continue
-        assert np.max(np.abs(exp_bloch(b.energy, b.n) - u2d_k(p, kx, ky))) < 1e-8
 
 
 # --------------------------------------------------------------------------
