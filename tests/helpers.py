@@ -25,6 +25,12 @@ def exp_bloch(energy, n):
     return np.cos(energy) * np.eye(2) - 1j * np.sin(energy) * n_sigma
 
 
+def bloch_axis(u, energy):
+    """n with u = cos(E) I - i sin(E) n.sigma, from tr(sigma_j u) = -2i sin(E) n_j."""
+    n = [u[0, 1] + u[1, 0], 1j * (u[0, 1] - u[1, 0]), u[0, 0] - u[1, 1]]
+    return np.array(n) * 0.5j / np.sin(energy)
+
+
 def branch_dist(a, b):
     """Distance between quasi-energies with the real part compared mod 2 pi."""
     a, b = complex(a), complex(b)

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_multiset_close, is_unitary
+from helpers import assert_multiset_close, bloch_axis, branch_dist, exp_bloch, is_unitary
 
 from lossywalk.linalg import SIGMA_Z, eig2_batch, eig_general, quasienergy
 from lossywalk.walks import (
     GAMMA_MAX,
     WalkParams1D,
     WalkParams2D,
+    bloch_ssqw,
     momentum_grid,
     quasi_energy_ssqw,
     u1d_dtqw_k,
@@ -158,6 +159,33 @@ def test_chain_operator_unitary_spectrum():
     assert is_unitary(op, 1e-10)
     vals, _ = eig_general(op)
     assert np.max(np.abs(np.abs(vals) - 1.0)) < 1e-8
+
+
+def test_hamiltonian_from_unitary_matches_closed_forms():
+    # E from the operator's eigenvalues, n from its traceless part, against
+    # quasi_energy_ssqw and bloch_ssqw
+    p = WalkParams1D(-np.pi / 2, np.pi / 2, 0.1)
+    u = u1d_ssqw_k(p, 1.0)
+    e_ref = quasi_energy_ssqw(p, 1.0)
+    es = quasienergy(eig2_batch(u)[0])
+    assert min(branch_dist(e, e_ref) for e in es) < 1e-9
+    assert min(branch_dist(e, -e_ref) for e in es) < 1e-9
+    assert np.max(np.abs(bloch_axis(u, e_ref) - bloch_ssqw(p, 1.0).n)) < 1e-9
+
+
+def test_hamiltonian_reexponentiation_roundtrip():
+    # (E, n) read off the operator by eig2_batch and quasienergy rebuild it
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        p = WalkParams1D(rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi, np.pi), rng.uniform(0, 1))
+        k = rng.uniform(-np.pi, np.pi)
+        if abs(np.sin(quasi_energy_ssqw(p, k))) < 1e-12:  # gap closed: n undefined
+            continue
+        u = u1d_ssqw_k(p, k)
+        energy = quasienergy(eig2_batch(u)[0][0])
+        n = bloch_axis(u, energy)
+        assert np.max(np.abs(exp_bloch(energy, n) - u)) < 1e-8
+        assert abs(np.sum(n**2) - 1.0) < 1e-9  # bilinear normalization
 
 
 def test_is_unitary_examples():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import assert_multiset_close, branch_dist, exp_bloch, is_unitary
+from helpers import assert_multiset_close, bloch_axis, branch_dist, exp_bloch, is_unitary
 
 from lossywalk.errors import DegenerateCoin, GapClosed
 from lossywalk.linalg import SIGMA_X, eig2_batch, quasienergy
@@ -235,6 +235,21 @@ def test_u2d_quasi_energy_against_eig2():
         es = quasienergy(values)
         e_ref = quasi_energy_2d(p, kx, ky)
         assert min(branch_dist(es[0], e_ref), branch_dist(es[1], e_ref)) < 1e-9
+
+
+def test_bloch_2d_reconstruction():
+    # quasi_energy_2d and the traceless part of u2d_k rebuild the lossy operator
+    rng = np.random.default_rng(RNG_SEED + 14)
+    for _ in range(100):
+        t1, t2, kx, ky = rng.uniform(-np.pi, np.pi, 4)
+        p = WalkParams2D(t1, t2, *rng.uniform(0, 0.8, 2))
+        u = u2d_k(p, kx, ky)
+        energy = complex(quasi_energy_2d(p, kx, ky))
+        if abs(np.sin(energy)) < 1e-9:
+            continue
+        n = bloch_axis(u, energy)
+        assert np.max(np.abs(exp_bloch(energy, n) - u)) < 1e-8
+        assert abs(np.sum(n**2) - 1.0) < 1e-9
 
 
 def test_triangular_square_equivalence():
