@@ -298,8 +298,7 @@ def _cmd_winding(ns) -> int:
 
 def _cmd_chern(ns) -> int:
     p = WalkParams2D(ns.theta1, ns.theta2, ns.gamma_x, ns.gamma_y)
-    lower, _ = band_spectrum_2d(p, ns.grid, ns.grid)
-    c, _ = chern_number(lower)
+    c, _ = chern_number(band_spectrum_2d(p, ns.grid, ns.grid))
     print(c)
     return 0
 

@@ -2,14 +2,17 @@
 
 Winding numbers come from the discrete geometric phase of a closed chain of
 state overlaps around the 1D Brillouin zone; Chern numbers from plaquette
-link variables on a 2D momentum grid (the lattice field-strength method,
-which produces exact integers on any grid because every link cancels between
-neighboring plaquettes).
+link variables on a 2D momentum grid (the lattice field-strength method of
+Fukui, Hatsugai & Suzuki, JPSJ 74, 1674 (2005), which produces exact
+integers on any grid because every link cancels between neighboring
+plaquettes).  The plaquettes are formed from the two link fields U_x and
+U_y, one entry per torus link; their product is gauge-invariant, so the 2D
+band states carry the raw adjugate gauge of ``eig2_vector`` and no phase fix.
 
 Band convention for complex spectra: the *lower* band at each momentum is
 the eigenvalue whose quasi-energy has negative real part; on the set where
-the real parts coincide (real eigenvalue pairs) the decaying state
-(Im E < 0, |lambda| < 1) is the lower one.
+the real parts coincide modulo 2 pi (real eigenvalue pairs, positive or
+negative) the decaying state (Im E < 0, |lambda| < 1) is the lower one.
 
 Gauge of the returned 1D band states: states are phase-aligned along the
 loop and the residual closed-loop holonomy Phi is spread uniformly, so every
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GapClosure, OrthogonalLink
-from .linalg import eig2_batch, quasienergy
+from .linalg import eig2_batch, eig2_values, eig2_vector, quasienergy
 from .walks import WalkParams1D, WalkParams2D, momentum_grid, u1d_ssqw_k, u2d_k
 
 __all__ = [
@@ -76,13 +79,12 @@ class BandData1D:
 
 @dataclass
 class BandData2D:
-    """Samples of one band over a 2D momentum grid (one full period per axis)."""
+    """Samples of the lower band over a 2D momentum grid (one full period per axis)."""
 
     kx: np.ndarray
     ky: np.ndarray
     states: np.ndarray  # (Nx, Ny, 2)
     energies: np.ndarray  # (Nx, Ny)
-    band_label: str
 
 
 @dataclass(frozen=True)
@@ -103,11 +105,16 @@ def _canonical_phase(states: np.ndarray) -> np.ndarray:
 
 
 def _split_bands(values: np.ndarray) -> np.ndarray:
-    """Index (0 or 1) of the lower eigenvalue per sample, by (Re E, Im E)."""
+    """Index (0 or 1) of the lower eigenvalue per sample, by (Re E, Im E).
+
+    Real parts tie modulo 2 pi: a real negative pair sits at Re E = -pi and
+    +pi by the sign of a rounding error, and is ordered by Im E like a
+    positive one.
+    """
     es = quasienergy(values)
     re0, re1 = es[..., 0].real, es[..., 1].real
     im0, im1 = es[..., 0].imag, es[..., 1].imag
-    tie = np.abs(re0 - re1) < DEGENERACY_TOL
+    tie = np.abs((re0 - re1 + np.pi) % (2.0 * np.pi) - np.pi) < DEGENERACY_TOL
     lower_first = np.where(tie, im0 <= im1, re0 < re1)
     return np.where(lower_first, 0, 1)
 
@@ -174,8 +181,8 @@ def band_spectrum_1d(p: WalkParams1D, n_points: int) -> tuple[BandData1D, BandDa
     return bands[0], bands[1]
 
 
-def band_spectrum_2d(p: WalkParams2D, nx: int, ny: int) -> tuple[BandData2D, BandData2D]:
-    """Diagonalize the 2D walk over one full period per momentum axis.
+def band_spectrum_2d(p: WalkParams2D, nx: int, ny: int) -> BandData2D:
+    """Diagonalize the 2D walk over one full period per momentum axis; return the lower band.
 
     The operator is pi-periodic in each momentum, so the sampled zone is
     one pi-period per axis; plaquette wraparound via roll is exact.  The
@@ -183,29 +190,26 @@ def band_spectrum_2d(p: WalkParams2D, nx: int, ny: int) -> tuple[BandData2D, Ban
     which never lands on the high-symmetry momenta {0, +-pi/2} where the
     phase-boundary gap closings sit.  Raises GapClosure (with the offending
     momentum pairs) when the two eigenvalues collide within
-    GAP_COLLISION_TOL anywhere on the grid.
+    GAP_COLLISION_TOL anywhere on the grid, before any vector is built.
 
-    The builder gets the axes as (nx, 1) and (1, ny) columns, so its
-    factors are evaluated per axis and only the final product fills the grid.
+    The bands are split on the eigenvalues, and only the lower one gets
+    eigenvectors, in the adjugate gauge of ``eig2_vector`` (no phase fix:
+    ``chern_number`` is gauge-invariant).  The upper band's Chern number
+    is minus the lower one's.  The builder gets the axes as (nx, 1) and
+    (1, ny) columns, so its factors are evaluated per axis and only the
+    final product fills the grid.
     """
     qx = (-np.pi + 2.0 * np.pi * (np.arange(nx) + 0.25) / nx) / 2.0
     qy = (-np.pi + 2.0 * np.pi * (np.arange(ny) + 0.25) / ny) / 2.0
-    ops = u2d_k(p, qx[:, None], qy[None, :])
-    values, vectors = eig2_batch(ops)
+    entries, values = eig2_values(u2d_k(p, qx[:, None], qy[None, :]))
     collisions = np.abs(values[..., 0] - values[..., 1]) < GAP_COLLISION_TOL
     if np.any(collisions):
         kxg, kyg = np.meshgrid(qx, qy, indexing="ij")
         ks = np.stack([kxg[collisions], kyg[collisions]], axis=-1)
         raise GapClosure([tuple(row) for row in ks])
-    low = _split_bands(values)
-    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    bands = []
-    for label, sel in (("lower", low), ("upper", 1 - low)):
-        energies = quasienergy(values[ii, jj, sel])
-        states = vectors[ii, jj, :, sel]
-        states = _canonical_phase(states)
-        bands.append(BandData2D(kx=qx.copy(), ky=qy.copy(), states=states, energies=energies, band_label=label))
-    return bands[0], bands[1]
+    lam = np.where(_split_bands(values) == 0, values[..., 0], values[..., 1])
+    states, _ = eig2_vector(entries, lam)
+    return BandData2D(kx=qx, ky=qy, states=states, energies=quasienergy(lam))
 
 
 def pancharatnam_phase(band: BandData1D) -> float:
@@ -241,26 +245,21 @@ def winding_number(band: BandData1D) -> WindingResult:
 def chern_number(band: BandData2D) -> tuple[int, np.ndarray]:
     """Chern number from plaquette link variables; exact integer by construction.
 
-    Each plaquette contributes F_P = arg of the product of its four link
-    overlaps, F_P in (-pi, pi]; C = sum(F_P) / 2 pi.  Returns the integer and
-    the per-plaquette field strength.
+    With the link fields U_x(k) = <s(k)|s(k + x)> and U_y(k) = <s(k)|s(k + y)>,
+    each plaquette contributes F = arg U_x(k) U_y(k + x) conj(U_x(k + y) U_y(k)),
+    F in (-pi, pi]; C = sum(F) / 2 pi.  Every torus link is one entry of
+    U_x or U_y, and a link below LINK_TOL raises OrthogonalLink.  Returns
+    the integer and the per-plaquette field strength.
     """
     s = band.states
-    s10 = np.roll(s, -1, axis=0)
-    s01 = np.roll(s, -1, axis=1)
-    s11 = np.roll(s10, -1, axis=1)
-    l1 = np.sum(np.conj(s) * s10, axis=-1)
-    l2 = np.sum(np.conj(s10) * s11, axis=-1)
-    l3 = np.sum(np.conj(s11) * s01, axis=-1)
-    l4 = np.sum(np.conj(s01) * s, axis=-1)
-    for links in (l1, l2, l3, l4):
-        if np.any(np.abs(links) < LINK_TOL):
-            idx = np.argwhere(np.abs(links) < LINK_TOL)
-            raise OrthogonalLink(f"orthogonal plaquette link(s) at grid indices {idx[:4].tolist()}")
-    field = np.angle(l1 * l2 * l3 * l4)
+    ux = np.einsum("...i,...i->...", np.conj(s), np.roll(s, -1, axis=0))
+    uy = np.einsum("...i,...i->...", np.conj(s), np.roll(s, -1, axis=1))
+    thin = (np.abs(ux) < LINK_TOL) | (np.abs(uy) < LINK_TOL)
+    if np.any(thin):
+        raise OrthogonalLink(f"orthogonal plaquette link(s) at grid indices {np.argwhere(thin)[:4].tolist()}")
+    field = np.angle(ux * np.roll(uy, -1, axis=0) * np.conj(np.roll(ux, -1, axis=1) * uy))
     total = field.sum() / (2.0 * np.pi)
     c = int(np.rint(total))
     if abs(total - c) > INTEGER_TOL:
         raise ArithmeticError(f"plaquette sum {total} is not an integer")
     return c, field
-

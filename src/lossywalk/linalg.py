@@ -3,11 +3,13 @@
 ``eig2_batch`` solves stacks of 2x2 unit-determinant operators (every walk
 step in the package) analytically: lambda0 = (a + d)/2 +- sqrt(D) with the
 backward-stable discriminant D = ((a - d)/2)^2 + bc, lambda1 = 1/lambda0,
-and adjugate eigenvectors.  It is vectorized over leading axes and is the
-hot path of every momentum-grid computation.  ``eig_general`` takes the
-dense NxN spectra of real-space chains and strips through LAPACK
-(``numpy.linalg.eig``), in real arithmetic when the matrix is real (every
-chain), and returns them in canonical (Re, Im) order.
+and adjugate eigenvectors.  Its two steps, ``eig2_values`` and
+``eig2_vector`` (one eigenvalue at a time), are public so that a caller
+that needs one band builds one set of vectors.  They are vectorized over
+leading axes and are the hot path of every momentum-grid computation.
+``eig_general`` takes the dense NxN spectra of real-space chains and
+strips through LAPACK (``numpy.linalg.eig``), in real arithmetic when the
+matrix is real (every chain), and returns them in canonical (Re, Im) order.
 
 Quasi-energy branch convention used throughout: an eigenvalue lambda of a
 one-step operator corresponds to E = i log(lambda) with the principal
@@ -27,18 +29,17 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def eig2_batch(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized analytic eigendecomposition of a (..., 2, 2) stack of unit-determinant matrices.
+def eig2_values(m: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Analytic eigenvalues of a (..., 2, 2) stack of unit-determinant matrices.
 
-    Returns ``(values, vectors)`` with shapes (..., 2) and (..., 2, 2)
-    (columns are unit eigenvectors).  The roots are tr/2 +- sqrt(D) with
-    D = ((a - d)/2)^2 + bc, which equals (tr/2)^2 - 1 for det = 1 but keeps
-    a normal degenerate pair split by O(eps), not O(sqrt(eps)); values[..., 0]
-    takes the sign that grows |lambda|, so |lambda0| >= 1, and
-    values[..., 1] = 1/lambda0.  No determinant is formed: ad - bc would
-    cancel between products of the size of the entries squared.
-    A defective matrix yields two equal vectors, +-identity the standard basis.
-    The input is not checked for unit determinant.
+    Returns the entries ``(a, b, c, d)`` as complex arrays, for
+    ``eig2_vector``, and the values, shape (..., 2).  The roots are
+    tr/2 +- sqrt(D) with D = ((a - d)/2)^2 + bc, which equals (tr/2)^2 - 1
+    for det = 1 but keeps a normal degenerate pair split by O(eps), not
+    O(sqrt(eps)); values[..., 0] takes the sign that grows |lambda|, so
+    |lambda0| >= 1, and values[..., 1] = 1/lambda0.  No determinant is
+    formed: ad - bc would cancel between products of the size of the
+    entries squared.  The input is not checked for unit determinant.
     """
     m = np.asarray(m, dtype=complex)
     a, b = m[..., 0, 0], m[..., 0, 1]
@@ -48,27 +49,46 @@ def eig2_batch(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # avoid cancellation: add the root on the side that grows |lambda|
     flip = np.real(np.conj(half_tr) * disc) < 0
     lam0 = half_tr + np.where(flip, -disc, disc)
-    lam1 = 1.0 / lam0
-    scale = np.max(np.abs(m), axis=(-2, -1))
+    return (a, b, c, d), np.stack([lam0, 1.0 / lam0], axis=-1)
 
-    def _vector(lam):
-        v1 = np.stack([b, lam - a], axis=-1)
-        v2 = np.stack([lam - d, c], axis=-1)
-        n1 = np.sum(np.abs(v1) ** 2, axis=-1)
-        n2 = np.sum(np.abs(v2) ** 2, axis=-1)
-        v = np.where((n1 >= n2)[..., None], v1, v2)
-        nrm = np.sqrt(np.sum(np.abs(v) ** 2, axis=-1))
-        # scaled identity: no off-diagonal structure at all
-        isotropic = nrm <= 1e-14 * np.maximum(1.0, scale)
-        v = np.where(isotropic[..., None], np.array([1.0, 0.0]), v)
-        nrm = np.where(isotropic, 1.0, nrm)
-        return v / nrm[..., None], isotropic
 
-    vec0, iso0 = _vector(lam0)
-    vec1, iso1 = _vector(lam1)
+def eig2_vector(entries: tuple[np.ndarray, ...], lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit adjugate eigenvector (..., 2) of one eigenvalue ``lam`` per matrix.
+
+    ``entries`` are the ``(a, b, c, d)`` of ``eig2_values``.  The vector is
+    the larger-norm column of adj(M - lam): (b, lam - a) or (lam - d, c).
+    Also returns where the matrix is isotropic (a scaled identity, no
+    off-diagonal structure at all); the vector there is e1.
+    """
+    a, b, c, d = entries
+    lam_a, lam_d = lam - a, lam - d
+    abs_b, abs_c = np.abs(b), np.abs(c)
+    n1 = abs_b ** 2 + np.abs(lam_a) ** 2
+    n2 = np.abs(lam_d) ** 2 + abs_c ** 2
+    first = n1 >= n2
+    nrm = np.sqrt(np.where(first, n1, n2))
+    scale = np.maximum(np.maximum(np.abs(a), abs_b), np.maximum(abs_c, np.abs(d)))
+    isotropic = nrm <= 1e-14 * np.maximum(1.0, scale)
+    nrm = np.where(isotropic, 1.0, nrm)
+    v0 = np.where(isotropic, 1.0, np.where(first, b, lam_d))
+    v1 = np.where(isotropic, 0.0, np.where(first, lam_a, c))
+    return np.stack([v0 / nrm, v1 / nrm], axis=-1), isotropic
+
+
+def eig2_batch(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized analytic eigendecomposition of a (..., 2, 2) stack of unit-determinant matrices.
+
+    Returns ``(values, vectors)`` with shapes (..., 2) and (..., 2, 2)
+    (columns are unit eigenvectors): the values of ``eig2_values`` and the
+    vectors of ``eig2_vector``.  A defective matrix yields two equal
+    vectors, +-identity the standard basis.
+    """
+    entries, values = eig2_values(m)
+    vec0, iso0 = eig2_vector(entries, values[..., 0])
+    vec1, iso1 = eig2_vector(entries, values[..., 1])
     # scaled identity: return the standard basis rather than two copies of e1
     vec1 = np.where((iso0 & iso1)[..., None], np.array([0.0, 1.0]), vec1)
-    return np.stack([lam0, lam1], axis=-1), np.stack([vec0, vec1], axis=-1)
+    return values, np.stack([vec0, vec1], axis=-1)
 
 
 def eig_general(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

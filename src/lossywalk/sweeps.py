@@ -220,8 +220,7 @@ def _winding_value(theta1: float, theta2: float, gamma: float, n_k: int) -> floa
 
 
 def _chern_value(theta1: float, theta2: float, gx: float, gy: float, grid: int) -> float:
-    lower, _ = band_spectrum_2d(WalkParams2D(theta1, theta2, gx, gy), grid, grid)
-    return float(chern_number(lower)[0])
+    return float(chern_number(band_spectrum_2d(WalkParams2D(theta1, theta2, gx, gy), grid, grid))[0])
 
 
 def _row(cell, cells):

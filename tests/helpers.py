@@ -3,11 +3,13 @@
 import numpy as np
 
 from lossywalk.errors import GapClosed, GapClosure, OrthogonalLink
-from lossywalk.invariants import band_spectrum_1d, winding_number
+from lossywalk.invariants import (
+    DEGENERACY_TOL, GAP_COLLISION_TOL, LINK_TOL, band_spectrum_1d, winding_number,
+)
 from lossywalk.lattice import build_strip_operator
 from lossywalk.linalg import quasienergy
 from lossywalk.sweeps import STATUS_ERROR, STATUS_GAP_CLOSED, STATUS_OK
-from lossywalk.walks import WalkParams1D
+from lossywalk.walks import WalkParams1D, u2d_k
 
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -148,6 +150,32 @@ def winding_row_by_cells(cells):
         except Exception:
             stat[j] = STATUS_ERROR
     return vals, stat
+
+
+def chern_by_eig(p, n):
+    """(C, four-link field, least |lambda0 - lambda1|) of the lower 2D band from LAPACK.
+
+    np.linalg.eig diagonalizes band_spectrum_2d's quarter-offset n x n grid
+    in one batch; the lower state has the smaller (Re E, Im E), real parts
+    within DEGENERACY_TOL mod 2 pi tied.  Each plaquette multiplies its four
+    link overlaps in turn.  Colliding eigenvalues raise GapClosure, a
+    vanishing link OrthogonalLink.
+    """
+    q = (-np.pi + 2.0 * np.pi * (np.arange(n) + 0.25) / n) / 2.0
+    values, vectors = np.linalg.eig(u2d_k(p, q[:, None], q[None, :]))
+    separation = np.min(np.abs(values[..., 0] - values[..., 1]))
+    if separation < GAP_COLLISION_TOL:
+        raise GapClosure([])
+    e = quasienergy(values)
+    tie = np.abs(np.angle(np.exp(1j * (e[..., 0].real - e[..., 1].real)))) < DEGENERACY_TOL
+    second = np.where(tie, e[..., 1].imag < e[..., 0].imag, e[..., 1].real < e[..., 0].real)
+    s = np.where(second[..., None], vectors[..., 1], vectors[..., 0])
+    corners = [s, np.roll(s, -1, axis=0), np.roll(np.roll(s, -1, axis=0), -1, axis=1), np.roll(s, -1, axis=1)]
+    links = [np.sum(np.conj(corners[i]) * corners[(i + 1) % 4], axis=-1) for i in range(4)]
+    if min(np.min(np.abs(link)) for link in links) < LINK_TOL:
+        raise OrthogonalLink("vanishing plaquette link")
+    field = np.angle(links[0] * links[1] * links[2] * links[3])
+    return int(np.rint(field.sum() / (2.0 * np.pi))), field, separation
 
 
 def _diag(d0, d1):

@@ -158,9 +158,9 @@ def test_criterion_05_chern_anchor_nontrivial():
         float(np.min(np.abs(np.sin(lw.quasi_energy_2d(lw.WalkParams2D(t, t), kx, ky)))))
         for t in np.linspace(np.pi, 7 * np.pi / 6, 31)
     )
-    lower, _ = lw.band_spectrum_2d(lw.WalkParams2D(7 * np.pi / 6, 7 * np.pi / 6), 201, 201)
+    lower = lw.band_spectrum_2d(lw.WalkParams2D(7 * np.pi / 6, 7 * np.pi / 6), 201, 201)
     c_stated, _ = lw.chern_number(lower)
-    lower, _ = lw.band_spectrum_2d(lw.WalkParams2D(3 * np.pi / 2, 7 * np.pi / 6), 201, 201)
+    lower = lw.band_spectrum_2d(lw.WalkParams2D(3 * np.pi / 2, 7 * np.pi / 6), 201, 201)
     c_anchor, _ = lw.chern_number(lower)
     dt = time.perf_counter() - t0
     premises_ok = flat_spread < 1e-12 and path_gap >= 1 / np.sqrt(2) - 1e-9
@@ -184,7 +184,7 @@ def test_criterion_05_chern_anchor_nontrivial():
 
 def test_criterion_05_chern_anchor_trivial():
     t0 = time.perf_counter()
-    lower, _ = lw.band_spectrum_2d(lw.WalkParams2D(3 * np.pi / 2, np.pi), 201, 201)
+    lower = lw.band_spectrum_2d(lw.WalkParams2D(3 * np.pi / 2, np.pi), 201, 201)
     c, _ = lw.chern_number(lower)
     dt = time.perf_counter() - t0
     ok = c == 0 and dt < 60.0
@@ -204,7 +204,7 @@ def test_criterion_05_trivial_anchor_gapless_off_grid():
     for sx in (-1.0, 1.0):
         for sy in (-1.0, 1.0):
             assert np.max(np.abs(lw.u2d_k(p, sx * np.pi / 2, sy * np.pi / 2) + eye)) < 1e-12
-    lower, _ = lw.band_spectrum_2d(p, 201, 201)
+    lower = lw.band_spectrum_2d(p, 201, 201)
     closings = np.array([-np.pi / 2, 0.0, np.pi / 2])
     step = np.pi / 201
     for axis in (lower.kx, lower.ky):
@@ -230,7 +230,7 @@ def test_criterion_06_loss_induced_transition():
             break
     collapse = []
     for t2 in t2s[::3]:
-        lower, _ = lw.band_spectrum_2d(lw.WalkParams2D(t1, float(t2), 3.0, 3.0), 51, 51)
+        lower = lw.band_spectrum_2d(lw.WalkParams2D(t1, float(t2), 3.0, 3.0), 51, 51)
         collapse.append(lw.chern_number(lower)[0])
     collapse_ok = all(c == 0 for c in collapse)
     dt = time.perf_counter() - t0

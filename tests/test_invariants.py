@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from lossywalk import invariants
 from lossywalk.errors import GapClosure, OrthogonalLink
@@ -13,7 +15,10 @@ from lossywalk.invariants import (
     pancharatnam_phase,
     winding_number,
 )
-from lossywalk.walks import WalkParams1D, WalkParams2D, critical_gamma, momentum_grid
+from lossywalk.linalg import eig2_batch
+from lossywalk.walks import WalkParams1D, WalkParams2D, critical_gamma, momentum_grid, u2d_k
+
+from helpers import chern_by_eig
 
 FIG3A = WalkParams1D(-3 * np.pi / 8, np.pi / 8, 0.25)   # winding 1 phase
 FIG3B = WalkParams1D(-3 * np.pi / 8, 5 * np.pi / 8, 0.25)  # winding 0 phase
@@ -247,7 +252,7 @@ def test_chern_constant_field_zero():
     states = np.tile(np.array([0.6, 0.8j], dtype=complex), (n, n, 1))
     band = BandData2D(
         kx=momentum_grid(n) / 2, ky=momentum_grid(n) / 2,
-        states=states, energies=np.zeros((n, n), dtype=complex), band_label="lower",
+        states=states, energies=np.zeros((n, n), dtype=complex),
     )
     c, field = chern_number(band)
     assert c == 0
@@ -256,32 +261,69 @@ def test_chern_constant_field_zero():
 
 def test_chern_nontrivial_and_trivial_cells():
     # the gapped nontrivial diamond: (3pi/2, 7pi/6); gapped trivial: (7pi/6, 7pi/6)
-    lower, _ = band_spectrum_2d(WalkParams2D(3 * np.pi / 2, 7 * np.pi / 6), 101, 101)
+    lower = band_spectrum_2d(WalkParams2D(3 * np.pi / 2, 7 * np.pi / 6), 101, 101)
     assert chern_number(lower)[0] == 1
-    lower, _ = band_spectrum_2d(WalkParams2D(7 * np.pi / 6, 7 * np.pi / 6), 101, 101)
+    lower = band_spectrum_2d(WalkParams2D(7 * np.pi / 6, 7 * np.pi / 6), 101, 101)
     assert chern_number(lower)[0] == 0
-    lower, _ = band_spectrum_2d(WalkParams2D(np.pi / 4, np.pi / 4), 101, 101)
+    lower = band_spectrum_2d(WalkParams2D(np.pi / 4, np.pi / 4), 101, 101)
     assert chern_number(lower)[0] == -1
 
 
-def test_chern_grid_refinement_stable():
-    rng = np.random.default_rng(12)
-    tested = 0
-    while tested < 5:
-        t1, t2 = rng.uniform(0, 2 * np.pi, 2)
-        try:
-            lower, _ = band_spectrum_2d(WalkParams2D(t1, t2), 51, 51)
-            c51 = chern_number(lower)[0]
-            lower, _ = band_spectrum_2d(WalkParams2D(t1, t2), 101, 101)
-            c101 = chern_number(lower)[0]
-        except (GapClosure, OrthogonalLink):
-            continue
-        assert c51 == c101
-        tested += 1
+ANGLE = st.floats(0.0, 2 * np.pi)
+# a figure 2b gap_closed cell: theta2 = 0 closes the gap for every theta1
+FIG2B_GAP_CELL = (float(np.linspace(0.0, 2 * np.pi, 51)[7]), 0.0)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(ANGLE, ANGLE)
+def test_chern_grid_refinement_stable(t1, t2):
+    # at zero loss the gap closes only on the lines theta1 +- theta2/2 in pi Z
+    # and theta2 in 2 pi Z (docs/NOTES.md); a margin of 0.05 away from all of
+    # them, C is the same exact integer on any fine grid
+    distances = [abs((t1 + sign * t2 / 2 + np.pi / 2) % np.pi - np.pi / 2) / np.hypot(1.0, 0.5)
+                 for sign in (1, -1)]
+    assume(min(distances + [abs((t2 + np.pi) % (2 * np.pi) - np.pi)]) >= 0.05)
+    c51, _ = chern_number(band_spectrum_2d(WalkParams2D(t1, t2), 51, 51))
+    c101, _ = chern_number(band_spectrum_2d(WalkParams2D(t1, t2), 101, 101))
+    assert c51 == c101
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(ANGLE, ANGLE, st.floats(0.0, 2.0), st.floats(0.0, 1.0))
+@example(*FIG2B_GAP_CELL, 0.0, 0.0)
+@example(1.0, 0.0, 0.0, 1.0)  # real negative pairs: the band order ties mod 2 pi (docs/NOTES.md)
+def test_lower_band_chern_matches_eig_oracle(t1, t2, gx, gy):
+    p = WalkParams2D(t1, t2, gx, gy)
+    try:
+        want, want_field, separation = chern_by_eig(p, 51)
+    except (GapClosure, OrthogonalLink) as exc:
+        with pytest.raises(type(exc)):
+            chern_number(band_spectrum_2d(p, 51, 51))
+        return
+    c, field = chern_number(band_spectrum_2d(p, 51, 51))
+    assert c == want
+    # the two-link field in the adjugate gauge is the four-link one, mod 2 pi;
+    # LAPACK's vectors carry an error of order eps / separation, so the
+    # bound widens below a separation of 0.1
+    tol = 1e-12 * max(1.0, 0.1 / separation)
+    assert np.max(np.abs(np.angle(np.exp(1j * (field - want_field))))) < tol
+
+
+def test_chern_gap_closure_names_the_colliding_grid_points():
+    # on a figure 2b gap_closed cell the raise comes from the eigenvalues
+    # alone, at exactly the grid points where eig2_batch's pair collides
+    p = WalkParams2D(*FIG2B_GAP_CELL)
+    with pytest.raises(GapClosure) as err:
+        band_spectrum_2d(p, 101, 101)
+    q = (-np.pi + 2.0 * np.pi * (np.arange(101) + 0.25) / 101) / 2.0
+    values, _ = eig2_batch(u2d_k(p, q[:, None], q[None, :]))
+    ii, jj = np.nonzero(np.abs(values[..., 0] - values[..., 1]) < invariants.GAP_COLLISION_TOL)
+    assert len(ii) > 0
+    assert [tuple(k) for k in err.value.k_samples] == list(zip(q[ii], q[jj]))
 
 
 def test_chern_integer_for_lossy_band():
-    lower, _ = band_spectrum_2d(WalkParams2D(np.pi / 4, np.pi / 4, 0.5, 0.0), 61, 61)
+    lower = band_spectrum_2d(WalkParams2D(np.pi / 4, np.pi / 4, 0.5, 0.0), 61, 61)
     c, _ = chern_number(lower)  # integrality is checked inside
     assert c in (-1, 0, 1)
 
@@ -290,6 +332,6 @@ def test_chern_loss_induced_transition():
     # C jumps from -1 to 0 as gamma_x grows at (pi/4, pi/4)
     cs = []
     for gx in (0.0, 0.5, 2.0):
-        lower, _ = band_spectrum_2d(WalkParams2D(np.pi / 4, np.pi / 4, gx, 0.0), 61, 61)
+        lower = band_spectrum_2d(WalkParams2D(np.pi / 4, np.pi / 4, gx, 0.0), 61, 61)
         cs.append(chern_number(lower)[0])
     assert cs[0] == -1 and cs[-1] == 0
