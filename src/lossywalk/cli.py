@@ -291,7 +291,7 @@ def _chain_to_csv(spec: RegionSpec, n: int, gamma: float, outdir: str, stem: str
 
 
 def _cmd_winding(ns) -> int:
-    lower, _ = band_spectrum_1d(WalkParams1D(ns.theta1, ns.theta2, ns.gamma, ns.phi), ns.nk)
+    lower = band_spectrum_1d(WalkParams1D(ns.theta1, ns.theta2, ns.gamma, ns.phi), ns.nk)
     print(f"{winding_number(lower).w:.6f}")
     return 0
 
@@ -409,7 +409,7 @@ def _figure_3(outdir: str) -> None:
         comps.update({k: np.asarray(v) for k, v in rows.items()})
         fname = f"fig3_case{i}.csv"
         write_spectrum_csv(os.path.join(outdir, fname), comps)
-        lower, _ = band_spectrum_1d(p, preset["n_k"])
+        lower = band_spectrum_1d(p, preset["n_k"])
         files.append(fname)
         labels.append(f"{t1s},{t2s},g={g}: W={winding_number(lower).w:.3f}")
     emit_plot_script("trajectory", os.path.join(outdir, "fig3_plot.py"), files,

@@ -13,16 +13,16 @@ Band convention for complex spectra: the *lower* band at each momentum is
 the eigenvalue whose quasi-energy has negative real part; on the set where
 the real parts coincide modulo 2 pi (real eigenvalue pairs, positive or
 negative) the decaying state (Im E < 0, |lambda| < 1) is the lower one.
+Both band functions return the lower band only.
 
-Gauge of the returned 1D band states: states are phase-aligned along the
-loop and the residual closed-loop holonomy Phi is spread uniformly, so every
-link overlap carries the phase Phi/N.  The unwrapped per-link sum then
-recovers Phi robustly (no link sits near the -pi/+pi cut), stays exactly
-pi * integer in the real-spectrum regime, and decays continuously once the
-spectrum turns complex.  Link phases are taken in (-pi, pi]; an overlap that
-is real-negative to within CUT_REL_TOL relative imaginary part (``_on_cut``)
-is canonicalized to +pi, which fixes the loop orientation so the nontrivial
-phase of the split-step walk comes out at +1.
+The 1D band states carry the raw adjugate gauge of ``eig2_batch`` too.
+``pancharatnam_phase`` is the holonomy Phi, the sum of the link phases
+arg<s_j|s_j+1> around the loop wrapped into (-pi, pi]; every state's phase
+enters it once with + and once with -, so it is the same in any gauge.  A
+holonomy within CUT_REL_TOL of +-pi is taken as +pi, which fixes the loop
+orientation so the nontrivial phase of the split-step walk comes out at +1.
+It is exactly pi * integer in the real-spectrum regime and moves
+continuously once the spectrum turns complex.
 """
 
 from __future__ import annotations
@@ -62,8 +62,7 @@ DEGENERACY_TOL = 1e-9
 # 7 sqrt(eps): both kinds read as collisions while the rounding in D stays
 # below about 11 eps.
 GAP_COLLISION_TOL = 1e-7
-# an overlap whose |Im| is at most this fraction of its negative real part
-# sits on the -pi/+pi cut, and its phase is taken as +pi
+# a loop holonomy within this of +-pi sits on the -pi/+pi cut, and is taken as +pi
 CUT_REL_TOL = 1e-9
 
 
@@ -72,9 +71,8 @@ class BandData1D:
     """Samples of one band over a closed momentum loop (ascending k)."""
 
     k_samples: np.ndarray
-    states: np.ndarray  # (N, 2) unit right eigenvectors
+    states: np.ndarray  # (N, 2) unit right eigenvectors, adjugate gauge
     energies: np.ndarray  # (N,) complex quasi-energies
-    band_label: str  # "lower" | "upper"
 
 
 @dataclass
@@ -96,14 +94,6 @@ class WindingResult:
     total_phase: float
 
 
-def _canonical_phase(states: np.ndarray) -> np.ndarray:
-    """Deterministic per-state gauge: largest-magnitude component real positive."""
-    idx = np.argmax(np.abs(states), axis=-1)
-    lead = np.take_along_axis(states, idx[..., None], axis=-1)[..., 0]
-    phase = lead / np.where(np.abs(lead) == 0.0, 1.0, np.abs(lead))
-    return states * np.conj(phase)[..., None]
-
-
 def _split_bands(values: np.ndarray) -> np.ndarray:
     """Index (0 or 1) of the lower eigenvalue per sample, by (Re E, Im E).
 
@@ -119,66 +109,32 @@ def _split_bands(values: np.ndarray) -> np.ndarray:
     return np.where(lower_first, 0, 1)
 
 
-def _on_cut(z):
-    """Where overlap ``z`` (scalar or array) is real-negative to CUT_REL_TOL: phase +pi."""
-    return (z.real < 0) & (abs(z.imag) <= CUT_REL_TOL * abs(z.real))
-
-
-def _transport_and_spread(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Phase-align (..., N, 2) loops of states, then spread each holonomy evenly.
-
-    After this gauge every cyclic link overlap has phase Phi/N where Phi is
-    the closed-loop holonomy in (-pi, pi] (boundary canonicalized to +pi).
-    Also returns, per loop, whether a raw or the closing link is below
-    LINK_TOL; a single (N, 2) loop raises OrthogonalLink there instead.
-    """
-    n, single = states.shape[-2], states.ndim == 2
-    raw = np.sum(np.conj(states[..., :-1, :]) * states[..., 1:, :], axis=-1)
-    thin = np.any(np.abs(raw) < LINK_TOL, axis=-1)
-    if single and thin:
-        raise OrthogonalLink("vanishing overlap between adjacent band states")
-    chi = np.concatenate([np.zeros_like(raw[..., :1].real), np.cumsum(np.angle(raw), axis=-1)], axis=-1)
-    aligned = states * np.exp(-1j * chi)[..., None]
-    closing = np.sum(np.conj(aligned[..., -1, :]) * aligned[..., 0, :], axis=-1)
-    thin = thin | (np.abs(closing) < LINK_TOL)
-    if single and thin:
-        raise OrthogonalLink("vanishing overlap on the closing link")
-    phi = np.where(_on_cut(closing), np.pi, np.angle(closing))[..., None]
-    return aligned * np.exp(1j * np.arange(n) * phi / n)[..., None], thin
-
-
-def band_spectrum_1d(p: WalkParams1D, n_points: int) -> tuple[BandData1D, BandData1D]:
-    """Diagonalize the split-step walk on a momentum loop; return (lower, upper).
+def band_spectrum_1d(p: WalkParams1D, n_points: int) -> BandData1D:
+    """Diagonalize the split-step walk on a momentum loop; return the lower band.
 
     Raises GapClosure (with the offending momenta) when the two eigenvalues
-    collide within GAP_COLLISION_TOL anywhere on the grid.
-    Array fields given as (..., 1) columns make a batch of loops, equal bit
-    for bit to one call per cell; there a collision or a link below LINK_TOL
-    in either band makes the cell's states and energies NaN instead, and
-    non-finite data in another cell raises FloatingPointError.
+    collide within GAP_COLLISION_TOL anywhere on the grid.  The states are
+    the adjugate vectors of ``eig2_batch``, with no phase fix: the winding
+    number is gauge-invariant.  Array fields given as (..., 1) columns make
+    a batch of loops, equal bit for bit to one call per cell; there a
+    collision makes the cell's states and energies NaN instead, and
+    non-finite states in another cell raise FloatingPointError.
     """
     ks = momentum_grid(n_points)
-    ops = u1d_ssqw_k(p, ks)
-    values, vectors = eig2_batch(ops)
+    values, vectors = eig2_batch(u1d_ssqw_k(p, ks))
     collisions = np.abs(values[..., 0] - values[..., 1]) < GAP_COLLISION_TOL
-    if ops.ndim == 3 and np.any(collisions):
+    if values.ndim == 2 and np.any(collisions):
         raise GapClosure(ks[collisions])
-    closed = np.any(collisions, axis=-1)
-    low = _split_bands(values)[..., None]
-    bands = []
-    for label, sel in (("lower", low), ("upper", 1 - low)):
-        energies = quasienergy(np.take_along_axis(values, sel, axis=-1)[..., 0])
-        states = np.take_along_axis(vectors, sel[..., None, :], axis=-1)[..., 0]
-        states, thin = _transport_and_spread(_canonical_phase(states))
-        closed = closed | thin
-        bands.append(BandData1D(k_samples=ks.copy(), states=states, energies=energies, band_label=label))
-    if ops.ndim > 3:
-        for band in bands:
-            if not np.all(np.isfinite(band.states[~closed])):
-                raise FloatingPointError("non-finite band states in a gapped cell")
-            band.states[closed] = np.nan
-            band.energies[closed] = np.nan
-    return bands[0], bands[1]
+    first = _split_bands(values) == 0
+    states = np.where(first[..., None], vectors[..., 0], vectors[..., 1])
+    energies = quasienergy(np.where(first, values[..., 0], values[..., 1]))
+    if values.ndim > 2:
+        closed = np.any(collisions, axis=-1)
+        if not np.all(np.isfinite(states[~closed])):
+            raise FloatingPointError("non-finite band states in a gapped cell")
+        states[closed] = np.nan
+        energies[closed] = np.nan
+    return BandData1D(k_samples=ks, states=states, energies=energies)
 
 
 def band_spectrum_2d(p: WalkParams2D, nx: int, ny: int) -> BandData2D:
@@ -213,24 +169,25 @@ def band_spectrum_2d(p: WalkParams2D, nx: int, ny: int) -> BandData2D:
 
 
 def pancharatnam_phase(band: BandData1D) -> float:
-    """Unwrapped geometric phase of the cyclic chain of state overlaps.
+    """Holonomy of the cyclic chain of state overlaps, in (-pi, pi].
 
-    Sum over j of arg<psi(k_j)|psi(k_j+1)> with each link phase in (-pi, pi]
-    (real-negative overlaps canonicalized to +pi) and indices cyclic.  Equals
-    the holonomy arg of the full overlap product modulo 2 pi; in the gauge
-    produced by band_spectrum_1d the sum recovers it without wrapping.  A
-    batch of loops gives one phase per loop, NaN where a link is below
-    LINK_TOL; a single loop raises OrthogonalLink there.
+    Phi = sum over j of arg<psi(k_j)|psi(k_j+1)>, indices cyclic, wrapped
+    into (-pi, pi]; within CUT_REL_TOL of +-pi it is +pi.  Every state's
+    phase cancels from the sum, so Phi holds for any gauge of the states.
+    A batch of loops gives one phase per loop, NaN where a link, the
+    closing one included, is below LINK_TOL; a single loop raises
+    OrthogonalLink there.
     """
     states = band.states
     links = np.sum(np.conj(states) * np.roll(states, -1, axis=-2), axis=-1)
     orthogonal = np.abs(links) < LINK_TOL
-    phases = np.where(_on_cut(links), np.pi, np.angle(links))
-    if states.ndim > 2:
-        return np.where(np.any(orthogonal, axis=-1), np.nan, np.sum(phases, axis=-1))
-    if np.any(orthogonal):
+    if states.ndim == 2 and np.any(orthogonal):
         raise OrthogonalLink(f"orthogonal link(s) at k = {band.k_samples[orthogonal]}")
-    return float(np.sum(phases))
+    phi = np.pi - (np.pi - np.sum(np.angle(links), axis=-1)) % (2.0 * np.pi)
+    phi = np.where(np.pi - np.abs(phi) <= CUT_REL_TOL, np.pi, phi)
+    if states.ndim > 2:
+        return np.where(np.any(orthogonal, axis=-1), np.nan, phi)
+    return float(phi)
 
 
 def winding_number(band: BandData1D) -> WindingResult:

@@ -52,6 +52,30 @@ def eig2_values(m: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     return (a, b, c, d), np.stack([lam0, 1.0 / lam0], axis=-1)
 
 
+def _shared_norms(entries: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """|b|^2, |c|^2 and the isotropy floor: the parts of ``_adjugate`` that no eigenvalue changes."""
+    a, b, c, d = entries
+    abs_b, abs_c = np.abs(b), np.abs(c)
+    scale = np.maximum(np.maximum(np.abs(a), abs_b), np.maximum(abs_c, np.abs(d)))
+    return abs_b ** 2, abs_c ** 2, 1e-14 * np.maximum(1.0, scale)
+
+
+def _adjugate(entries, lam, shared):
+    """Components (v0, v1) of the unit adjugate vector of ``lam``, and the isotropy mask."""
+    a, b, c, d = entries
+    abs_b2, abs_c2, floor = shared
+    lam_a, lam_d = lam - a, lam - d
+    n1 = abs_b2 + np.abs(lam_a) ** 2
+    n2 = np.abs(lam_d) ** 2 + abs_c2
+    first = n1 >= n2
+    nrm = np.sqrt(np.where(first, n1, n2))
+    isotropic = nrm <= floor
+    nrm = np.where(isotropic, 1.0, nrm)
+    v0 = np.where(isotropic, 1.0, np.where(first, b, lam_d))
+    v1 = np.where(isotropic, 0.0, np.where(first, lam_a, c))
+    return v0 / nrm, v1 / nrm, isotropic
+
+
 def eig2_vector(entries: tuple[np.ndarray, ...], lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit adjugate eigenvector (..., 2) of one eigenvalue ``lam`` per matrix.
 
@@ -60,35 +84,29 @@ def eig2_vector(entries: tuple[np.ndarray, ...], lam: np.ndarray) -> tuple[np.nd
     Also returns where the matrix is isotropic (a scaled identity, no
     off-diagonal structure at all); the vector there is e1.
     """
-    a, b, c, d = entries
-    lam_a, lam_d = lam - a, lam - d
-    abs_b, abs_c = np.abs(b), np.abs(c)
-    n1 = abs_b ** 2 + np.abs(lam_a) ** 2
-    n2 = np.abs(lam_d) ** 2 + abs_c ** 2
-    first = n1 >= n2
-    nrm = np.sqrt(np.where(first, n1, n2))
-    scale = np.maximum(np.maximum(np.abs(a), abs_b), np.maximum(abs_c, np.abs(d)))
-    isotropic = nrm <= 1e-14 * np.maximum(1.0, scale)
-    nrm = np.where(isotropic, 1.0, nrm)
-    v0 = np.where(isotropic, 1.0, np.where(first, b, lam_d))
-    v1 = np.where(isotropic, 0.0, np.where(first, lam_a, c))
-    return np.stack([v0 / nrm, v1 / nrm], axis=-1), isotropic
+    v0, v1, isotropic = _adjugate(entries, lam, _shared_norms(entries))
+    return np.stack([v0, v1], axis=-1), isotropic
 
 
 def eig2_batch(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized analytic eigendecomposition of a (..., 2, 2) stack of unit-determinant matrices.
 
     Returns ``(values, vectors)`` with shapes (..., 2) and (..., 2, 2)
-    (columns are unit eigenvectors): the values of ``eig2_values`` and the
-    vectors of ``eig2_vector``.  A defective matrix yields two equal
+    (columns are unit eigenvectors): the values of ``eig2_values`` and, per
+    column, the vector ``eig2_vector`` gives, in one pass that forms |b|,
+    |c| and the isotropy floor once.  A defective matrix yields two equal
     vectors, +-identity the standard basis.
     """
     entries, values = eig2_values(m)
-    vec0, iso0 = eig2_vector(entries, values[..., 0])
-    vec1, iso1 = eig2_vector(entries, values[..., 1])
+    shared = _shared_norms(entries)
+    vectors = np.empty(values.shape + (2,), dtype=complex)
+    isotropic = []
+    for j in (0, 1):
+        vectors[..., 0, j], vectors[..., 1, j], iso = _adjugate(entries, values[..., j], shared)
+        isotropic.append(iso)
     # scaled identity: return the standard basis rather than two copies of e1
-    vec1 = np.where((iso0 & iso1)[..., None], np.array([0.0, 1.0]), vec1)
-    return values, np.stack([vec0, vec1], axis=-1)
+    vectors[isotropic[0] & isotropic[1], :, 1] = (0.0, 1.0)
+    return values, vectors
 
 
 def eig_general(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -215,7 +215,7 @@ def _as_axis(values) -> np.ndarray:
 # cell kernels and the row loop (top level so process pools can pickle them)
 
 def _winding_value(theta1: float, theta2: float, gamma: float, n_k: int) -> float:
-    lower, _ = band_spectrum_1d(WalkParams1D(theta1, theta2, gamma), n_k)
+    lower = band_spectrum_1d(WalkParams1D(theta1, theta2, gamma), n_k)
     return winding_number(lower).w
 
 
@@ -244,7 +244,7 @@ def _row(cell, cells):
 def _winding_gamma_row(cells):
     t1, t2, g, n_k = (np.array(col)[:, None] for col in zip(*cells))
     try:
-        lower, _ = band_spectrum_1d(WalkParams1D(t1, t2, g), int(n_k[0, 0]))
+        lower = band_spectrum_1d(WalkParams1D(t1, t2, g), int(n_k[0, 0]))
         w = winding_number(lower).w
     except Exception:
         return _row(_winding_value, cells)

@@ -222,13 +222,14 @@ def u1d_dtqw_k(theta: float, k) -> np.ndarray:
 def _ssqw(p: WalkParams1D, k, first):
     """T_down G R(theta2) T_up G^-1 @ first, as an entry tuple.
 
-    T_up G^-1 = diag(e^{ik - delta}, e^delta) and
-    T_down G = diag(e^delta, e^{-ik - delta}) are row scalings.
+    T_up G^-1 = diag(e^{ik} e^{-delta}, e^delta) and
+    T_down G = diag(e^delta, e^{-ik} e^{-delta}) are row scalings; each
+    exponential is taken on its own argument's shape, as in ``u2d_k``.
     """
-    ik, d = 1j * np.asarray(k), p.delta
-    e_d = np.exp(d)
-    inner = _rows((np.exp(ik - d), e_d), first)
-    return _rows((e_d, np.exp(-ik - d)), _mul(_rot(p.theta2), inner))
+    e_ik, e_mik = _phase(1j * np.asarray(k))
+    e_d, e_md = _phase(p.delta)
+    inner = _rows((e_ik * e_md, e_d), first)
+    return _rows((e_d, e_mik * e_md), _mul(_rot(p.theta2), inner))
 
 
 def u1d_ssqw_k(p: WalkParams1D, k) -> np.ndarray:

@@ -4,12 +4,12 @@ import numpy as np
 
 from lossywalk.errors import GapClosed, GapClosure, OrthogonalLink
 from lossywalk.invariants import (
-    DEGENERACY_TOL, GAP_COLLISION_TOL, LINK_TOL, band_spectrum_1d, winding_number,
+    CUT_REL_TOL, DEGENERACY_TOL, GAP_COLLISION_TOL, LINK_TOL, BandData1D, band_spectrum_1d, winding_number,
 )
 from lossywalk.lattice import build_strip_operator
 from lossywalk.linalg import quasienergy
 from lossywalk.sweeps import STATUS_ERROR, STATUS_GAP_CLOSED, STATUS_OK
-from lossywalk.walks import WalkParams1D, u2d_k
+from lossywalk.walks import WalkParams1D, momentum_grid, u1d_ssqw_k, u2d_k
 
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -143,7 +143,7 @@ def winding_row_by_cells(cells):
     stat = np.full(len(cells), STATUS_OK, dtype=np.uint8)
     for j, (theta1, theta2, gamma, n_k) in enumerate(cells):
         try:
-            lower, _ = band_spectrum_1d(WalkParams1D(theta1, theta2, gamma), n_k)
+            lower = band_spectrum_1d(WalkParams1D(theta1, theta2, gamma), n_k)
             vals[j] = winding_number(lower).w
         except (GapClosure, OrthogonalLink, GapClosed):
             stat[j] = STATUS_GAP_CLOSED
@@ -152,24 +152,64 @@ def winding_row_by_cells(cells):
     return vals, stat
 
 
-def chern_by_eig(p, n):
-    """(C, four-link field, least |lambda0 - lambda1|) of the lower 2D band from LAPACK.
+def _eig_lower_first(m):
+    """(values, vectors, least |lambda0 - lambda1|) of a (..., 2, 2) stack from LAPACK.
 
-    np.linalg.eig diagonalizes band_spectrum_2d's quarter-offset n x n grid
-    in one batch; the lower state has the smaller (Re E, Im E), real parts
-    within DEGENERACY_TOL mod 2 pi tied.  Each plaquette multiplies its four
-    link overlaps in turn.  Colliding eigenvalues raise GapClosure, a
-    vanishing link OrthogonalLink.
+    np.linalg.eig diagonalizes the whole stack; the pairs are reordered so
+    that column 0 is the lower band, the smaller (Re E, Im E) with real
+    parts within DEGENERACY_TOL mod 2 pi tied.  Colliding eigenvalues raise
+    GapClosure.
     """
-    q = (-np.pi + 2.0 * np.pi * (np.arange(n) + 0.25) / n) / 2.0
-    values, vectors = np.linalg.eig(u2d_k(p, q[:, None], q[None, :]))
+    values, vectors = np.linalg.eig(m)
     separation = np.min(np.abs(values[..., 0] - values[..., 1]))
     if separation < GAP_COLLISION_TOL:
         raise GapClosure([])
     e = quasienergy(values)
     tie = np.abs(np.angle(np.exp(1j * (e[..., 0].real - e[..., 1].real)))) < DEGENERACY_TOL
     second = np.where(tie, e[..., 1].imag < e[..., 0].imag, e[..., 1].real < e[..., 0].real)
-    s = np.where(second[..., None], vectors[..., 1], vectors[..., 0])
+    order = np.stack([second, ~second], axis=-1).astype(int)
+    values = np.take_along_axis(values, order, axis=-1)
+    vectors = np.take_along_axis(vectors, order[..., None, :], axis=-1)
+    return values, vectors, separation
+
+
+def winding_by_eig(p, n):
+    """(w, least |lambda0 - lambda1|) of the lower 1D band from LAPACK.
+
+    The lower unit vectors of ``_eig_lower_first`` on the momentum_grid(n)
+    loop give the holonomy as the angle of the product of the unit link
+    overlaps, in (-pi, pi] and +pi within CUT_REL_TOL of +-pi; w is it over
+    pi.  A vanishing link raises OrthogonalLink.
+    """
+    _, vectors, separation = _eig_lower_first(u1d_ssqw_k(p, momentum_grid(n)))
+    s = vectors[..., 0]
+    links = np.sum(np.conj(s) * np.roll(s, -1, axis=0), axis=-1)
+    if np.min(np.abs(links)) < LINK_TOL:
+        raise OrthogonalLink("vanishing link")
+    phi = np.angle(np.prod(links / np.abs(links)))
+    if np.pi - abs(phi) <= CUT_REL_TOL:
+        phi = np.pi
+    return phi / np.pi, separation
+
+
+def upper_band_by_eig(p, n):
+    """The upper 1D band on the momentum_grid(n) loop, LAPACK's unit vectors."""
+    ks = momentum_grid(n)
+    values, vectors, _ = _eig_lower_first(u1d_ssqw_k(p, ks))
+    return BandData1D(k_samples=ks, states=vectors[..., 1], energies=quasienergy(values[..., 1]))
+
+
+def chern_by_eig(p, n):
+    """(C, four-link field, least |lambda0 - lambda1|) of the lower 2D band from LAPACK.
+
+    ``_eig_lower_first`` diagonalizes band_spectrum_2d's quarter-offset
+    n x n grid in one batch.  Each plaquette multiplies its four link
+    overlaps in turn.  Colliding eigenvalues raise GapClosure, a vanishing
+    link OrthogonalLink.
+    """
+    q = (-np.pi + 2.0 * np.pi * (np.arange(n) + 0.25) / n) / 2.0
+    _, vectors, separation = _eig_lower_first(u2d_k(p, q[:, None], q[None, :]))
+    s = vectors[..., 0]
     corners = [s, np.roll(s, -1, axis=0), np.roll(np.roll(s, -1, axis=0), -1, axis=1), np.roll(s, -1, axis=1)]
     links = [np.sum(np.conj(corners[i]) * corners[(i + 1) % 4], axis=-1) for i in range(4)]
     if min(np.min(np.abs(link)) for link in links) < LINK_TOL:

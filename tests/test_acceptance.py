@@ -62,7 +62,7 @@ def test_criterion_02_exceptional_point_cross_validation():
 
 
 def _winding_at(t1, t2, g, n_k=201):
-    lower, _ = lw.band_spectrum_1d(lw.WalkParams1D(t1, t2, g), n_k)
+    lower = lw.band_spectrum_1d(lw.WalkParams1D(t1, t2, g), n_k)
     return lw.winding_number(lower)
 
 

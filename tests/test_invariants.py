@@ -7,7 +7,6 @@ from lossywalk import invariants
 from lossywalk.errors import GapClosure, OrthogonalLink
 from lossywalk.invariants import (
     BandData1D,
-    _transport_and_spread,
     BandData2D,
     band_spectrum_1d,
     band_spectrum_2d,
@@ -15,10 +14,10 @@ from lossywalk.invariants import (
     pancharatnam_phase,
     winding_number,
 )
-from lossywalk.linalg import eig2_batch
-from lossywalk.walks import WalkParams1D, WalkParams2D, critical_gamma, momentum_grid, u2d_k
+from lossywalk.linalg import eig2_batch, quasienergy
+from lossywalk.walks import WalkParams1D, WalkParams2D, critical_gamma, momentum_grid, u1d_ssqw_k, u2d_k
 
-from helpers import chern_by_eig
+from helpers import chern_by_eig, upper_band_by_eig, winding_by_eig, winding_row_by_cells
 
 FIG3A = WalkParams1D(-3 * np.pi / 8, np.pi / 8, 0.25)   # winding 1 phase
 FIG3B = WalkParams1D(-3 * np.pi / 8, 5 * np.pi / 8, 0.25)  # winding 0 phase
@@ -28,7 +27,7 @@ def make_band(states, ks=None):
     states = np.asarray(states, dtype=complex)
     n = len(states)
     ks = momentum_grid(n) if ks is None else ks
-    return BandData1D(k_samples=ks, states=states, energies=np.zeros(n, dtype=complex), band_label="lower")
+    return BandData1D(k_samples=ks, states=states, energies=np.zeros(n, dtype=complex))
 
 
 # --------------------------------------------------------------------------
@@ -57,7 +56,7 @@ def test_pancharatnam_great_circle():
 
 
 def test_pancharatnam_gauge_invariance_small_redress():
-    lower, _ = band_spectrum_1d(FIG3A, 201)
+    lower = band_spectrum_1d(FIG3A, 201)
     base = pancharatnam_phase(lower)
     rng = np.random.default_rng(3)
     for _ in range(100):
@@ -67,7 +66,7 @@ def test_pancharatnam_gauge_invariance_small_redress():
 
 
 def test_pancharatnam_gauge_invariance_mod_2pi_arbitrary_redress():
-    lower, _ = band_spectrum_1d(FIG3A, 201)
+    lower = band_spectrum_1d(FIG3A, 201)
     base = pancharatnam_phase(lower)
     rng = np.random.default_rng(4)
     for _ in range(20):
@@ -86,25 +85,33 @@ def test_pancharatnam_orthogonal_link_raises():
 # --------------------------------------------------------------------------
 # 1D band construction
 
+def _other_energies(p, n, lower):
+    """Quasi-energies of the eig2_batch eigenvalue that is not the lower band's."""
+    es = quasienergy(eig2_batch(u1d_ssqw_k(p, momentum_grid(n)))[0])
+    assert np.all((lower.energies == es[:, 0]) | (lower.energies == es[:, 1]))
+    return np.where(lower.energies == es[:, 0], es[:, 1], es[:, 0])
+
+
 def test_band_spectrum_basics():
-    lower, upper = band_spectrum_1d(FIG3A, 201)
+    lower = band_spectrum_1d(FIG3A, 201)
     assert np.all(np.diff(lower.k_samples) > 0)
     assert np.max(np.abs(np.linalg.norm(lower.states, axis=1) - 1.0)) < 1e-12
     # energies pair to zero sum per momentum (real parts mod 2 pi)
-    s = lower.energies + upper.energies
+    s = lower.energies + _other_energies(FIG3A, 201, lower)
     wrapped = (s.real + np.pi) % (2 * np.pi) - np.pi
     assert np.max(np.abs(wrapped + 1j * s.imag)) < 1e-9
     assert np.all(lower.energies.real <= 1e-9)
 
 
 def test_band_spectrum_hermitian_limit_real():
-    lower, upper = band_spectrum_1d(WalkParams1D(-np.pi / 2, np.pi / 2 + 0.1, 0.0), 201)
+    p = WalkParams1D(-np.pi / 2, np.pi / 2 + 0.1, 0.0)
+    lower = band_spectrum_1d(p, 201)
     assert np.max(np.abs(lower.energies.imag)) < 1e-12
-    assert np.max(np.abs(upper.energies.imag)) < 1e-12
+    assert np.max(np.abs(_other_energies(p, 201, lower).imag)) < 1e-12
 
 
 def test_band_spectrum_broken_region_complex():
-    lower, _ = band_spectrum_1d(WalkParams1D(-3 * np.pi / 8, np.pi / 4, 0.3), 201)
+    lower = band_spectrum_1d(WalkParams1D(-3 * np.pi / 8, np.pi / 4, 0.3), 201)
     assert np.max(np.abs(lower.energies.imag)) > 1e-4
 
 
@@ -121,66 +128,60 @@ def test_batched_link_masks_match_scalar_raises():
     closing_thin = [[1, 0], [r, r], [0, 1]]
     gapped = [[1, 0], [r, r], [1, 0]]
     batch = np.array([raw_thin, closing_thin, gapped], dtype=complex)
-    gauged, thin = _transport_and_spread(batch)
-    assert thin.tolist() == [True, True, False]
-    for loop, where in ((raw_thin, "adjacent"), (closing_thin, "closing")):
-        with pytest.raises(OrthogonalLink, match=where):
-            _transport_and_spread(np.array(loop, dtype=complex))
-    single, _ = _transport_and_spread(np.array(gapped, dtype=complex))
-    assert gauged[2].tobytes() == single.tobytes()
     phases = pancharatnam_phase(make_band(batch))
-    assert np.isnan(phases[:2]).all()
+    assert np.isnan(phases[:2]).all() and np.isfinite(phases[2])
+    for loop in (raw_thin, closing_thin):
+        with pytest.raises(OrthogonalLink, match="orthogonal link"):
+            pancharatnam_phase(make_band(loop))
     assert phases[2] == pancharatnam_phase(make_band(gapped))
 
 
 def test_batched_band_spectrum_marks_closed_cells_and_matches_scalar_calls():
     cells = [(-3 * np.pi / 8, np.pi / 8, 0.25), (-np.pi / 2, np.pi / 2, 0.0), (-3 * np.pi / 8, np.pi / 4, 0.3)]
     cols = [np.array(c)[:, None] for c in zip(*cells)]
-    lower, upper = band_spectrum_1d(WalkParams1D(*cols), 200)
-    assert lower.states.shape == (3, 200, 2) and upper.energies.shape == (3, 200)
-    for band in (lower, upper):
-        assert np.isnan(band.states[1]).all() and np.isnan(band.energies[1]).all()
+    lower = band_spectrum_1d(WalkParams1D(*cols), 200)
+    assert lower.states.shape == (3, 200, 2) and lower.energies.shape == (3, 200)
+    assert np.isnan(lower.states[1]).all() and np.isnan(lower.energies[1]).all()
     for i in (0, 2):
         want = band_spectrum_1d(WalkParams1D(*cells[i]), 200)
-        for got, ref in zip((lower, upper), want):
-            assert got.states[i].tobytes() == ref.states.tobytes()
-            assert got.energies[i].tobytes() == ref.energies.tobytes()
+        assert lower.states[i].tobytes() == want.states.tobytes()
+        assert lower.energies[i].tobytes() == want.energies.tobytes()
     result = winding_number(lower)
     assert np.isnan(result.w[1]) and result.is_integer.tolist() == [True, False, False]
 
 
-def test_batch_closes_a_cell_on_an_upper_band_link(monkeypatch):
-    # a vanishing link in the upper band alone closes the cell, as the scalar
-    # call's OrthogonalLink from the upper band does
-    real = invariants._transport_and_spread
-    bands_seen = []
+def test_batch_closes_a_cell_on_a_lower_band_link(monkeypatch):
+    # a vanishing link of the lower band closes that cell of a batch (NaN w),
+    # as the scalar call's OrthogonalLink does
+    real = invariants.eig2_batch
 
-    def upper_thin_in_first_cell(states):
-        gauged, thin = real(states)
-        bands_seen.append(thin.copy())
-        if len(bands_seen) == 2:
-            thin[0] = True
-        return gauged, thin
+    def thin_lower_link_in_first_cell(m):
+        values, vectors = real(m)
+        if m.ndim == 4:
+            vectors[0, 7] = 0.0  # both columns: whichever is the lower band
+        return values, vectors
 
-    monkeypatch.setattr(invariants, "_transport_and_spread", upper_thin_in_first_cell)
+    monkeypatch.setattr(invariants, "eig2_batch", thin_lower_link_in_first_cell)
     gammas = np.array([[0.0], [0.1]])
-    lower, upper = band_spectrum_1d(WalkParams1D(-3 * np.pi / 8, np.pi / 8, gammas), 51)
-    assert not np.any(bands_seen[0]) and len(bands_seen) == 2
-    for band in (lower, upper):
-        assert np.isnan(band.states[0]).all() and np.isfinite(band.states[1]).all()
+    lower = band_spectrum_1d(WalkParams1D(-3 * np.pi / 8, np.pi / 8, gammas), 51)
+    assert np.isfinite(lower.states).all()
+    w = winding_number(lower).w
+    assert np.isnan(w[0]) and abs(w[1] - 1.0) < 1e-6
+    with pytest.raises(OrthogonalLink):
+        pancharatnam_phase(make_band(lower.states[0], lower.k_samples))
 
 
 # --------------------------------------------------------------------------
 # winding numbers
 
 def test_winding_anchor_nontrivial_phase():
-    lower, _ = band_spectrum_1d(FIG3A, 201)
+    lower = band_spectrum_1d(FIG3A, 201)
     res = winding_number(lower)
     assert abs(res.w - 1.0) < 1e-6
 
 
 def test_winding_anchor_trivial_phase():
-    lower, _ = band_spectrum_1d(FIG3B, 201)
+    lower = band_spectrum_1d(FIG3B, 201)
     res = winding_number(lower)
     assert abs(res.w) < 1e-6
 
@@ -188,7 +189,7 @@ def test_winding_anchor_trivial_phase():
 def test_winding_decays_beyond_critical():
     values = []
     for g in (1.2, 1.8, 3.0):
-        lower, _ = band_spectrum_1d(WalkParams1D(-3 * np.pi / 8, np.pi / 8, g), 201)
+        lower = band_spectrum_1d(WalkParams1D(-3 * np.pi / 8, np.pi / 8, g), 201)
         values.append(winding_number(lower))
     ws = [r.w for r in values]
     assert all(0 < w < 1 for w in ws)
@@ -202,14 +203,14 @@ def test_hermitian_winding_integer_and_grid_stable():
     while tested < 10:
         t1, t2 = rng.uniform(-np.pi, np.pi, 2)
         try:
-            lower, _ = band_spectrum_1d(WalkParams1D(t1, t2, 0.0), 101)
+            lower = band_spectrum_1d(WalkParams1D(t1, t2, 0.0), 101)
         except GapClosure:
             continue
         res = winding_number(lower)
         if not res.is_integer:
             continue  # skip near-gapless parameter draws
         for n in (51, 201):
-            lo_n, _ = band_spectrum_1d(WalkParams1D(t1, t2, 0.0), n)
+            lo_n = band_spectrum_1d(WalkParams1D(t1, t2, 0.0), n)
             assert abs(winding_number(lo_n).w - res.w) < 1e-6
         tested += 1
 
@@ -222,11 +223,10 @@ def test_lower_and_upper_band_wind_identically():
         t2 = rng.uniform(0.3, np.pi - 0.3)
         g = rng.uniform(0.0, 0.15)
         try:
-            lower, upper = band_spectrum_1d(WalkParams1D(t1, t2, g), 201)
+            wl = winding_number(band_spectrum_1d(WalkParams1D(t1, t2, g), 201))
         except GapClosure:
             continue
-        wl = winding_number(lower)
-        wu = winding_number(upper)
+        wu = winding_number(upper_band_by_eig(WalkParams1D(t1, t2, g), 201))
         if not (wl.is_integer and wu.is_integer):
             continue  # only the gapped exact-PT regime is asserted
         assert abs(wl.w - wu.w) < 1e-6
@@ -238,10 +238,41 @@ def test_winding_continuous_in_gamma_across_critical():
     gs = np.linspace(gc - 0.1, gc + 0.4, 26)
     ws = []
     for g in gs:
-        lower, _ = band_spectrum_1d(WalkParams1D(-3 * np.pi / 8, np.pi / 8, float(g)), 201)
+        lower = band_spectrum_1d(WalkParams1D(-3 * np.pi / 8, np.pi / 8, float(g)), 201)
         ws.append(winding_number(lower).w)
     steps = np.abs(np.diff(ws))
     assert np.max(steps) <= 5.0 * (gs[1] - gs[0])
+
+
+ANGLE_1D = st.floats(-np.pi, np.pi)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(ANGLE_1D, ANGLE_1D, st.floats(0.0, 2.0), st.sampled_from([51, 200]))
+@example(-3 * np.pi / 8, np.pi / 8, 0.25, 51)  # FIG3A: the holonomy sits on the cut, w = +1
+@example(-np.pi / 2, np.pi / 2, 0.0, 200)  # the even grid hits the closing at k = 0
+def test_lower_band_winding_matches_eig_oracle(t1, t2, g, n):
+    p = WalkParams1D(t1, t2, g)
+    try:
+        want, separation = winding_by_eig(p, n)
+    except (GapClosure, OrthogonalLink):
+        with pytest.raises((GapClosure, OrthogonalLink)):
+            winding_number(band_spectrum_1d(p, n))
+        return
+    w = winding_number(band_spectrum_1d(p, n)).w
+    # LAPACK's vectors carry an error of order eps / separation, so the
+    # bound widens below a separation of 0.1
+    assert abs(w - want) < 1e-9 * max(1.0, 0.1 / separation)
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(ANGLE_1D, ANGLE_1D)
+def test_winding_batch_of_41_cells_equals_per_cell_calls(t1, t2):
+    # a figure-sized row, gamma from 0 into the broken regime, one batch
+    gammas = np.linspace(0.0, 2.0, 41)
+    batch = winding_number(band_spectrum_1d(WalkParams1D(t1, t2, gammas[:, None]), 201)).w
+    want, _ = winding_row_by_cells([(t1, t2, g, 201) for g in gammas])
+    assert batch.tobytes() == want.tobytes()
 
 
 # --------------------------------------------------------------------------

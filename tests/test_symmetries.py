@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import SIGMA_Y, branch_dist
 
@@ -23,6 +25,13 @@ from lossywalk.walks import (
 
 ANCHOR = (-3 * np.pi / 8, np.pi / 4)       # gamma_c = 0.2110
 ANCHOR2 = (-3 * np.pi / 8, 5 * np.pi / 8)  # gamma_c = 0.2832
+ANGLE = st.floats(-np.pi, np.pi)
+EPS = np.finfo(float).eps
+
+
+def _rounding_bound(total_gamma):
+    """A small multiple of eps times the e^{2 |gamma|} size of the walk's entries."""
+    return 8.0 * EPS * np.exp(2.0 * total_gamma)
 
 
 def test_pt_holds_beyond_exceptional_point():
@@ -77,6 +86,15 @@ def test_phs_2d():
     assert check_phs("2d", p, 51, 1e-10).passed
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(ANGLE, ANGLE, st.floats(-3.0, 3.0), st.floats(-1.0, 1.0))
+def test_phs_holds_at_random_loss(t1, t2, g, gy):
+    # every factor but the shifts is real for real scalings, so conj U(k)
+    # = U(-k) at any loss; what is left is rounding in the entries
+    assert check_phs("1d", WalkParams1D(t1, t2, g), 51, _rounding_bound(abs(g))).passed
+    assert check_phs("2d", WalkParams2D(t1, t2, g, gy), 51, _rounding_bound(abs(g) + abs(gy))).passed
+
+
 def test_phs_negative_control():
     # a sigma_y admixture in the coin breaks the conjugation relation
     p = WalkParams1D(-3 * np.pi / 8, np.pi / 8, 0.1)
@@ -90,6 +108,12 @@ def test_phs_negative_control():
 def test_cs_timesym_representation():
     assert check_cs(WalkParams1D(*ANCHOR, 0.15), 201, 1e-10).passed
     assert check_cs(WalkParams1D(*ANCHOR, 0.0), 201, 1e-12).passed
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(ANGLE, ANGLE, st.floats(-3.0, 3.0))
+def test_cs_holds_at_random_loss(t1, t2, g):
+    assert check_cs(WalkParams1D(t1, t2, g), 51, _rounding_bound(abs(g))).passed
 
 
 def test_cs_fails_on_plain_representation():

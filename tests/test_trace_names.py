@@ -47,12 +47,15 @@ def _count_calls(monkeypatch, calls, owner, names):
 
 def test_winding_sweep_calls_band_and_winding_once_per_row(monkeypatch):
     # the traced invariants.band_spectrum_1d / winding_number spans are
-    # per-row figures: one batched call of each per winding row
+    # per-row figures: one batched call of each per winding row; the
+    # linalg.eig2_batch span wraps invariants.eig2_batch, so the band
+    # kernel must reach the eigensolver through that name, once per row
     calls = {}
     _count_calls(monkeypatch, calls, sweeps, ["band_spectrum_1d", "winding_number"])
+    _count_calls(monkeypatch, calls, invariants, ["eig2_batch"])
     sweeps.sweep_winding_vs_gamma(-3 * np.pi / 8, np.linspace(np.pi / 8, 5 * np.pi / 8, 4),
                                   np.linspace(0, 0.3, 3), n_k=51, workers=1)
-    assert calls == {"band_spectrum_1d": 4, "winding_number": 4}
+    assert calls == {"band_spectrum_1d": 4, "winding_number": 4, "eig2_batch": 4}
 
 
 def test_chern_sweep_calls_band_chern_and_builder_once_per_cell(monkeypatch):
