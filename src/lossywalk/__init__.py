@@ -11,7 +11,6 @@ from .errors import (
     CheckpointMismatch,
     ConvergenceFailure,
     DegenerateCoin,
-    GapClosed,
     GapClosure,
     InvalidRegion,
     NoBracket,

@@ -2,8 +2,12 @@
 
 Angles are accepted either as decimals (radians) or as exact fractional-pi
 shorthand such as ``-3pi/8`` or ``7pi/6``; the shorthand is evaluated as
-``sign * a * math.pi / b`` so preset comparisons are bit-exact.  Ranges use
+``sign * a * math.pi / b`` so figure parameters are bit-exact.  Ranges use
 ``start:stop:count`` with inclusive endpoints.
+
+``figure <id>`` runs ``_FIGURES[id]``, one function per figure of the paper
+that holds its own parameters; the chain and strip figures write through the
+same emitters as the ``chain-spectrum`` and ``strip-bands`` subcommands.
 
 Exit codes: 0 success, 1 argument/configuration error, 2 numerical failure.
 With ``--json`` errors are emitted as one JSON object on stdout.
@@ -25,6 +29,7 @@ from .invariants import band_spectrum_1d, band_spectrum_2d, chern_number, windin
 from .lattice import (
     RegionSpec,
     _localization,
+    _site_coords,
     build_chain_operator,
     chain_spectrum,
     detect_edge_states,
@@ -96,48 +101,6 @@ def parse_pair(text: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected 'theta1,theta2', got {text!r}")
     return (parse_angle(parts[0]), parse_angle(parts[1]))
-
-
-# one-shot reproduction presets; angles kept in shorthand so they parse
-# bit-identically to user input
-FIGURE_PRESETS = {
-    "2a": {"what": "1D winding phase diagram at zero loss"},
-    "2b": {"what": "2D Chern phase diagram at zero loss"},
-    "3": {
-        "what": "Bloch-vector winding trajectories of the lower band",
-        "cases": [("-3pi/8", "pi/8", 0.25), ("-3pi/8", "5pi/8", 0.25),
-                  ("-3pi/8", "pi/8", 1.8), ("-3pi/8", "pi/8", 3.0)],
-        "n_k": 201,
-    },
-    "4": {
-        "what": "lower-band winding vs (gamma, theta2)",
-        "theta1s": ["-pi/2", "-3pi/4", "-pi"],
-        "theta2_range": "0:2pi:41", "gamma_range": "0:1.5:41", "n_k": 201,
-    },
-    "5": {
-        "what": "Chern number vs (gamma_x, theta2)",
-        "panels": [("pi/4", 0.0), ("3pi/8", 0.0), ("3pi/2", 0.0),
-                   ("pi/4", 0.1), ("3pi/8", 0.5), ("3pi/2", 1.0)],
-        "theta2_range": "0:2pi:31", "gamma_x_range": "0:2:31", "grid": 51,
-    },
-    "6": {
-        "what": "chain spectra for increasing loss",
-        "n": 201, "boundary": 50,
-        "inner": ("-3pi/8", "5pi/8"), "outer": ("-3pi/8", "pi/4"),
-        "gammas": [0.0, 0.2, 0.2110, 0.25],
-    },
-    "7": {
-        "what": "chain partition and edge-state site profiles",
-        "n": 201, "boundary": 50,
-        "inner": ("-3pi/8", "5pi/8"), "outer": ("-3pi/8", "pi/4"),
-    },
-    "8": {
-        "what": "strip band structure for increasing loss",
-        "n_y": 201, "boundary": 50, "kx_samples": 64,
-        "inner": ("7pi/6", "7pi/6"), "outer": ("3pi/2", "pi"),
-        "gammas": [0.0, 0.2, 0.3, 0.47],
-    },
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -216,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kx-samples", type=int, default=64)
 
     p = sub.add_parser("figure", help="one-shot reproduction presets")
-    p.add_argument("id", choices=sorted(FIGURE_PRESETS))
+    p.add_argument("id", choices=sorted(_FIGURES))
     return top
 
 
@@ -270,24 +233,6 @@ def _emit_sweep(table, outdir: str, stem: str, title: str, value_label: str) -> 
         value_label=value_label,
     )
     print(f"wrote {outdir}/{stem}.json, .csv and {stem}_plot.py")
-
-
-def _chain_to_csv(spec: RegionSpec, n: int, gamma: float, outdir: str, stem: str) -> None:
-    op = build_chain_operator(n, spec, gamma)
-    lam, vectors = chain_spectrum(op)
-    reports = detect_edge_states(lam, vectors, 1e-6 if gamma == 0 else 1e-4, spec.boundary)
-    es = quasienergy(lam)
-    write_spectrum_csv(
-        os.path.join(outdir, f"{stem}.csv"),
-        {
-            "re_lambda": lam.real,
-            "im_lambda": lam.imag,
-            "re_energy": es.real,
-            "im_energy": es.imag,
-        },
-    )
-    n_edge = sum(1 for r in reports if r.is_edge)
-    print(f"{stem}: {len(lam)} eigenvalues, {n_edge} edge state(s)")
 
 
 def _cmd_winding(ns) -> int:
@@ -356,138 +301,151 @@ def _cmd_symmetry_check(ns) -> int:
     return 0
 
 
+def _emit_chains(spec: RegionSpec, n: int, gammas, outdir: str, stems, name: str) -> None:
+    """One spectrum CSV per loss on the two-region chain, then one plot script."""
+    os.makedirs(outdir, exist_ok=True)
+    for g, stem in zip(gammas, stems):
+        lam, vectors = chain_spectrum(build_chain_operator(n, spec, g))
+        reports = detect_edge_states(lam, vectors, 1e-6 if g == 0 else 1e-4, spec.boundary)
+        es = quasienergy(lam)
+        write_spectrum_csv(
+            os.path.join(outdir, f"{stem}.csv"),
+            {"re_lambda": lam.real, "im_lambda": lam.imag, "re_energy": es.real, "im_energy": es.imag},
+        )
+        n_edge = sum(1 for r in reports if r.is_edge)
+        print(f"{stem}: {len(lam)} eigenvalues, {n_edge} edge state(s)")
+    emit_plot_script("spectrum", os.path.join(outdir, f"{name}_plot.py"),
+                     [f"{stem}.csv" for stem in stems], f"{name}.png",
+                     labels=[f"gamma={g}" for g in gammas])
+
+
+def _emit_strips(spec: RegionSpec, n_y: int, kx_samples: int, losses, outdir: str, stems,
+                 name: str, labels) -> None:
+    """One band CSV (kx, then e0, e1, ...) per (gamma_x, gamma_y) loss, then one plot script."""
+    os.makedirs(outdir, exist_ok=True)
+    files = [f"{stem}.csv" for stem in stems]
+    for (gx, gy), fname in zip(losses, files):
+        bands = strip_band_structure(spec, n_y, kx_samples, gx, gy)
+        cols = {"kx": bands.kx}
+        cols.update((f"e{j}", e) for j, e in enumerate(bands.re_energies.T))
+        write_spectrum_csv(os.path.join(outdir, fname), cols)
+    emit_plot_script("bands", os.path.join(outdir, f"{name}_plot.py"), files, f"{name}.png",
+                     labels=labels)
+    print(f"wrote {outdir}/{', '.join(files)} and {name}_plot.py")
+
+
 def _cmd_chain_spectrum(ns) -> int:
-    spec = RegionSpec(ns.boundary, ns.inner, ns.outer)
-    os.makedirs(ns.outdir, exist_ok=True)
-    stem = "chain_spectrum"
-    _chain_to_csv(spec, ns.n, ns.gamma, ns.outdir, stem)
-    emit_plot_script("spectrum", os.path.join(ns.outdir, f"{stem}_plot.py"),
-                     [f"{stem}.csv"], f"{stem}.png", labels=[f"gamma={ns.gamma}"])
+    _emit_chains(RegionSpec(ns.boundary, ns.inner, ns.outer), ns.n, [ns.gamma], ns.outdir,
+                 ["chain_spectrum"], "chain_spectrum")
     return 0
-
-
-def _strip_columns(bands) -> dict:
-    """CSV columns of a strip band structure: kx, then e0, e1, ... (one per band)."""
-    cols = {"kx": bands.kx}
-    for j in range(bands.re_energies.shape[1]):
-        cols[f"e{j}"] = bands.re_energies[:, j]
-    return cols
-
-
-def _preset_spec(preset: dict) -> RegionSpec:
-    """The two-region split of a figure preset, its shorthand angles parsed."""
-    return RegionSpec(preset["boundary"], tuple(map(parse_angle, preset["inner"])),
-                      tuple(map(parse_angle, preset["outer"])))
 
 
 def _cmd_strip_bands(ns) -> int:
-    spec = RegionSpec(ns.boundary, ns.inner, ns.outer)
-    os.makedirs(ns.outdir, exist_ok=True)
-    bands = strip_band_structure(spec, ns.ny, ns.kx_samples, ns.gamma_x, ns.gamma_y)
-    stem = "strip_bands"
-    write_spectrum_csv(os.path.join(ns.outdir, f"{stem}.csv"), _strip_columns(bands))
-    emit_plot_script("bands", os.path.join(ns.outdir, f"{stem}_plot.py"),
-                     [f"{stem}.csv"], f"{stem}.png",
-                     labels=[f"gx={ns.gamma_x} gy={ns.gamma_y}"])
-    print(f"wrote {ns.outdir}/{stem}.csv and {stem}_plot.py")
+    _emit_strips(RegionSpec(ns.boundary, ns.inner, ns.outer), ns.ny, ns.kx_samples,
+                 [(ns.gamma_x, ns.gamma_y)], ns.outdir, ["strip_bands"], "strip_bands",
+                 [f"gx={ns.gamma_x} gy={ns.gamma_y}"])
     return 0
 
 
-def _figure_3(outdir: str) -> None:
-    preset = FIGURE_PRESETS["3"]
+# Each figure is one function holding its own parameters.  Angles stay in
+# shorthand so they parse bit-identically to the same values typed as flags.
+
+# the two-region chain of figures 6 and 7
+_FIG67_CHAIN = RegionSpec(50, parse_pair("-3pi/8,5pi/8"), parse_pair("-3pi/8,pi/4"))
+
+
+def _figure_2a(ns) -> None:
+    """1D winding phase diagram at zero loss"""
+    table = sweep_phase_diagram_1d(parse_range("-pi:pi:101"), parse_range("-pi:pi:101"), 201,
+                                   workers=ns.workers)
+    _emit_sweep(table, ns.outdir, "fig2a", "1D winding phase diagram at zero loss", "W")
+
+
+def _figure_2b(ns) -> None:
+    """2D Chern phase diagram at zero loss"""
+    table = sweep_chern_2d(parse_range("0:2pi:51"), parse_range("0:2pi:51"), 101,
+                           workers=ns.workers)
+    _emit_sweep(table, ns.outdir, "fig2b", "2D Chern phase diagram at zero loss", "C")
+
+
+def _figure_3(ns) -> None:
+    """Bloch-vector winding trajectories of the lower band"""
+    n_k = 201
+    ks = momentum_grid(n_k)
     files, labels = [], []
-    for i, (t1s, t2s, g) in enumerate(preset["cases"]):
+    for i, (t1s, t2s, g) in enumerate([("-3pi/8", "pi/8", 0.25), ("-3pi/8", "5pi/8", 0.25),
+                                       ("-3pi/8", "pi/8", 1.8), ("-3pi/8", "pi/8", 3.0)]):
         p = WalkParams1D(parse_angle(t1s), parse_angle(t2s), g)
-        ks = momentum_grid(preset["n_k"])
-        comps = {"k": ks}
-        rows = {"re_nx": [], "im_nx": [], "re_ny": [], "im_ny": [], "re_nz": [], "im_nz": []}
-        for k in ks:
-            b = bloch_ssqw(p, float(k))
-            for j, name in enumerate(("nx", "ny", "nz")):
-                rows[f"re_{name}"].append(b.n[j].real)
-                rows[f"im_{name}"].append(b.n[j].imag)
-        comps.update({k: np.asarray(v) for k, v in rows.items()})
+        n = np.array([bloch_ssqw(p, float(k)).n for k in ks])
+        cols = {"k": ks}
+        for j, axis in enumerate(("nx", "ny", "nz")):
+            cols[f"re_{axis}"] = n[:, j].real
+            cols[f"im_{axis}"] = n[:, j].imag
         fname = f"fig3_case{i}.csv"
-        write_spectrum_csv(os.path.join(outdir, fname), comps)
-        lower = band_spectrum_1d(p, preset["n_k"])
+        write_spectrum_csv(os.path.join(ns.outdir, fname), cols)
         files.append(fname)
-        labels.append(f"{t1s},{t2s},g={g}: W={winding_number(lower).w:.3f}")
-    emit_plot_script("trajectory", os.path.join(outdir, "fig3_plot.py"), files,
+        labels.append(f"{t1s},{t2s},g={g}: W={winding_number(band_spectrum_1d(p, n_k)).w:.3f}")
+    emit_plot_script("trajectory", os.path.join(ns.outdir, "fig3_plot.py"), files,
                      "fig3.png", labels=labels)
+    print(f"wrote {ns.outdir}/fig3_case*.csv and fig3_plot.py")
 
 
-def _figure_7(outdir: str) -> None:
-    preset = FIGURE_PRESETS["7"]
-    spec = _preset_spec(preset)
-    n = preset["n"]
+def _figure_4(ns) -> None:
+    """lower-band winding vs (gamma, theta2)"""
+    for i, t1s in enumerate(["-pi/2", "-3pi/4", "-pi"]):
+        table = sweep_winding_vs_gamma(parse_angle(t1s), parse_range("0:2pi:41"),
+                                       parse_range("0:1.5:41"), 201, workers=ns.workers)
+        _emit_sweep(table, ns.outdir, f"fig4_panel{i}", f"winding, theta1={t1s}", "W")
+
+
+def _figure_5(ns) -> None:
+    """Chern number vs (gamma_x, theta2)"""
+    for i, (t1s, gy) in enumerate([("pi/4", 0.0), ("3pi/8", 0.0), ("3pi/2", 0.0),
+                                   ("pi/4", 0.1), ("3pi/8", 0.5), ("3pi/2", 1.0)]):
+        table = sweep_chern_vs_gamma(parse_angle(t1s), parse_range("0:2pi:31"),
+                                     parse_range("0:2:31"), gy, 51, workers=ns.workers)
+        _emit_sweep(table, ns.outdir, f"fig5_panel{i}", f"Chern, theta1={t1s}, gamma_y={gy}", "C")
+
+
+def _figure_6(ns) -> None:
+    """chain spectra for increasing loss"""
+    gammas = [0.0, 0.2, 0.2110, 0.25]
+    _emit_chains(_FIG67_CHAIN, 201, gammas, ns.outdir, [f"fig6_gamma{g}" for g in gammas], "fig6")
+
+
+def _figure_7(ns) -> None:
+    """chain partition and edge-state site profiles"""
+    n, spec = 201, _FIG67_CHAIN
     t1, t2 = spec.angles(n)
-    coords = np.arange(n) - (n - 1) // 2
-    op = build_chain_operator(n, spec, 0.0)
-    lam, vectors = chain_spectrum(op)
-    reports = detect_edge_states(lam, vectors, 1e-6, spec.boundary)
-    edges = [r for r in reports if r.is_edge]
-    cols = {"site": coords.astype(float), "theta1": t1, "theta2": t2}
+    lam, vectors = chain_spectrum(build_chain_operator(n, spec, 0.0))
+    cols = {"site": _site_coords(n).astype(float), "theta1": t1, "theta2": t2}
+    edges = [r for r in detect_edge_states(lam, vectors, 1e-6, spec.boundary) if r.is_edge]
     for i, r in enumerate(edges):
         col = np.flatnonzero(lam == r.eigenvalue)[0]
         cols[f"edge{i}_prob"] = _localization(vectors[:, col], spec.boundary)[0]
-    write_spectrum_csv(os.path.join(outdir, "fig7_partition.csv"), cols)
-    emit_plot_script("lines", os.path.join(outdir, "fig7_plot.py"),
+    write_spectrum_csv(os.path.join(ns.outdir, "fig7_partition.csv"), cols)
+    emit_plot_script("lines", os.path.join(ns.outdir, "fig7_plot.py"),
                      ["fig7_partition.csv"], "fig7.png",
                      title="two-region chain and edge-state profiles")
+    print(f"wrote {ns.outdir}/fig7_partition.csv and fig7_plot.py")
+
+
+def _figure_8(ns) -> None:
+    """strip band structure for increasing loss"""
+    gammas = [0.0, 0.2, 0.3, 0.47]
+    _emit_strips(RegionSpec(50, parse_pair("7pi/6,7pi/6"), parse_pair("3pi/2,pi")), 201, 64,
+                 [(g, g) for g in gammas], ns.outdir, [f"fig8_gamma{g}" for g in gammas], "fig8",
+                 [f"gamma={g}" for g in gammas])
+
+
+_FIGURES = {"2a": _figure_2a, "2b": _figure_2b, "3": _figure_3, "4": _figure_4,
+            "5": _figure_5, "6": _figure_6, "7": _figure_7, "8": _figure_8}
 
 
 def _cmd_figure(ns) -> int:
-    fid = ns.id
     os.makedirs(ns.outdir, exist_ok=True)
-    preset = FIGURE_PRESETS[fid]
-    if fid == "2a":
-        table = sweep_phase_diagram_1d(parse_range("-pi:pi:101"), parse_range("-pi:pi:101"),
-                                       201, workers=ns.workers)
-        _emit_sweep(table, ns.outdir, "fig2a", preset["what"], "W")
-    elif fid == "2b":
-        table = sweep_chern_2d(parse_range("0:2pi:51"), parse_range("0:2pi:51"), 101,
-                               workers=ns.workers)
-        _emit_sweep(table, ns.outdir, "fig2b", preset["what"], "C")
-    elif fid == "3":
-        _figure_3(ns.outdir)
-        print(f"wrote {ns.outdir}/fig3_case*.csv and fig3_plot.py")
-    elif fid == "4":
-        for i, t1s in enumerate(preset["theta1s"]):
-            table = sweep_winding_vs_gamma(parse_angle(t1s), parse_range(preset["theta2_range"]),
-                                           parse_range(preset["gamma_range"]), preset["n_k"],
-                                           workers=ns.workers)
-            _emit_sweep(table, ns.outdir, f"fig4_panel{i}", f"winding, theta1={t1s}", "W")
-    elif fid == "5":
-        for i, (t1s, gy) in enumerate(preset["panels"]):
-            table = sweep_chern_vs_gamma(parse_angle(t1s), parse_range(preset["theta2_range"]),
-                                         parse_range(preset["gamma_x_range"]), gy,
-                                         preset["grid"], workers=ns.workers)
-            _emit_sweep(table, ns.outdir, f"fig5_panel{i}",
-                        f"Chern, theta1={t1s}, gamma_y={gy}", "C")
-    elif fid == "6":
-        spec = _preset_spec(preset)
-        files = []
-        for g in preset["gammas"]:
-            stem = f"fig6_gamma{g}"
-            _chain_to_csv(spec, preset["n"], g, ns.outdir, stem)
-            files.append(f"{stem}.csv")
-        emit_plot_script("spectrum", os.path.join(ns.outdir, "fig6_plot.py"), files,
-                         "fig6.png", labels=[f"gamma={g}" for g in preset["gammas"]])
-    elif fid == "7":
-        _figure_7(ns.outdir)
-        print(f"wrote {ns.outdir}/fig7_partition.csv and fig7_plot.py")
-    elif fid == "8":
-        spec = _preset_spec(preset)
-        files = []
-        for g in preset["gammas"]:
-            bands = strip_band_structure(spec, preset["n_y"], preset["kx_samples"], g, g)
-            stem = f"fig8_gamma{g}"
-            write_spectrum_csv(os.path.join(ns.outdir, f"{stem}.csv"), _strip_columns(bands))
-            files.append(f"{stem}.csv")
-        emit_plot_script("bands", os.path.join(ns.outdir, "fig8_plot.py"), files,
-                         "fig8.png", labels=[f"gamma={g}" for g in preset["gammas"]])
+    _FIGURES[ns.id](ns)
     return 0
-
 
 _HANDLERS = {
     "winding": _cmd_winding,
@@ -504,7 +462,6 @@ _HANDLERS = {
 
 _NUMERICAL_ERRORS = (
     errors.ConvergenceFailure,
-    errors.GapClosed,
     errors.GapClosure,
     errors.OrthogonalLink,
     errors.DegenerateCoin,

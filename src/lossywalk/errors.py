@@ -5,10 +5,6 @@ class ConvergenceFailure(Exception):
     """Dense eigensolver did not converge within its iteration budget."""
 
 
-class GapClosed(Exception):
-    """Bloch vector requested at a momentum where the band gap closes."""
-
-
 class GapClosure(Exception):
     """Band construction hit degenerate eigenvalues on the momentum grid.
 

@@ -40,7 +40,6 @@ import numpy as np
 from .errors import (
     CheckpointMismatch,
     DegenerateCoin,
-    GapClosed,
     GapClosure,
     OrthogonalLink,
 )
@@ -72,7 +71,6 @@ STATUS_LABELS = {STATUS_OK: "ok", STATUS_GAP_CLOSED: "gap_closed", STATUS_ERROR:
 
 _MAGIC = b"LWCK"
 _CKPT_VERSION = 1
-WORKERS_ENV = "LOSSYWALK_WORKERS"
 
 
 @dataclass
@@ -114,9 +112,6 @@ class SweepTable:
 def _workers(workers: int | None) -> int:
     if workers is not None:
         return max(1, int(workers))
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(1, int(env))
     try:
         return len(os.sched_getaffinity(0))
     except (AttributeError, OSError):
@@ -230,7 +225,7 @@ def _row(cell, cells):
     for j, args in enumerate(cells):
         try:
             vals[j] = cell(*args)
-        except (GapClosure, OrthogonalLink, GapClosed):
+        except (GapClosure, OrthogonalLink):
             stat[j] = STATUS_GAP_CLOSED
         except Exception:
             stat[j] = STATUS_ERROR

@@ -49,7 +49,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateCoin, GapClosed
+from .errors import DegenerateCoin, GapClosure
 
 __all__ = [
     "WalkParams1D",
@@ -273,12 +273,12 @@ def quasi_energy_ssqw(p: WalkParams1D, k) -> np.ndarray:
 def bloch_ssqw(p: WalkParams1D, k: float) -> BlochDecomposition:
     """Quasi-energy and bilinear-unit Bloch vector of the split-step walk.
 
-    Raises GapClosed when |sin E| < GAP_SIN_TOL at this momentum.
+    Raises GapClosure([k]) when |sin E| < GAP_SIN_TOL at this momentum.
     """
     e = complex(quasi_energy_ssqw(p, k))
     sin_e = np.sin(e)
     if abs(sin_e) < GAP_SIN_TOL:
-        raise GapClosed(f"band gap closed at k = {k}")
+        raise GapClosure([k])
     c1, s1 = np.cos(p.theta1 / 2.0), np.sin(p.theta1 / 2.0)
     c2, s2 = np.cos(p.theta2 / 2.0), np.sin(p.theta2 / 2.0)
     ch, sh = np.cosh(2.0 * p.delta), np.sinh(2.0 * p.delta)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from lossywalk.errors import GapClosed, GapClosure, OrthogonalLink
+from lossywalk.errors import GapClosure, OrthogonalLink
 from lossywalk.invariants import (
     CUT_REL_TOL, DEGENERACY_TOL, GAP_COLLISION_TOL, LINK_TOL, BandData1D, band_spectrum_1d, winding_number,
 )
@@ -145,7 +145,7 @@ def winding_row_by_cells(cells):
         try:
             lower = band_spectrum_1d(WalkParams1D(theta1, theta2, gamma), n_k)
             vals[j] = winding_number(lower).w
-        except (GapClosure, OrthogonalLink, GapClosed):
+        except (GapClosure, OrthogonalLink):
             stat[j] = STATUS_GAP_CLOSED
         except Exception:
             stat[j] = STATUS_ERROR

@@ -1,6 +1,8 @@
+import argparse
 import ast
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -239,6 +241,37 @@ def test_figure_six_emits_four_spectra(tmp_path):
     # gamma list from the caption: 0, 0.2, 0.2110, 0.25
     assert files == ["fig6_gamma0.0.csv", "fig6_gamma0.2.csv",
                      "fig6_gamma0.211.csv", "fig6_gamma0.25.csv"]
+    # chain-spectrum on the figure's chain writes the same bytes at one loss,
+    # and its stdout line is the one the benchmark parses
+    chain = tmp_path / "chain"
+    code, out = run_cli(["--outdir", str(chain), "chain-spectrum", "--n", "201",
+                         "--boundary", "50", "--inner=-3pi/8,5pi/8", "--outer=-3pi/8,pi/4",
+                         "--gamma", "0.2"])
+    assert code == 0
+    assert (chain / "chain_spectrum.csv").read_bytes() == (tmp_path / "fig6_gamma0.2.csv").read_bytes()
+    assert (chain / "chain_spectrum_plot.py").exists()
+    m = re.search(r"(\d+) eigenvalues, (\d+) edge state", out)
+    assert m is not None and m.group(1) == "402"
+
+
+def test_strip_bands_emits_columns_and_plot(tmp_path):
+    ny, kx = 11, 8
+    code, out = run_cli(["--outdir", str(tmp_path), "strip-bands", "--ny", str(ny),
+                         "--boundary", "2", "--inner", "7pi/6,7pi/6", "--outer", "3pi/2,pi",
+                         "--gamma-x", "0.1", "--gamma-y", "0.1", "--kx-samples", str(kx)])
+    assert code == 0
+    lines = (tmp_path / "strip_bands.csv").read_text().splitlines()
+    assert lines[0].split(",") == ["kx"] + [f"e{j}" for j in range(2 * ny)]
+    assert len(lines) == 1 + kx and all(len(row.split(",")) == 2 * ny + 1 for row in lines)
+    assert (tmp_path / "strip_bands_plot.py").exists()
+    assert out == f"wrote {tmp_path}/strip_bands.csv and strip_bands_plot.py\n"
+
+
+def test_figure_choices_are_the_papers_figures():
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    figure_id = next(a for a in commands.choices["figure"]._actions if a.dest == "id")
+    assert set(figure_id.choices) == {"2a", "2b", "3", "4", "5", "6", "7", "8"}
 
 
 def test_figure_three_trajectories(tmp_path):

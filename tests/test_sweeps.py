@@ -295,13 +295,9 @@ def test_table_roundtrip_json():
 
 
 def test_default_workers_follow_cpu_affinity(monkeypatch):
-    monkeypatch.delenv(sweeps.WORKERS_ENV, raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     assert sweeps._workers(None) == 3
     assert sweeps._workers(2) == 2
-    monkeypatch.setenv(sweeps.WORKERS_ENV, "4")
-    assert sweeps._workers(None) == 4
-    monkeypatch.delenv(sweeps.WORKERS_ENV)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert sweeps._workers(None) == 8

@@ -113,7 +113,9 @@ def test_cs_timesym_representation():
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(ANGLE, ANGLE, st.floats(-3.0, 3.0))
 def test_cs_holds_at_random_loss(t1, t2, g):
+    # PT holds for every loss too, beyond the exceptional point included
     assert check_cs(WalkParams1D(t1, t2, g), 51, _rounding_bound(abs(g))).passed
+    assert check_pt_1d(WalkParams1D(t1, t2, g), 51, _rounding_bound(abs(g))).passed
 
 
 def test_cs_fails_on_plain_representation():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import helpers
 from helpers import assert_multiset_close, bloch_axis, branch_dist, exp_bloch, is_unitary
 
-from lossywalk.errors import DegenerateCoin, GapClosed
+from lossywalk.errors import DegenerateCoin, GapClosure
 from lossywalk.linalg import SIGMA_X, eig2_batch, quasienergy
 from lossywalk.walks import (
     GAMMA_MAX,
@@ -184,7 +184,7 @@ def test_bloch_ssqw_reconstruction():
         k = rng.uniform(-np.pi, np.pi)
         try:
             b = bloch_ssqw(p, k)
-        except GapClosed:
+        except GapClosure:
             continue
         assert np.max(np.abs(exp_bloch(b.energy, b.n) - u1d_ssqw_k(p, k))) < 1e-8
         assert abs(np.sum(b.n**2) - 1.0) < 1e-9  # bilinear normalization
@@ -199,7 +199,7 @@ def test_bloch_ssqw_axis_aligned_at_k0_theta2_0():
 
 
 def test_bloch_ssqw_gap_closed_raises():
-    with pytest.raises(GapClosed):
+    with pytest.raises(GapClosure):
         bloch_ssqw(WalkParams1D(-np.pi / 2, np.pi / 2, 0.0), 0.0)
 
 
