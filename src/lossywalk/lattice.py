@@ -10,13 +10,13 @@ lattice coordinate n = i - (N - 1) / 2 on the ring of odd length N.
 Evaluation: an operator is held as the tuple of its four spin blocks
 (up-up, up-down, down-up, down-down), each an (N, N) array over sites, and
 is built with the entry-tuple algebra of ``walks`` (``_rot``, ``_mul``,
-``_rows``, ``_cols``, ``_phase``).  A site-local factor has (N, 1) column
+``_rows``, ``_phase``).  A site-local factor has (N, 1) column
 entries, so coins act elementwise and G, T_x act as row scalings; the
 real-space shifts T_up, T_down and T are cyclic row rolls of the spin-up
 and spin-down blocks (``_hop``).  A build is therefore O(N^2) elementwise
 work with no matrix product, and the 2N x 2N matrix is interleaved once,
-at the end.  The strip's x half is the same expression as the x half of
-``walks.u2d_k``.
+at the end.  The strip's x half is ``walks._x_half``, the function that
+builds the x half of ``walks.u2d_k``.
 
 The homogeneous limit block-diagonalizes over the momentum grid, which the
 tests use as the strongest integration check: the chain (strip) spectrum
@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import InvalidRegion
 from .linalg import eig_general, quasienergy
-from .walks import WalkParams2D, _cols, _mul, _phase, _rot, _rows, momentum_grid, quasi_energy_2d
+from .walks import WalkParams2D, _mul, _phase, _rot, _rows, _x_half, momentum_grid, quasi_energy_2d
 
 __all__ = [
     "RegionSpec",
@@ -206,15 +206,14 @@ def build_strip_operator(
     U = G_y T_y R(t1(y)) G_y^-1 T_y R(t2(y)) G_x T_x R(t1(y)) G_x^-1 T_x with
     T_y the full conditional shift on the y ring, T_x(kx) the momentum-space
     phase diag(e^{i kx}, e^{-i kx}) on every site, and coin angles split by
-    region along y.  The x half is site-diagonal and is the x half of
-    ``walks.u2d_k`` at per-site angles; the y half hops where ``u2d_k``
+    region along y.  The x half is site-diagonal: ``walks._x_half``, as in
+    ``walks.u2d_k``, at per-site angles; the y half hops where ``u2d_k``
     multiplies by the phase of T_y.
     """
     spec.validate(n_y)
     t1, t2 = spec.angles(n_y)
     r1 = _rot(t1[:, None])
-    ikx = 1j * kx
-    x_half = _mul(_rot(t2[:, None]), _rows(_phase(ikx + gamma_x), _cols(r1, _phase(ikx - gamma_x))))
+    x_half = _x_half(r1, t2[:, None], 1j * kx, gamma_x)
     m = _hop(_rows(_phase(-gamma_y), _dense(x_half, n_y)), 1, -1)
     m = _hop(_rows(_phase(gamma_y), _mul(r1, m)), 1, -1)
     return _interleave(m)

@@ -1,10 +1,13 @@
 """Deterministic parameter-grid sweeps with per-row checkpointing.
 
-A sweep evaluates a pure cell function over the Cartesian product of named
-axes and stores row-major float results plus a per-cell status marker.
-Rows (first axis) are distributed over a process pool; results land in
-preallocated slots indexed by grid position, so the table is bit-identical
-regardless of worker count or scheduling.
+A sweep evaluates a pure cell function over the grid of two named axes and
+stores row-major float results plus a per-cell status marker.  ``_sweep``
+is the one sweep body: it validates both axes and builds each row's cells,
+the argument tuples of the row function, from the two axes through the
+public sweep's ``cell(x, y)`` map.  Rows (first axis) are distributed over
+a process pool; results land in preallocated slots indexed by grid
+position, so the table is bit-identical regardless of worker count or
+scheduling.
 
 A winding row is one batched ``band_spectrum_1d`` and ``winding_number``
 call; its masks make a cell with colliding eigenvalues or vanishing links
@@ -176,21 +179,25 @@ def _run_rows(row_fn, args_list, workers: int):
         yield from pool.map(row_fn, args_list, chunksize=1)
 
 
-def _sweep(axes, row_fn, row_args, meta, workers, checkpoint):
-    n_rows = len(row_args)
-    n_cols = int(np.prod([len(v) for _, v in axes[1:]])) if len(axes) > 1 else 1
+def _sweep(axes, cell, row_fn, meta, workers, checkpoint):
+    """Run ``row_fn`` on each row of a two-axis grid; row i's cells are ``cell(x_i, y)`` over y.
+
+    ``cell`` runs only in this process, so it may be a lambda; ``row_fn`` is
+    pickled to the pool's workers, so it must be module-level.
+    """
+    axes = [(name, _as_axis(vals)) for name, vals in axes]
+    (_, xs), (_, ys) = axes
+    n_rows, n_cols = len(xs), len(ys)
     values = np.full(n_rows * n_cols, np.nan)
     status = np.full(n_rows * n_cols, STATUS_ERROR, dtype=np.uint8)
-    meta = dict(meta)
-    meta.setdefault("artifact_version", _pkg_version)
+    meta = {**meta, "artifact_version": _pkg_version}
     ckpt = None
     done = np.zeros(n_rows, dtype=bool)
     if checkpoint is not None:
         ckpt = _Checkpoint(str(checkpoint), _config_hash(meta, axes), n_rows, n_cols)
         done, values, status = ckpt.load()
     todo = [i for i in range(n_rows) if not done[i]]
-    nworkers = _workers(workers)
-    results = _run_rows(row_fn, [row_args[i] for i in todo], nworkers)
+    results = _run_rows(row_fn, [[cell(xs[i], y) for y in ys] for i in todo], _workers(workers))
     for i, (row_vals, row_stat) in zip(todo, results):
         values[i * n_cols : (i + 1) * n_cols] = row_vals
         status[i * n_cols : (i + 1) * n_cols] = row_stat
@@ -277,16 +284,9 @@ def sweep_phase_diagram_1d(
     checkpoint=None,
 ) -> SweepTable:
     """Lower-band winding number over a (theta1, theta2) grid at zero scaling."""
-    t1s, t2s = _as_axis(theta1_range), _as_axis(theta2_range)
-    meta = {"model": "ssqw_1d_phase_diagram", "gamma": 0.0, "n_k": n_k}
-    return _sweep(
-        [("theta1", t1s), ("theta2", t2s)],
-        _winding_gamma_row,
-        [[(t1, t2, 0.0, n_k) for t2 in t2s] for t1 in t1s],
-        meta,
-        workers,
-        checkpoint,
-    )
+    return _sweep([("theta1", theta1_range), ("theta2", theta2_range)],
+                  lambda t1, t2: (t1, t2, 0.0, n_k), _winding_gamma_row,
+                  {"model": "ssqw_1d_phase_diagram", "gamma": 0.0, "n_k": n_k}, workers, checkpoint)
 
 
 def sweep_winding_vs_gamma(
@@ -298,21 +298,10 @@ def sweep_winding_vs_gamma(
     checkpoint=None,
 ) -> SweepTable:
     """Lower-band winding over (theta2, gamma) at fixed theta1, with critical overlays."""
-    t2s, gs = _as_axis(theta2_range), _as_axis(gamma_range)
-    meta = {
-        "model": "ssqw_1d_winding_vs_gamma",
-        "theta1": float(theta1),
-        "n_k": n_k,
-        "overlays": _gamma_c_overlays(theta1, t2s),
-    }
-    return _sweep(
-        [("theta2", t2s), ("gamma", gs)],
-        _winding_gamma_row,
-        [[(theta1, t2, g, n_k) for g in gs] for t2 in t2s],
-        meta,
-        workers,
-        checkpoint,
-    )
+    return _sweep([("theta2", theta2_range), ("gamma", gamma_range)],
+                  lambda t2, g: (theta1, t2, g, n_k), _winding_gamma_row,
+                  {"model": "ssqw_1d_winding_vs_gamma", "theta1": float(theta1), "n_k": n_k,
+                   "overlays": _gamma_c_overlays(theta1, _as_axis(theta2_range))}, workers, checkpoint)
 
 
 def sweep_chern_2d(
@@ -323,16 +312,10 @@ def sweep_chern_2d(
     checkpoint=None,
 ) -> SweepTable:
     """Lower-band Chern number over a (theta1, theta2) grid at zero scaling."""
-    t1s, t2s = _as_axis(theta1_range), _as_axis(theta2_range)
-    meta = {"model": "dtqw_2d_phase_diagram", "gamma_x": 0.0, "gamma_y": 0.0, "grid": grid}
-    return _sweep(
-        [("theta1", t1s), ("theta2", t2s)],
-        _chern_gamma_row,
-        [[(t1, t2, 0.0, 0.0, grid) for t2 in t2s] for t1 in t1s],
-        meta,
-        workers,
-        checkpoint,
-    )
+    return _sweep([("theta1", theta1_range), ("theta2", theta2_range)],
+                  lambda t1, t2: (t1, t2, 0.0, 0.0, grid), _chern_gamma_row,
+                  {"model": "dtqw_2d_phase_diagram", "gamma_x": 0.0, "gamma_y": 0.0,
+                   "grid": grid}, workers, checkpoint)
 
 
 def sweep_chern_vs_gamma(
@@ -345,18 +328,7 @@ def sweep_chern_vs_gamma(
     checkpoint=None,
 ) -> SweepTable:
     """Lower-band Chern number over (theta2, gamma_x) at fixed theta1, gamma_y."""
-    t2s, gxs = _as_axis(theta2_range), _as_axis(gamma_x_range)
-    meta = {
-        "model": "dtqw_2d_chern_vs_gamma",
-        "theta1": float(theta1),
-        "gamma_y": float(gamma_y),
-        "grid": grid,
-    }
-    return _sweep(
-        [("theta2", t2s), ("gamma_x", gxs)],
-        _chern_gamma_row,
-        [[(theta1, t2, gx, gamma_y, grid) for gx in gxs] for t2 in t2s],
-        meta,
-        workers,
-        checkpoint,
-    )
+    return _sweep([("theta2", theta2_range), ("gamma_x", gamma_x_range)],
+                  lambda t2, gx: (theta1, t2, gx, gamma_y, grid), _chern_gamma_row,
+                  {"model": "dtqw_2d_chern_vs_gamma", "theta1": float(theta1),
+                   "gamma_y": float(gamma_y), "grid": grid}, workers, checkpoint)

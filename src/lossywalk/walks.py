@@ -144,18 +144,14 @@ class BlochDecomposition:
     """Complex quasi-energy E and complex Bloch vector n with n.n = 1.
 
     The underlying generator is H = E n.sigma, so U = exp(-i E n.sigma).
-    ``branch_ambiguous`` flags Re E within BRANCH_TOL of {0, pi}.
     """
 
     energy: complex
     n: np.ndarray
-    branch_ambiguous: bool = False
 
 
 # the Bloch vector n = (nx, ny, nz) / sin E is undefined where |sin E| < this
 GAP_SIN_TOL = 1e-9
-# a quasi-energy with Re E this close to 0 or pi sits where the branches +-E meet
-BRANCH_TOL = 1e-9
 # the split-step operator has entries of size e^{2 gamma} (the 2D step
 # e^{2 (|gamma_x| + |gamma_y|)}), and eig2_batch squares them (the
 # discriminant, |v|^2): beyond this (about 177.4) they overflow float64
@@ -287,8 +283,16 @@ def bloch_ssqw(p: WalkParams1D, k: float) -> BlochDecomposition:
         s1 * c2 * np.cos(k) + c1 * s2 * ch,
         -c1 * c2 * np.sin(k) - 1j * s1 * s2 * sh,
     ], dtype=complex) / sin_e
-    ambiguous = min(abs(e.real), abs(e.real - np.pi)) <= BRANCH_TOL
-    return BlochDecomposition(energy=e, n=n, branch_ambiguous=bool(ambiguous))
+    return BlochDecomposition(energy=e, n=n)
+
+
+def _x_half(r1, theta2, ikx, gamma_x):
+    """x half R(t2) G_x T_x R(t1) G_x^-1 T_x of the 2D step, with r1 = ``_rot(t1)``.
+
+    ``u2d_k`` and ``lattice.build_strip_operator`` (at per-site angles) both
+    build it here, with the same operations in the same order.
+    """
+    return _mul(_rot(theta2), _rows(_phase(ikx + gamma_x), _cols(r1, _phase(ikx - gamma_x))))
 
 
 def u2d_k(p: WalkParams2D, kx, ky) -> np.ndarray:
@@ -307,8 +311,8 @@ def u2d_k(p: WalkParams2D, kx, ky) -> np.ndarray:
     """
     r1 = _rot(p.theta1)
     ikx, iky = 1j * np.asarray(kx), 1j * np.asarray(ky)
-    gx, gy = p.gamma_x, p.gamma_y
-    x_half = _mul(_rot(p.theta2), _rows(_phase(ikx + gx), _cols(r1, _phase(ikx - gx))))
+    gy = p.gamma_y
+    x_half = _x_half(r1, p.theta2, ikx, p.gamma_x)
     y_half = _rows(_phase(iky + gy), _cols(r1, _phase(iky - gy)))
     return _stack2(*_mul(y_half, x_half))
 

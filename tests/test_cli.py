@@ -2,6 +2,7 @@ import argparse
 import ast
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -94,6 +95,16 @@ def test_critical_gamma_command():
     code, out = run_cli(["critical-gamma", "--theta1", "-1.1781", "--theta2", "0.7854"])
     assert code == 0
     assert out.strip().startswith("0.2110")
+
+
+def test_python_dash_m_runs_the_cli():
+    # ``python -m lossywalk`` from a source checkout, with only src on the path
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "lossywalk", "critical-gamma", "--theta1=-3pi/8",
+                           "--theta2", "pi/4"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0.211006"
 
 
 def test_critical_gamma_channel_flags():

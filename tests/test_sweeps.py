@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import winding_row_by_cells
-from lossywalk import sweeps
+from lossywalk import __version__, sweeps
 from lossywalk.errors import CheckpointMismatch, DegenerateCoin
 from lossywalk.sweeps import (
     STATUS_ERROR,
@@ -24,7 +24,7 @@ from lossywalk.sweeps import (
     sweep_phase_diagram_1d,
     sweep_winding_vs_gamma,
 )
-from lossywalk.walks import WalkParams1D, min_positive_critical_gamma
+from lossywalk.walks import WalkParams1D, critical_gamma, min_positive_critical_gamma
 
 T1S = np.linspace(-3 * np.pi / 8, -np.pi / 8, 3)
 T2S = np.linspace(np.pi / 8, 5 * np.pi / 8, 4)
@@ -301,3 +301,46 @@ def test_default_workers_follow_cpu_affinity(monkeypatch):
     assert sweeps._workers(2) == 2
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert sweeps._workers(None) == 8
+
+
+# The four public sweeps on a one-cell grid, as functions of their two axes.
+# theta1 and gamma_y are passed as ints: the cells take them unconverted and
+# the meta holds their float values.
+TINY_SWEEPS = {
+    "phase1d": lambda a, b: sweep_phase_diagram_1d(a, b, n_k=11, workers=1),
+    "winding": lambda a, b: sweep_winding_vs_gamma(-1, a, b, n_k=11, workers=1),
+    "chern2d": lambda a, b: sweep_chern_2d(a, b, grid=5, workers=1),
+    "chern_gamma": lambda a, b: sweep_chern_vs_gamma(1, a, b, 0, grid=5, workers=1),
+}
+
+
+def _overlays(theta1, theta2):
+    return {name: {"axis": "theta2", "values": [critical_gamma(theta1, theta2, k0, 0.0).gamma_c]}
+            for name, k0 in (("gamma_c_k0", 0.0), ("gamma_c_kpi", np.pi))}
+
+
+@pytest.mark.parametrize("name, items", [
+    ("phase1d", [("model", "ssqw_1d_phase_diagram"), ("gamma", 0.0), ("n_k", 11)]),
+    ("winding", [("model", "ssqw_1d_winding_vs_gamma"), ("theta1", -1.0), ("n_k", 11),
+                 ("overlays", _overlays(-1, np.pi / 4))]),
+    ("chern2d", [("model", "dtqw_2d_phase_diagram"), ("gamma_x", 0.0), ("gamma_y", 0.0),
+                 ("grid", 5)]),
+    ("chern_gamma", [("model", "dtqw_2d_chern_vs_gamma"), ("theta1", 1.0), ("gamma_y", 0.0),
+                     ("grid", 5)]),
+])
+def test_meta_keys_keep_their_order(name, items):
+    # the config hash, the JSON tables and the checkpoint headers depend on
+    # this order and these values, artifact_version last
+    table = TINY_SWEEPS[name](np.array([np.pi / 4]), np.array([0.0]))
+    assert list(table.meta.items()) == items + [("artifact_version", __version__)]
+    assert all(type(table.meta[k]) is float for k in ("theta1", "gamma_y") if k in table.meta)
+
+
+@pytest.mark.parametrize("name", sorted(TINY_SWEEPS))
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("bad", [np.array([]), np.zeros((2, 2))], ids=["empty", "2d"])
+def test_sweeps_reject_empty_or_2d_axes(name, axis, bad):
+    axes = [np.array([np.pi / 4]), np.array([0.0])]
+    axes[axis] = bad
+    with pytest.raises(ValueError, match="^axis ranges must be nonempty 1D arrays$"):
+        TINY_SWEEPS[name](*axes)

@@ -68,7 +68,6 @@ def test_exp_bloch_about_y_is_rotation():
     b = bloch_ssqw(WalkParams1D(2 * np.pi / 3, 0.0), 0.0)
     assert abs(b.energy - np.pi / 3) < 1e-12
     assert np.allclose(b.n, [0.0, 1.0, 0.0], atol=1e-12)
-    assert not b.branch_ambiguous
 
 
 # --------------------------------------------------------------------------
