@@ -15,7 +15,9 @@ the real parts coincide modulo 2 pi (real eigenvalue pairs, positive or
 negative) the decaying state (Im E < 0, |lambda| < 1) is the lower one.
 Both band functions return the lower band only.
 
-The 1D band states carry the raw adjugate gauge of ``eig2_batch`` too.
+Both band functions take the eigenvalues from ``eig2_batch``, split the
+bands on them, and build one ``eig2_vector`` for the lower eigenvalue
+only, so the 1D band states carry the raw adjugate gauge too.
 ``pancharatnam_phase`` is the holonomy Phi, the sum of the link phases
 arg<s_j|s_j+1> around the loop wrapped into (-pi, pi]; every state's phase
 enters it once with + and once with -, so it is the same in any gauge.  A
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GapClosure, OrthogonalLink
-from .linalg import eig2_batch, eig2_values, eig2_vector, quasienergy
+from .linalg import eig2_batch, eig2_vector, quasienergy
 from .walks import WalkParams1D, WalkParams2D, momentum_grid, u1d_ssqw_k, u2d_k
 
 __all__ = [
@@ -53,7 +55,8 @@ INTEGER_TOL = 1e-6
 DEGENERACY_TOL = 1e-9
 # a closing is an exactly degenerate eigenvalue pair, and the collision
 # detector must sit above the split that rounding leaves there.
-# eig2_batch takes lambda = tr/2 +- sqrt(D) with D = ((a - d)/2)^2 + bc.
+# eig2_batch, the eigenvalue step, takes lambda = tr/2 +- sqrt(D) with
+# D = ((a - d)/2)^2 + bc.
 # At a normal closing (U = +-I) a - d, b and c are all O(eps), so D is
 # O(eps^2) and the split O(eps).  At an exceptional point (U defective,
 # b or c of order 1) the O(eps) rounding in the entries enters bc
@@ -113,21 +116,22 @@ def band_spectrum_1d(p: WalkParams1D, n_points: int) -> BandData1D:
     """Diagonalize the split-step walk on a momentum loop; return the lower band.
 
     Raises GapClosure (with the offending momenta) when the two eigenvalues
-    collide within GAP_COLLISION_TOL anywhere on the grid.  The states are
-    the adjugate vectors of ``eig2_batch``, with no phase fix: the winding
-    number is gauge-invariant.  Array fields given as (..., 1) columns make
-    a batch of loops, equal bit for bit to one call per cell; there a
-    collision makes the cell's states and energies NaN instead, and
-    non-finite states in another cell raise FloatingPointError.
+    of ``eig2_batch`` collide within GAP_COLLISION_TOL anywhere on the grid.
+    The bands are split on the eigenvalues, and the states are the adjugate
+    vectors ``eig2_vector`` builds for the lower one only, with no phase
+    fix: the winding number is gauge-invariant.  Array fields given as
+    (..., 1) columns make a batch of loops, equal bit for bit to one call
+    per cell; there a collision makes the cell's states and energies NaN
+    instead, and non-finite states in another cell raise FloatingPointError.
     """
     ks = momentum_grid(n_points)
-    values, vectors = eig2_batch(u1d_ssqw_k(p, ks))
+    values, entries = eig2_batch(u1d_ssqw_k(p, ks))
     collisions = np.abs(values[..., 0] - values[..., 1]) < GAP_COLLISION_TOL
     if values.ndim == 2 and np.any(collisions):
         raise GapClosure(ks[collisions])
-    first = _split_bands(values) == 0
-    states = np.where(first[..., None], vectors[..., 0], vectors[..., 1])
-    energies = quasienergy(np.where(first, values[..., 0], values[..., 1]))
+    lam = np.where(_split_bands(values) == 0, values[..., 0], values[..., 1])
+    states, _ = eig2_vector(entries, lam)
+    energies = quasienergy(lam)
     if values.ndim > 2:
         closed = np.any(collisions, axis=-1)
         if not np.all(np.isfinite(states[~closed])):
@@ -157,7 +161,7 @@ def band_spectrum_2d(p: WalkParams2D, nx: int, ny: int) -> BandData2D:
     """
     qx = (-np.pi + 2.0 * np.pi * (np.arange(nx) + 0.25) / nx) / 2.0
     qy = (-np.pi + 2.0 * np.pi * (np.arange(ny) + 0.25) / ny) / 2.0
-    entries, values = eig2_values(u2d_k(p, qx[:, None], qy[None, :]))
+    values, entries = eig2_batch(u2d_k(p, qx[:, None], qy[None, :]))
     collisions = np.abs(values[..., 0] - values[..., 1]) < GAP_COLLISION_TOL
     if np.any(collisions):
         kxg, kyg = np.meshgrid(qx, qy, indexing="ij")

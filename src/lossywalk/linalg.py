@@ -1,12 +1,13 @@
 """Eigensolvers for walk operators, and the quasi-energy branch convention.
 
-``eig2_batch`` solves stacks of 2x2 unit-determinant operators (every walk
-step in the package) analytically: lambda0 = (a + d)/2 +- sqrt(D) with the
-backward-stable discriminant D = ((a - d)/2)^2 + bc, lambda1 = 1/lambda0,
-and adjugate eigenvectors.  Its two steps, ``eig2_values`` and
-``eig2_vector`` (one eigenvalue at a time), are public so that a caller
-that needs one band builds one set of vectors.  They are vectorized over
-leading axes and are the hot path of every momentum-grid computation.
+Stacks of 2x2 unit-determinant operators (every walk step in the package)
+are solved analytically in two steps, both vectorized over leading axes
+and the hot path of every momentum-grid computation.  ``eig2_batch`` is the
+eigenvalue step: lambda0 = (a + d)/2 +- sqrt(D) with the backward-stable
+discriminant D = ((a - d)/2)^2 + bc, and lambda1 = 1/lambda0.
+``eig2_vector`` is the vector step: the adjugate eigenvector of one chosen
+eigenvalue per matrix, so a caller that needs one band builds one vector
+and a caller that needs only the spectrum builds none.
 ``eig_general`` takes the dense NxN spectra of real-space chains and
 strips through LAPACK (``numpy.linalg.eig``), in real arithmetic when the
 matrix is real (every chain), and returns them in canonical (Re, Im) order.
@@ -29,17 +30,17 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def eig2_values(m: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+def eig2_batch(m: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Analytic eigenvalues of a (..., 2, 2) stack of unit-determinant matrices.
 
-    Returns the entries ``(a, b, c, d)`` as complex arrays, for
-    ``eig2_vector``, and the values, shape (..., 2).  The roots are
-    tr/2 +- sqrt(D) with D = ((a - d)/2)^2 + bc, which equals (tr/2)^2 - 1
-    for det = 1 but keeps a normal degenerate pair split by O(eps), not
-    O(sqrt(eps)); values[..., 0] takes the sign that grows |lambda|, so
-    |lambda0| >= 1, and values[..., 1] = 1/lambda0.  No determinant is
-    formed: ad - bc would cancel between products of the size of the
-    entries squared.  The input is not checked for unit determinant.
+    Returns the values, shape (..., 2), and the entries ``(a, b, c, d)`` as
+    complex arrays, for ``eig2_vector``.  The roots are tr/2 +- sqrt(D)
+    with D = ((a - d)/2)^2 + bc, which equals (tr/2)^2 - 1 for det = 1 but
+    keeps a normal degenerate pair split by O(eps), not O(sqrt(eps));
+    values[..., 0] takes the sign that grows |lambda|, so |lambda0| >= 1,
+    and values[..., 1] = 1/lambda0.  No determinant is formed: ad - bc
+    would cancel between products of the size of the entries squared.  The
+    input is not checked for unit determinant.
     """
     m = np.asarray(m, dtype=complex)
     a, b = m[..., 0, 0], m[..., 0, 1]
@@ -49,64 +50,31 @@ def eig2_values(m: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     # avoid cancellation: add the root on the side that grows |lambda|
     flip = np.real(np.conj(half_tr) * disc) < 0
     lam0 = half_tr + np.where(flip, -disc, disc)
-    return (a, b, c, d), np.stack([lam0, 1.0 / lam0], axis=-1)
-
-
-def _shared_norms(entries: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-    """|b|^2, |c|^2 and the isotropy floor: the parts of ``_adjugate`` that no eigenvalue changes."""
-    a, b, c, d = entries
-    abs_b, abs_c = np.abs(b), np.abs(c)
-    scale = np.maximum(np.maximum(np.abs(a), abs_b), np.maximum(abs_c, np.abs(d)))
-    return abs_b ** 2, abs_c ** 2, 1e-14 * np.maximum(1.0, scale)
-
-
-def _adjugate(entries, lam, shared):
-    """Components (v0, v1) of the unit adjugate vector of ``lam``, and the isotropy mask."""
-    a, b, c, d = entries
-    abs_b2, abs_c2, floor = shared
-    lam_a, lam_d = lam - a, lam - d
-    n1 = abs_b2 + np.abs(lam_a) ** 2
-    n2 = np.abs(lam_d) ** 2 + abs_c2
-    first = n1 >= n2
-    nrm = np.sqrt(np.where(first, n1, n2))
-    isotropic = nrm <= floor
-    nrm = np.where(isotropic, 1.0, nrm)
-    v0 = np.where(isotropic, 1.0, np.where(first, b, lam_d))
-    v1 = np.where(isotropic, 0.0, np.where(first, lam_a, c))
-    return v0 / nrm, v1 / nrm, isotropic
+    return np.stack([lam0, 1.0 / lam0], axis=-1), (a, b, c, d)
 
 
 def eig2_vector(entries: tuple[np.ndarray, ...], lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit adjugate eigenvector (..., 2) of one eigenvalue ``lam`` per matrix.
 
-    ``entries`` are the ``(a, b, c, d)`` of ``eig2_values``.  The vector is
-    the larger-norm column of adj(M - lam): (b, lam - a) or (lam - d, c).
-    Also returns where the matrix is isotropic (a scaled identity, no
-    off-diagonal structure at all); the vector there is e1.
+    ``entries`` are the ``(a, b, c, d)`` of ``eig2_batch``.  The vector is
+    the larger-norm column of adj(M - lam): (b, lam - a) or (lam - d, c);
+    a defective matrix has one.  Also returns where the matrix is isotropic
+    (a scaled identity: both columns vanish to rounding); the vector there
+    is e1.
     """
-    v0, v1, isotropic = _adjugate(entries, lam, _shared_norms(entries))
-    return np.stack([v0, v1], axis=-1), isotropic
-
-
-def eig2_batch(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized analytic eigendecomposition of a (..., 2, 2) stack of unit-determinant matrices.
-
-    Returns ``(values, vectors)`` with shapes (..., 2) and (..., 2, 2)
-    (columns are unit eigenvectors): the values of ``eig2_values`` and, per
-    column, the vector ``eig2_vector`` gives, in one pass that forms |b|,
-    |c| and the isotropy floor once.  A defective matrix yields two equal
-    vectors, +-identity the standard basis.
-    """
-    entries, values = eig2_values(m)
-    shared = _shared_norms(entries)
-    vectors = np.empty(values.shape + (2,), dtype=complex)
-    isotropic = []
-    for j in (0, 1):
-        vectors[..., 0, j], vectors[..., 1, j], iso = _adjugate(entries, values[..., j], shared)
-        isotropic.append(iso)
-    # scaled identity: return the standard basis rather than two copies of e1
-    vectors[isotropic[0] & isotropic[1], :, 1] = (0.0, 1.0)
-    return values, vectors
+    a, b, c, d = entries
+    lam_a, lam_d = lam - a, lam - d
+    abs_b, abs_c = np.abs(b), np.abs(c)
+    n1 = abs_b ** 2 + np.abs(lam_a) ** 2
+    n2 = np.abs(lam_d) ** 2 + abs_c ** 2
+    first = n1 >= n2
+    nrm = np.sqrt(np.where(first, n1, n2))
+    scale = np.maximum(np.maximum(np.abs(a), abs_b), np.maximum(abs_c, np.abs(d)))
+    isotropic = nrm <= 1e-14 * np.maximum(1.0, scale)
+    nrm = np.where(isotropic, 1.0, nrm)
+    v0 = np.where(isotropic, 1.0, np.where(first, b, lam_d))
+    v1 = np.where(isotropic, 0.0, np.where(first, lam_a, c))
+    return np.stack([v0 / nrm, v1 / nrm], axis=-1), isotropic
 
 
 def eig_general(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

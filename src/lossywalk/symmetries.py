@@ -11,9 +11,10 @@ the plain representation unchanged.
 Exact parity-time symmetry is monitored through spectral reality
 (max |Im E| over the grid), which for this model family coincides with the
 eigenvector-coalescence criterion and is numerically robust.  The spectrum
-is computed with the analytic 2x2 eigensolver on the built operators, so
-the bisection in ``find_exceptional_point`` stays independent of the
-closed-form critical scaling factor it is validated against.
+is computed with the analytic 2x2 eigenvalue step (``eig2_batch``; no
+eigenvector is built) on the built operators, so the bisection in
+``find_exceptional_point`` stays independent of the closed-form critical
+scaling factor it is validated against.
 """
 
 from __future__ import annotations

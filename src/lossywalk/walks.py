@@ -153,8 +153,9 @@ class BlochDecomposition:
 # the Bloch vector n = (nx, ny, nz) / sin E is undefined where |sin E| < this
 GAP_SIN_TOL = 1e-9
 # the split-step operator has entries of size e^{2 gamma} (the 2D step
-# e^{2 (|gamma_x| + |gamma_y|)}), and eig2_batch squares them (the
-# discriminant, |v|^2): beyond this (about 177.4) they overflow float64
+# e^{2 (|gamma_x| + |gamma_y|)}), and the 2x2 eigensolver squares them
+# (eig2_batch's discriminant, eig2_vector's |v|^2): beyond this (about
+# 177.4) they overflow float64
 GAMMA_MAX = np.log(np.finfo(float).max) / 4.0
 
 

@@ -7,7 +7,7 @@ from lossywalk.invariants import (
     CUT_REL_TOL, DEGENERACY_TOL, GAP_COLLISION_TOL, LINK_TOL, BandData1D, band_spectrum_1d, winding_number,
 )
 from lossywalk.lattice import build_strip_operator
-from lossywalk.linalg import quasienergy
+from lossywalk.linalg import eig2_batch, eig2_vector, quasienergy
 from lossywalk.sweeps import STATUS_ERROR, STATUS_GAP_CLOSED, STATUS_OK
 from lossywalk.walks import WalkParams1D, momentum_grid, u1d_ssqw_k, u2d_k
 
@@ -31,6 +31,18 @@ def bloch_axis(u, energy):
     """n with u = cos(E) I - i sin(E) n.sigma, from tr(sigma_j u) = -2i sin(E) n_j."""
     n = [u[0, 1] + u[1, 0], 1j * (u[0, 1] - u[1, 0]), u[0, 0] - u[1, 1]]
     return np.array(n) * 0.5j / np.sin(energy)
+
+
+def eig2_pair(m):
+    """(values, vectors) of a (..., 2, 2) stack with both eigenvector columns.
+
+    The values are ``eig2_batch``'s; column j of vectors is the
+    ``eig2_vector`` of values[..., j], the two-column decomposition that no
+    library caller needs.
+    """
+    values, entries = eig2_batch(m)
+    columns = [eig2_vector(entries, values[..., j])[0] for j in (0, 1)]
+    return values, np.stack(columns, axis=-1)
 
 
 def branch_dist(a, b):

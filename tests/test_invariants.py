@@ -153,15 +153,15 @@ def test_batched_band_spectrum_marks_closed_cells_and_matches_scalar_calls():
 def test_batch_closes_a_cell_on_a_lower_band_link(monkeypatch):
     # a vanishing link of the lower band closes that cell of a batch (NaN w),
     # as the scalar call's OrthogonalLink does
-    real = invariants.eig2_batch
+    real = invariants.eig2_vector
 
-    def thin_lower_link_in_first_cell(m):
-        values, vectors = real(m)
-        if m.ndim == 4:
-            vectors[0, 7] = 0.0  # both columns: whichever is the lower band
-        return values, vectors
+    def thin_lower_link_in_first_cell(entries, lam):
+        states, isotropic = real(entries, lam)
+        if lam.ndim == 2:
+            states[0, 7] = 0.0  # the lower band's state, the only one built
+        return states, isotropic
 
-    monkeypatch.setattr(invariants, "eig2_batch", thin_lower_link_in_first_cell)
+    monkeypatch.setattr(invariants, "eig2_vector", thin_lower_link_in_first_cell)
     gammas = np.array([[0.0], [0.1]])
     lower = band_spectrum_1d(WalkParams1D(-3 * np.pi / 8, np.pi / 8, gammas), 51)
     assert np.isfinite(lower.states).all()

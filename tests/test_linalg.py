@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_multiset_close, bloch_axis, branch_dist, exp_bloch, is_unitary
+from helpers import assert_multiset_close, bloch_axis, branch_dist, eig2_pair, exp_bloch, is_unitary
 
-from lossywalk.linalg import SIGMA_Z, eig2_batch, eig_general, quasienergy
+from lossywalk.linalg import SIGMA_Z, eig2_batch, eig2_vector, eig_general, quasienergy
 from lossywalk.walks import (
     GAMMA_MAX,
     WalkParams1D,
@@ -27,17 +27,20 @@ def char_poly_roots(m):
 
 
 def test_eig2_identity_degenerate():
-    values, vectors = eig2_batch(np.eye(2))
+    values, entries = eig2_batch(np.eye(2))
     assert np.allclose(sorted(values.real), [1.0, 1.0])
     assert np.allclose(values.imag, 0.0)
     assert values[0] == values[1]
-    # scaled identity is not defective: standard basis comes back
-    assert abs(np.linalg.det(vectors)) > 0.5
+    # a scaled identity has no adjugate column at all: flagged isotropic, e1
+    for sign in (1.0, -1.0):
+        values, entries = eig2_batch(sign * np.eye(2))
+        vector, isotropic = eig2_vector(entries, values[0])
+        assert isotropic and vector.tolist() == [1.0, 0.0]
 
 
 def test_eig2_sigma_z():
     # i sigma_z: the unit-determinant sibling of sigma_z, eigenvalues +-i
-    values, vectors = eig2_batch(1j * SIGMA_Z)
+    values, vectors = eig2_pair(1j * SIGMA_Z)
     assert np.allclose(sorted(values.imag), [-1.0, 1.0])
     assert np.allclose(values.real, 0.0)
     for value, v in zip(values, vectors.T):
@@ -50,7 +53,7 @@ def test_eig2_random_nonnormal_vs_quadratic_oracle():
     for _ in range(200):
         m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         m = m / np.sqrt(np.linalg.det(m))  # unit determinant
-        values, vectors = eig2_batch(m)
+        values, vectors = eig2_pair(m)
         got = np.sort_complex(values)
         want = np.sort_complex(char_poly_roots(m))
         assert np.max(np.abs(got - want)) < 1e-10
@@ -63,7 +66,7 @@ def test_eig2_random_nonnormal_vs_quadratic_oracle():
 
 def test_eig2_defective_flagged_not_raised():
     m = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)  # Jordan block
-    values, vectors = eig2_batch(m)
+    values, vectors = eig2_pair(m)
     assert values[0] == values[1]
     # both vectors equal (up to phase) the single eigenvector (1, 0)
     for v in vectors.T:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import assert_multiset_close, bloch_axis, branch_dist, exp_bloch, is_unitary
+from helpers import assert_multiset_close, bloch_axis, branch_dist, eig2_pair, exp_bloch, is_unitary
 
 from lossywalk.errors import DegenerateCoin, GapClosure
 from lossywalk.linalg import SIGMA_X, eig2_batch, quasienergy
@@ -392,7 +392,8 @@ def test_walk_params_2d_bounds_the_summed_loss():
     for gx, gy in ((GAMMA_MAX, 0.0), (-200.0, 0.0), (0.0, -GAMMA_MAX), (100.0, -80.0), (-90.0, -90.0)):
         with pytest.raises(ValueError, match=cause):
             WalkParams2D(3 * np.pi / 8, 1.0, gx, gy)
-    # just below the bound, with either sign on either axis, eig2_batch is finite and silent
+    # just below the bound, with either sign on either axis, eig2_batch and
+    # eig2_vector are finite and silent
     rng = np.random.default_rng(RNG_SEED)
     below = GAMMA_MAX - 1e-9
     q = momentum_grid(21) / 2.0
@@ -403,7 +404,7 @@ def test_walk_params_2d_bounds_the_summed_loss():
             share = rng.uniform()
             sx, sy = rng.choice([-1.0, 1.0], 2)
             p = WalkParams2D(t1, t2, sx * share * below, sy * (1.0 - share) * below)
-            values, vectors = eig2_batch(u2d_k(p, q[:, None], q[None, :]))
+            values, vectors = eig2_pair(u2d_k(p, q[:, None], q[None, :]))
             assert np.all(np.isfinite(values)) and np.all(np.isfinite(vectors))
 
 
