@@ -235,56 +235,47 @@ def _emit_sweep(table, outdir: str, stem: str, title: str, value_label: str) -> 
     print(f"wrote {outdir}/{stem}.json, .csv and {stem}_plot.py")
 
 
-def _cmd_winding(ns) -> int:
+def _cmd_winding(ns) -> None:
     lower = band_spectrum_1d(WalkParams1D(ns.theta1, ns.theta2, ns.gamma, ns.phi), ns.nk)
     print(f"{winding_number(lower).w:.6f}")
-    return 0
 
 
-def _cmd_chern(ns) -> int:
+def _cmd_chern(ns) -> None:
     p = WalkParams2D(ns.theta1, ns.theta2, ns.gamma_x, ns.gamma_y)
     c, _ = chern_number(band_spectrum_2d(p, ns.grid, ns.grid))
     print(c)
-    return 0
 
 
-def _cmd_critical_gamma(ns) -> int:
+def _cmd_critical_gamma(ns) -> None:
     if (ns.k0 is None) != (ns.e0 is None):
         raise ValueError("give both --k0 and --e0, or neither")
     if ns.k0 is not None:
         res = critical_gamma(ns.theta1, ns.theta2, ns.k0, ns.e0)
-        if res.kind is CriticalKind.NO_CLOSING:
-            print("none")
-        else:
-            print(f"{res.gamma_c:.6f}")
-        return 0
-    best = min_positive_critical_gamma(ns.theta1, ns.theta2)
-    print("none" if not np.isfinite(best) else f"{best:.6f}")
-    return 0
+        print("none" if res.kind is CriticalKind.NO_CLOSING else f"{res.gamma_c:.6f}")
+    else:
+        best = min_positive_critical_gamma(ns.theta1, ns.theta2)
+        print("none" if not np.isfinite(best) else f"{best:.6f}")
 
 
-def _cmd_phase1d(ns) -> int:
+def _cmd_phase1d(ns) -> None:
     table = sweep_phase_diagram_1d(ns.theta1_range, ns.theta2_range, ns.nk,
                                    workers=ns.workers, checkpoint=ns.checkpoint)
     _emit_sweep(table, ns.outdir, "phase1d", "winding number, zero loss", "W")
-    return 0
 
 
-def _cmd_winding_sweep(ns) -> int:
+def _cmd_winding_sweep(ns) -> None:
     table = sweep_winding_vs_gamma(ns.theta1, ns.theta2_range, ns.gamma_range, ns.nk,
                                    workers=ns.workers, checkpoint=ns.checkpoint)
     _emit_sweep(table, ns.outdir, "winding_sweep", f"winding, theta1={ns.theta1:.4f}", "W")
-    return 0
 
 
-def _cmd_chern_sweep(ns) -> int:
+def _cmd_chern_sweep(ns) -> None:
     table = sweep_chern_vs_gamma(ns.theta1, ns.theta2_range, ns.gamma_x_range, ns.gamma_y,
                                  ns.grid, workers=ns.workers, checkpoint=ns.checkpoint)
     _emit_sweep(table, ns.outdir, "chern_sweep", f"Chern, theta1={ns.theta1:.4f}", "C")
-    return 0
 
 
-def _cmd_symmetry_check(ns) -> int:
+def _cmd_symmetry_check(ns) -> None:
     reports = []
     if ns.model == "1d":
         p = WalkParams1D(ns.theta1, ns.theta2, ns.gamma)
@@ -298,7 +289,6 @@ def _cmd_symmetry_check(ns) -> int:
         reports.append(check_phs("2d", p2, grid, ns.tol))
     for r in reports:
         print(f"{r.relation}: max_violation={r.max_violation:.3e} passed={r.passed}")
-    return 0
 
 
 def _emit_chains(spec: RegionSpec, n: int, gammas, outdir: str, stems, name: str) -> None:
@@ -334,17 +324,15 @@ def _emit_strips(spec: RegionSpec, n_y: int, kx_samples: int, losses, outdir: st
     print(f"wrote {outdir}/{', '.join(files)} and {name}_plot.py")
 
 
-def _cmd_chain_spectrum(ns) -> int:
+def _cmd_chain_spectrum(ns) -> None:
     _emit_chains(RegionSpec(ns.boundary, ns.inner, ns.outer), ns.n, [ns.gamma], ns.outdir,
                  ["chain_spectrum"], "chain_spectrum")
-    return 0
 
 
-def _cmd_strip_bands(ns) -> int:
+def _cmd_strip_bands(ns) -> None:
     _emit_strips(RegionSpec(ns.boundary, ns.inner, ns.outer), ns.ny, ns.kx_samples,
                  [(ns.gamma_x, ns.gamma_y)], ns.outdir, ["strip_bands"], "strip_bands",
                  [f"gx={ns.gamma_x} gy={ns.gamma_y}"])
-    return 0
 
 
 # Each figure is one function holding its own parameters.  Angles stay in
@@ -442,10 +430,10 @@ _FIGURES = {"2a": _figure_2a, "2b": _figure_2b, "3": _figure_3, "4": _figure_4,
             "5": _figure_5, "6": _figure_6, "7": _figure_7, "8": _figure_8}
 
 
-def _cmd_figure(ns) -> int:
+def _cmd_figure(ns) -> None:
     os.makedirs(ns.outdir, exist_ok=True)
     _FIGURES[ns.id](ns)
-    return 0
+
 
 _HANDLERS = {
     "winding": _cmd_winding,
@@ -489,13 +477,14 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         return fail(1, "validation", str(exc))
     try:
-        return _HANDLERS[ns.command](ns)
+        _HANDLERS[ns.command](ns)
     except (errors.InvalidRegion, errors.CheckpointMismatch, ValueError) as exc:
         return fail(1, "validation", str(exc))
     except _NUMERICAL_ERRORS as exc:
         return fail(2, "numerical", f"{type(exc).__name__}: {exc}")
     except OSError as exc:
         return fail(1, "io", str(exc))
+    return 0
 
 
 def main() -> None:

@@ -15,16 +15,19 @@ the real parts coincide modulo 2 pi (real eigenvalue pairs, positive or
 negative) the decaying state (Im E < 0, |lambda| < 1) is the lower one.
 Both band functions return the lower band only.
 
-Both band functions take the eigenvalues from ``eig2_batch``, split the
-bands on them, and build one ``eig2_vector`` for the lower eigenvalue
-only, so the 1D band states carry the raw adjugate gauge too.
-``pancharatnam_phase`` is the holonomy Phi, the sum of the link phases
-arg<s_j|s_j+1> around the loop wrapped into (-pi, pi]; every state's phase
-enters it once with + and once with -, so it is the same in any gauge.  A
-holonomy within CUT_REL_TOL of +-pi is taken as +pi, which fixes the loop
-orientation so the nontrivial phase of the split-step walk comes out at +1.
-It is exactly pi * integer in the real-spectrum regime and moves
-continuously once the spectrum turns complex.
+``_lower_band`` is the band step of both band functions: one
+``eig2_batch`` call, the collision mask, and the lower eigenvalue chosen
+from lambda0 alone (lambda1 = 1/lambda0, so Re E1 = -Re E0 = arg lambda0).
+The band functions then build one ``eig2_vector`` for it, so the states
+carry the raw adjugate gauge.  ``_links`` forms the overlaps
+<s(k)|s(k + step)> along one axis, for the 1D loop and for both 2D link
+fields.  ``pancharatnam_phase`` is the holonomy Phi, the sum of the link
+phases arg<s_j|s_j+1> around the loop wrapped into (-pi, pi]; every
+state's phase enters it once with + and once with -, so it is the same in
+any gauge.  A holonomy within CUT_REL_TOL of +-pi is taken as +pi, which
+fixes the loop orientation so the nontrivial phase of the split-step walk
+comes out at +1.  It is exactly pi * integer in the real-spectrum regime
+and moves continuously once the spectrum turns complex.
 """
 
 from __future__ import annotations
@@ -51,7 +54,8 @@ __all__ = [
 LINK_TOL = 1e-12
 # a winding or Chern number within this of an integer counts as that integer
 INTEGER_TOL = 1e-6
-# two quasi-energies whose real parts differ by less than this are ordered by Im E
+# two quasi-energies whose real parts differ by less than this modulo 2 pi
+# (2 arg lambda0 this close to 2 pi Z) are ordered by Im E
 DEGENERACY_TOL = 1e-9
 # a closing is an exactly degenerate eigenvalue pair, and the collision
 # detector must sit above the split that rounding leaves there.
@@ -90,26 +94,27 @@ class BandData2D:
 
 @dataclass(frozen=True)
 class WindingResult:
-    """Winding number w = total_phase / pi with an integrality verdict."""
+    """Winding number w = loop phase / pi with an integrality verdict."""
 
     w: float
     is_integer: bool
-    total_phase: float
 
 
-def _split_bands(values: np.ndarray) -> np.ndarray:
-    """Index (0 or 1) of the lower eigenvalue per sample, by (Re E, Im E).
+def _lower_band(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """(collisions, lower lambda, entries) of a (..., 2, 2) stack of walk steps.
 
-    Real parts tie modulo 2 pi: a real negative pair sits at Re E = -pi and
-    +pi by the sign of a rounding error, and is ordered by Im E like a
-    positive one.
+    lambda1 = 1/lambda0, so Re E1 = -Re E0 = arg lambda0 and lambda0 is the
+    lower one where arg lambda0 > 0.  Where 2 arg lambda0 is within
+    DEGENERACY_TOL of 2 pi Z (a real pair, whose real parts tie modulo
+    2 pi) the decaying lambda, |lambda| <= 1, is the lower one.
     """
-    es = quasienergy(values)
-    re0, re1 = es[..., 0].real, es[..., 1].real
-    im0, im1 = es[..., 0].imag, es[..., 1].imag
-    tie = np.abs((re0 - re1 + np.pi) % (2.0 * np.pi) - np.pi) < DEGENERACY_TOL
-    lower_first = np.where(tie, im0 <= im1, re0 < re1)
-    return np.where(lower_first, 0, 1)
+    values, entries = eig2_batch(u)
+    lam0, lam1 = values[..., 0], values[..., 1]
+    collisions = np.abs(lam0 - lam1) < GAP_COLLISION_TOL
+    arg = np.angle(lam0)
+    tie = np.abs((2.0 * arg + np.pi) % (2.0 * np.pi) - np.pi) < DEGENERACY_TOL
+    first = np.where(tie, np.abs(lam0) <= 1.0, arg > 0.0)
+    return collisions, np.where(first, lam0, lam1), entries
 
 
 def band_spectrum_1d(p: WalkParams1D, n_points: int) -> BandData1D:
@@ -117,22 +122,20 @@ def band_spectrum_1d(p: WalkParams1D, n_points: int) -> BandData1D:
 
     Raises GapClosure (with the offending momenta) when the two eigenvalues
     of ``eig2_batch`` collide within GAP_COLLISION_TOL anywhere on the grid.
-    The bands are split on the eigenvalues, and the states are the adjugate
-    vectors ``eig2_vector`` builds for the lower one only, with no phase
+    ``_lower_band`` picks the lower eigenvalue, and the states are the
+    adjugate vectors ``eig2_vector`` builds for it alone, with no phase
     fix: the winding number is gauge-invariant.  Array fields given as
     (..., 1) columns make a batch of loops, equal bit for bit to one call
     per cell; there a collision makes the cell's states and energies NaN
     instead, and non-finite states in another cell raise FloatingPointError.
     """
     ks = momentum_grid(n_points)
-    values, entries = eig2_batch(u1d_ssqw_k(p, ks))
-    collisions = np.abs(values[..., 0] - values[..., 1]) < GAP_COLLISION_TOL
-    if values.ndim == 2 and np.any(collisions):
+    collisions, lam, entries = _lower_band(u1d_ssqw_k(p, ks))
+    if collisions.ndim == 1 and np.any(collisions):
         raise GapClosure(ks[collisions])
-    lam = np.where(_split_bands(values) == 0, values[..., 0], values[..., 1])
-    states, _ = eig2_vector(entries, lam)
+    states = eig2_vector(entries, lam)
     energies = quasienergy(lam)
-    if values.ndim > 2:
+    if collisions.ndim > 1:
         closed = np.any(collisions, axis=-1)
         if not np.all(np.isfinite(states[~closed])):
             raise FloatingPointError("non-finite band states in a gapped cell")
@@ -152,7 +155,7 @@ def band_spectrum_2d(p: WalkParams2D, nx: int, ny: int) -> BandData2D:
     momentum pairs) when the two eigenvalues collide within
     GAP_COLLISION_TOL anywhere on the grid, before any vector is built.
 
-    The bands are split on the eigenvalues, and only the lower one gets
+    ``_lower_band`` picks the lower eigenvalue, and only it gets
     eigenvectors, in the adjugate gauge of ``eig2_vector`` (no phase fix:
     ``chern_number`` is gauge-invariant).  The upper band's Chern number
     is minus the lower one's.  The builder gets the axes as (nx, 1) and
@@ -161,15 +164,17 @@ def band_spectrum_2d(p: WalkParams2D, nx: int, ny: int) -> BandData2D:
     """
     qx = (-np.pi + 2.0 * np.pi * (np.arange(nx) + 0.25) / nx) / 2.0
     qy = (-np.pi + 2.0 * np.pi * (np.arange(ny) + 0.25) / ny) / 2.0
-    values, entries = eig2_batch(u2d_k(p, qx[:, None], qy[None, :]))
-    collisions = np.abs(values[..., 0] - values[..., 1]) < GAP_COLLISION_TOL
+    collisions, lam, entries = _lower_band(u2d_k(p, qx[:, None], qy[None, :]))
     if np.any(collisions):
         kxg, kyg = np.meshgrid(qx, qy, indexing="ij")
         ks = np.stack([kxg[collisions], kyg[collisions]], axis=-1)
         raise GapClosure([tuple(row) for row in ks])
-    lam = np.where(_split_bands(values) == 0, values[..., 0], values[..., 1])
-    states, _ = eig2_vector(entries, lam)
-    return BandData2D(kx=qx, ky=qy, states=states, energies=quasienergy(lam))
+    return BandData2D(kx=qx, ky=qy, states=eig2_vector(entries, lam), energies=quasienergy(lam))
+
+
+def _links(states: np.ndarray, axis: int) -> np.ndarray:
+    """Overlaps <s(k)|s(k + step)> of unit states (..., 2) along ``axis``, cyclic."""
+    return np.einsum("...i,...i->...", np.conj(states), np.roll(states, -1, axis=axis))
 
 
 def pancharatnam_phase(band: BandData1D) -> float:
@@ -182,25 +187,24 @@ def pancharatnam_phase(band: BandData1D) -> float:
     closing one included, is below LINK_TOL; a single loop raises
     OrthogonalLink there.
     """
-    states = band.states
-    links = np.sum(np.conj(states) * np.roll(states, -1, axis=-2), axis=-1)
+    links = _links(band.states, -2)
     orthogonal = np.abs(links) < LINK_TOL
-    if states.ndim == 2 and np.any(orthogonal):
+    if links.ndim == 1 and np.any(orthogonal):
         raise OrthogonalLink(f"orthogonal link(s) at k = {band.k_samples[orthogonal]}")
     phi = np.pi - (np.pi - np.sum(np.angle(links), axis=-1)) % (2.0 * np.pi)
     phi = np.where(np.pi - np.abs(phi) <= CUT_REL_TOL, np.pi, phi)
-    if states.ndim > 2:
+    if links.ndim > 1:
         return np.where(np.any(orthogonal, axis=-1), np.nan, phi)
     return float(phi)
 
 
 def winding_number(band: BandData1D) -> WindingResult:
     """Winding number of one band: loop phase / pi (arrays for a batch, NaN w where closed)."""
-    total = pancharatnam_phase(band)
-    w = total / np.pi
+    w = pancharatnam_phase(band) / np.pi
+    is_integer = np.abs(w - np.rint(w)) < INTEGER_TOL
     if np.ndim(w):
-        return WindingResult(w=w, is_integer=np.abs(w - np.rint(w)) < INTEGER_TOL, total_phase=total)
-    return WindingResult(w=float(w), is_integer=bool(abs(w - round(w)) < INTEGER_TOL), total_phase=total)
+        return WindingResult(w=w, is_integer=is_integer)
+    return WindingResult(w=float(w), is_integer=bool(is_integer))
 
 
 def chern_number(band: BandData2D) -> tuple[int, np.ndarray]:
@@ -212,9 +216,7 @@ def chern_number(band: BandData2D) -> tuple[int, np.ndarray]:
     U_x or U_y, and a link below LINK_TOL raises OrthogonalLink.  Returns
     the integer and the per-plaquette field strength.
     """
-    s = band.states
-    ux = np.einsum("...i,...i->...", np.conj(s), np.roll(s, -1, axis=0))
-    uy = np.einsum("...i,...i->...", np.conj(s), np.roll(s, -1, axis=1))
+    ux, uy = _links(band.states, 0), _links(band.states, 1)
     thin = (np.abs(ux) < LINK_TOL) | (np.abs(uy) < LINK_TOL)
     if np.any(thin):
         raise OrthogonalLink(f"orthogonal plaquette link(s) at grid indices {np.argwhere(thin)[:4].tolist()}")

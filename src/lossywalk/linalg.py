@@ -5,9 +5,9 @@ are solved analytically in two steps, both vectorized over leading axes
 and the hot path of every momentum-grid computation.  ``eig2_batch`` is the
 eigenvalue step: lambda0 = (a + d)/2 +- sqrt(D) with the backward-stable
 discriminant D = ((a - d)/2)^2 + bc, and lambda1 = 1/lambda0.
-``eig2_vector`` is the vector step: the adjugate eigenvector of one chosen
-eigenvalue per matrix, so a caller that needs one band builds one vector
-and a caller that needs only the spectrum builds none.
+``eig2_vector`` is the vector step: the unit adjugate eigenvector of one
+chosen eigenvalue per matrix, so a caller that needs one band builds one
+vector and a caller that needs only the spectrum builds none.
 ``eig_general`` takes the dense NxN spectra of real-space chains and
 strips through LAPACK (``numpy.linalg.eig``), in real arithmetic when the
 matrix is real (every chain), and returns them in canonical (Re, Im) order.
@@ -53,14 +53,13 @@ def eig2_batch(m: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     return np.stack([lam0, 1.0 / lam0], axis=-1), (a, b, c, d)
 
 
-def eig2_vector(entries: tuple[np.ndarray, ...], lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def eig2_vector(entries: tuple[np.ndarray, ...], lam: np.ndarray) -> np.ndarray:
     """Unit adjugate eigenvector (..., 2) of one eigenvalue ``lam`` per matrix.
 
     ``entries`` are the ``(a, b, c, d)`` of ``eig2_batch``.  The vector is
     the larger-norm column of adj(M - lam): (b, lam - a) or (lam - d, c);
-    a defective matrix has one.  Also returns where the matrix is isotropic
-    (a scaled identity: both columns vanish to rounding); the vector there
-    is e1.
+    a defective matrix has one.  Where the matrix is isotropic (a scaled
+    identity: both columns vanish to rounding) the vector is e1.
     """
     a, b, c, d = entries
     lam_a, lam_d = lam - a, lam - d
@@ -74,7 +73,7 @@ def eig2_vector(entries: tuple[np.ndarray, ...], lam: np.ndarray) -> tuple[np.nd
     nrm = np.where(isotropic, 1.0, nrm)
     v0 = np.where(isotropic, 1.0, np.where(first, b, lam_d))
     v1 = np.where(isotropic, 0.0, np.where(first, lam_a, c))
-    return np.stack([v0 / nrm, v1 / nrm], axis=-1), isotropic
+    return np.stack([v0 / nrm, v1 / nrm], axis=-1)
 
 
 def eig_general(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -48,7 +48,6 @@ class SymmetryReport:
     relation: str
     max_violation: float
     passed: bool
-    grid_size: int
 
 
 def _inv2(m: np.ndarray) -> np.ndarray:
@@ -61,9 +60,9 @@ def _inv2(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _report(relation: str, diff: np.ndarray, tol: float, grid_size: int) -> SymmetryReport:
+def _report(relation: str, diff: np.ndarray, tol: float) -> SymmetryReport:
     viol = float(np.max(np.abs(diff)))
-    return SymmetryReport(relation=relation, max_violation=viol, passed=bool(viol <= tol), grid_size=grid_size)
+    return SymmetryReport(relation=relation, max_violation=viol, passed=bool(viol <= tol))
 
 
 def check_pt_1d(p: WalkParams1D, n_points: int, tol: float) -> SymmetryReport:
@@ -75,7 +74,7 @@ def check_pt_1d(p: WalkParams1D, n_points: int, tol: float) -> SymmetryReport:
     ks = momentum_grid(n_points)
     u = u1d_ssqw_timesym_k(p, ks)
     lhs = SIGMA_Z @ np.conj(u) @ SIGMA_Z
-    return _report("PT", lhs - _inv2(u), tol, n_points)
+    return _report("PT", lhs - _inv2(u), tol)
 
 
 def check_exact_pt(p: WalkParams1D, n_points: int, tol: float) -> SymmetryReport:
@@ -88,7 +87,7 @@ def check_exact_pt(p: WalkParams1D, n_points: int, tol: float) -> SymmetryReport
     ks = np.concatenate([momentum_grid(n_points), [0.0]])
     values, _ = eig2_batch(u1d_ssqw_k(p, ks))
     im_e = np.log(np.abs(values))  # Im E = log|lambda|
-    return _report("ExactPT", im_e, tol, n_points)
+    return _report("ExactPT", im_e, tol)
 
 
 def check_phs(model: str, params, n_points: int, tol: float) -> SymmetryReport:
@@ -101,12 +100,12 @@ def check_phs(model: str, params, n_points: int, tol: float) -> SymmetryReport:
     if model == "1d":
         ks = momentum_grid(n_points)
         diff = np.conj(u1d_ssqw_timesym_k(params, ks)) - u1d_ssqw_timesym_k(params, -ks)
-        return _report("PHS", diff, tol, n_points)
+        return _report("PHS", diff, tol)
     if model == "2d":
         ks = momentum_grid(n_points)
         kx, ky = ks[:, None], ks[None, :]
         diff = np.conj(u2d_k(params, kx, ky)) - u2d_k(params, -kx, -ky)
-        return _report("PHS", diff, tol, n_points)
+        return _report("PHS", diff, tol)
     raise ValueError(f"unknown model {model!r}; expected '1d' or '2d'")
 
 
@@ -116,7 +115,7 @@ def check_cs(p: WalkParams1D, n_points: int, tol: float) -> SymmetryReport:
     u = u1d_ssqw_timesym_k(p, ks)
     lhs = SIGMA_X @ u @ SIGMA_X
     rhs = np.conj(np.swapaxes(u, -1, -2))
-    return _report("CS", lhs - rhs, tol, n_points)
+    return _report("CS", lhs - rhs, tol)
 
 
 def find_exceptional_point(

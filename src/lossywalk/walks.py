@@ -136,7 +136,6 @@ class CriticalGamma:
     kind: CriticalKind
     gamma_c: float | None
     phi_c: float | None
-    channel: tuple[float, float]
 
 
 @dataclass
@@ -363,22 +362,12 @@ def critical_gamma(theta1: float, theta2: float, k0: float, e0: float) -> Critic
     if abs(s1s2) < 1e-12:
         raise DegenerateCoin(f"sin(theta1/2) sin(theta2/2) = {s1s2:.2e}")
     x = (np.cos(theta1 / 2.0) * np.cos(theta2 / 2.0) * np.cos(k0) - np.cos(e0)) / s1s2
-    channel = (float(k0), float(e0))
     if x >= 1.0:
-        return CriticalGamma(
-            kind=CriticalKind.REAL_CRITICAL,
-            gamma_c=float(0.5 * np.arccosh(x)),
-            phi_c=0.0,
-            channel=channel,
-        )
+        return CriticalGamma(kind=CriticalKind.REAL_CRITICAL, gamma_c=float(0.5 * np.arccosh(x)), phi_c=0.0)
     if x <= -1.0:
-        return CriticalGamma(
-            kind=CriticalKind.SHIFTED_CRITICAL,
-            gamma_c=float(0.5 * np.arccosh(-x)),
-            phi_c=float(np.pi / 2.0),
-            channel=channel,
-        )
-    return CriticalGamma(kind=CriticalKind.NO_CLOSING, gamma_c=None, phi_c=None, channel=channel)
+        return CriticalGamma(kind=CriticalKind.SHIFTED_CRITICAL, gamma_c=float(0.5 * np.arccosh(-x)),
+                             phi_c=float(np.pi / 2.0))
+    return CriticalGamma(kind=CriticalKind.NO_CLOSING, gamma_c=None, phi_c=None)
 
 
 def min_positive_critical_gamma(theta1: float, theta2: float) -> float:

@@ -41,15 +41,15 @@ def eig2_pair(m):
     library caller needs.
     """
     values, entries = eig2_batch(m)
-    columns = [eig2_vector(entries, values[..., j])[0] for j in (0, 1)]
+    columns = [eig2_vector(entries, values[..., j]) for j in (0, 1)]
     return values, np.stack(columns, axis=-1)
 
 
 def branch_dist(a, b):
-    """Distance between quasi-energies with the real part compared mod 2 pi."""
-    a, b = complex(a), complex(b)
+    """Distance between quasi-energies with the real part compared mod 2 pi, elementwise."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     dr = (a.real - b.real + np.pi) % (2.0 * np.pi) - np.pi
-    return abs(dr + 1j * (a.imag - b.imag))
+    return np.abs(dr + 1j * (a.imag - b.imag))
 
 
 def chain_operator_by_rolls(n_sites, spec, gamma):

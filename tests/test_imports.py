@@ -1,5 +1,5 @@
 """Every name a ``lossywalk`` module or a test module imports is used in that module,
-and every module-level private name of ``lossywalk`` is read somewhere.
+and every module-level private name and dataclass field of ``lossywalk`` is read somewhere.
 
 No linter ships with the project, so these stdlib ``ast`` checks stand in
 for one.  ``__init__`` (whose imports are the package's re-exports) and
@@ -119,3 +119,66 @@ def test_private_names_are_read():
     modules = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     readers = [p.read_text() for p in PERFBENCH.rglob("*.py")]
     assert dead_private_names(modules, readers) == []
+
+
+def dataclass_fields(tree: ast.Module) -> list[tuple[str, str]]:
+    """``(class, field)`` of each annotated field of a ``@dataclass`` class in ``tree``."""
+    def is_dataclass(dec):
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+    return [(node.name, item.target.id) for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list))
+            for item in node.body if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+
+
+def attribute_reads(tree: ast.AST) -> set[str]:
+    """Attribute names loaded under ``tree``, and the dotted parts of its string constants."""
+    reads = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute) and not isinstance(n.ctx, ast.Store):
+            reads.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            reads.update(n.value.split("."))
+    return reads
+
+
+def unread_fields(defining: list[str], readers: list[str]) -> list[str]:
+    """``Class.field`` of each dataclass field in ``defining`` that no source reads.
+
+    A field is read as an attribute (not a keyword argument or a plain name)
+    or as a dotted part of a string, in ``defining`` or ``readers``.
+    """
+    trees = [ast.parse(src) for src in [*defining, *readers]]
+    reads = set().union(*map(attribute_reads, trees))
+    return sorted(f"{cls}.{name}" for tree in trees[:len(defining)]
+                  for cls, name in dataclass_fields(tree) if name not in reads)
+
+
+def test_unread_fields_finds_only_unread_fields():
+    module = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass, field\n"
+        "@dataclass(frozen=True)\n"
+        "class Report:\n"
+        "    value: float\n"
+        "    size: int\n"
+        "    label: str = 'x'\n"
+        "    LIMIT = 3\n"
+        "@dataclasses.dataclass\n"
+        "class Table:\n"
+        "    rows: list = field(default_factory=list)\n"
+        "    meta: dict = field(default_factory=dict)\n"
+        "class Plain:\n"
+        "    hidden: int\n"
+        "def make(size):\n"
+        "    return Report(value=1.0, size=size)\n"
+    )
+    reader = "r = make(2)\nprint(r.value, getattr(r, 'label'), Table().rows)\nNAMES = ['Table.meta']\n"
+    assert unread_fields([module], [reader]) == ["Report.size"]
+
+
+def test_dataclass_fields_are_read():
+    defining = [p.read_text() for p in SRC.glob("*.py")]
+    readers = [p.read_text() for p in [*PERFBENCH.rglob("*.py"), *TESTS.glob("*.py")]]
+    assert unread_fields(defining, readers) == []

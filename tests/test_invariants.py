@@ -17,7 +17,9 @@ from lossywalk.invariants import (
 from lossywalk.linalg import eig2_batch, quasienergy
 from lossywalk.walks import WalkParams1D, WalkParams2D, critical_gamma, momentum_grid, u1d_ssqw_k, u2d_k
 
-from helpers import chern_by_eig, upper_band_by_eig, winding_by_eig, winding_row_by_cells
+from helpers import (
+    _eig_lower_first, branch_dist, chern_by_eig, upper_band_by_eig, winding_by_eig, winding_row_by_cells,
+)
 
 FIG3A = WalkParams1D(-3 * np.pi / 8, np.pi / 8, 0.25)   # winding 1 phase
 FIG3B = WalkParams1D(-3 * np.pi / 8, 5 * np.pi / 8, 0.25)  # winding 0 phase
@@ -156,10 +158,10 @@ def test_batch_closes_a_cell_on_a_lower_band_link(monkeypatch):
     real = invariants.eig2_vector
 
     def thin_lower_link_in_first_cell(entries, lam):
-        states, isotropic = real(entries, lam)
+        states = real(entries, lam)
         if lam.ndim == 2:
             states[0, 7] = 0.0  # the lower band's state, the only one built
-        return states, isotropic
+        return states
 
     monkeypatch.setattr(invariants, "eig2_vector", thin_lower_link_in_first_cell)
     gammas = np.array([[0.0], [0.1]])
@@ -338,6 +340,22 @@ def test_lower_band_chern_matches_eig_oracle(t1, t2, gx, gy):
     # bound widens below a separation of 0.1
     tol = 1e-12 * max(1.0, 0.1 / separation)
     assert np.max(np.abs(np.angle(np.exp(1j * (field - want_field))))) < tol
+
+
+def test_lower_band_sits_on_the_oracle_band_on_real_pairs():
+    # where the pair is real its quasi-energies tie in Re E modulo 2 pi and
+    # the decaying one is lower: the real negative pairs of the 2D grid at
+    # (1, 0, 0, 1) (docs/NOTES.md) and the broken regions of three 1D loops
+    p2 = WalkParams2D(1.0, 0.0, 0.0, 1.0)
+    band2 = band_spectrum_2d(p2, 51, 51)
+    p1 = WalkParams1D(-3 * np.pi / 8, np.pi / 8, np.array([[0.3], [0.6], [1.2]]))
+    band1 = band_spectrum_1d(p1, 201)
+    got = np.concatenate([band2.energies.ravel(), band1.energies.ravel()])
+    stacks = [u2d_k(p2, band2.kx[:, None], band2.ky[None, :]), u1d_ssqw_k(p1, band1.k_samples)]
+    want = np.concatenate([quasienergy(_eig_lower_first(u)[0][..., 0]).ravel() for u in stacks])
+    assert np.count_nonzero(np.abs(np.sin(want.real)) < 1e-9) > 1000
+    off = np.count_nonzero(~(branch_dist(got, want) < 1e-9))
+    assert off == 0, f"{off} of {got.size} samples off the oracle's lower band"
 
 
 def test_chern_gap_closure_names_the_colliding_grid_points():

@@ -31,11 +31,10 @@ def test_eig2_identity_degenerate():
     assert np.allclose(sorted(values.real), [1.0, 1.0])
     assert np.allclose(values.imag, 0.0)
     assert values[0] == values[1]
-    # a scaled identity has no adjugate column at all: flagged isotropic, e1
+    # a scaled identity has no adjugate column at all: the vector is e1
     for sign in (1.0, -1.0):
         values, entries = eig2_batch(sign * np.eye(2))
-        vector, isotropic = eig2_vector(entries, values[0])
-        assert isotropic and vector.tolist() == [1.0, 0.0]
+        assert eig2_vector(entries, values[0]).tolist() == [1.0, 0.0]
 
 
 def test_eig2_sigma_z():
