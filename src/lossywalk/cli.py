@@ -42,7 +42,7 @@ from .sweeps import (
     sweep_phase_diagram_1d,
     sweep_winding_vs_gamma,
 )
-from .symmetries import check_cs, check_exact_pt, check_phs, check_pt_1d
+from .symmetries import EXACT_PT_TOL, check_cs, check_exact_pt, check_phs, check_pt_1d
 from .tables import emit_plot_script, write_spectrum_csv, write_table
 from .walks import (
     CriticalKind,
@@ -156,10 +156,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=["1d", "2d"], default="1d")
     p.add_argument("--theta1", type=parse_angle, required=True)
     p.add_argument("--theta2", type=parse_angle, required=True)
-    p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--gamma-x", type=float, default=0.0)
-    p.add_argument("--gamma-y", type=float, default=0.0)
-    p.add_argument("--nk", type=int, default=201)
+    p.add_argument("--gamma", type=float, default=0.0, help="loss of the 1d walk (1d only)")
+    p.add_argument("--gamma-x", type=float, default=0.0, help="loss along x (2d only)")
+    p.add_argument("--gamma-y", type=float, default=0.0, help="loss along y (2d only)")
+    p.add_argument("--nk", type=int, default=201, help="grid points; 2d clamps to [3, 51]")
     p.add_argument("--tol", type=float, default=1e-10)
 
     p = sub.add_parser("chain-spectrum", help="spectrum of the two-region closed chain")
@@ -276,17 +276,15 @@ def _cmd_chern_sweep(ns) -> None:
 
 
 def _cmd_symmetry_check(ns) -> None:
-    reports = []
     if ns.model == "1d":
         p = WalkParams1D(ns.theta1, ns.theta2, ns.gamma)
-        reports.append(check_pt_1d(p, ns.nk, ns.tol))
-        reports.append(check_exact_pt(p, ns.nk, max(ns.tol, 1e-8)))
-        reports.append(check_phs("1d", p, ns.nk, ns.tol))
-        reports.append(check_cs(p, ns.nk, ns.tol))
+        reports = [check_pt_1d(p, ns.nk, ns.tol),
+                   check_exact_pt(p, ns.nk, max(ns.tol, EXACT_PT_TOL)),
+                   check_phs(p, ns.nk, ns.tol),
+                   check_cs(p, ns.nk, ns.tol)]
     else:
-        p2 = WalkParams2D(ns.theta1, ns.theta2, ns.gamma_x, ns.gamma_y)
-        grid = max(3, min(ns.nk, 51))
-        reports.append(check_phs("2d", p2, grid, ns.tol))
+        p = WalkParams2D(ns.theta1, ns.theta2, ns.gamma_x, ns.gamma_y)
+        reports = [check_phs(p, max(3, min(ns.nk, 51)), ns.tol)]
     for r in reports:
         print(f"{r.relation}: max_violation={r.max_violation:.3e} passed={r.passed}")
 

@@ -12,12 +12,16 @@ vector and a caller that needs only the spectrum builds none.
 strips through LAPACK (``numpy.linalg.eig``), in real arithmetic when the
 matrix is real (every chain), and returns them in canonical (Re, Im) order.
 
-Quasi-energy branch convention used throughout: an eigenvalue lambda of a
-one-step operator corresponds to E = i log(lambda) with the principal
-logarithm (``quasienergy``), i.e. Re E = -arg(lambda) in [-pi, pi) and
-Im E = log|lambda|.  The principal band has Re E in [0, pi]; on the
-degenerate set Re E in {0, pi} the branch with Im E <= 0 (|lambda| <= 1,
-the decaying one) is chosen.
+Quasi-energy branch convention: an eigenvalue lambda of a one-step
+operator corresponds to E = i log(lambda) with the principal logarithm
+(``quasienergy``), i.e. Re E = -arg(lambda) in [-pi, pi) and
+Im E = log|lambda|.  The two bands are E and -E.  The closed forms
+(``walks._principal_arccos``) return the band with Re E in [0, pi]; on the
+degenerate set Re E in {0, pi} they take the branch with Im E <= 0
+(|lambda| <= 1, the decaying one).  The band functions of ``invariants``
+return its partner, the lower band with Re E in [-pi, 0]: at
+(theta1, theta2, gamma) = (-3pi/8, pi/4, 0.1) the energies of
+``band_spectrum_1d`` equal -``quasi_energy_ssqw`` to 6e-16.
 """
 
 from __future__ import annotations
@@ -25,9 +29,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConvergenceFailure
-
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def eig2_batch(m: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:

@@ -1,12 +1,20 @@
 """Symmetry relation checks and exceptional-point location.
 
 The checks evaluate operator identities entrywise on a momentum grid and
-report the worst violation in the max norm.  The combined parity-time
-relation sigma_z U*(k) sigma_z = U(k)^-1 holds exactly in the time-symmetric
-representation (the frame in which the coin-space operator takes the plain
-sigma_z K form), so the 1D checks are evaluated there; spectra are
-similarity-invariant, so conclusions about spectral reality carry over to
-the plain representation unchanged.
+report the worst violation in the max norm.  The 1D relations are taken in
+the time-symmetric representation U'(k) (the frame in which the coin-space
+operator takes the plain sigma_z K form); spectra are similarity-invariant,
+so conclusions about spectral reality carry over to the plain
+representation unchanged.  No matrix product is formed: each relation is a
+reordering of the entries of the walk's (..., 2, 2) stack.
+
+For a 2x2 step the parity-time relation sigma_z U'* sigma_z = U'^-1 and the
+chiral relation sigma_x U' sigma_x = U'^dag have the same residual entries
+up to sign and order (with U'^-1 the adjugate at det U' = 1; see
+docs/NOTES.md), so ``check_pt_1d`` and ``check_cs`` report one residual,
+``_timesym_residual``, under their two names.  Both hold for every real
+scaling factor, beyond the exceptional point included; a phase phi != 0 in
+delta breaks both.
 
 Exact parity-time symmetry is monitored through spectral reality
 (max |Im E| over the grid), which for this model family coincides with the
@@ -24,9 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoBracket
-from .linalg import SIGMA_X, SIGMA_Z, eig2_batch
+from .linalg import eig2_batch
 from .walks import (
     WalkParams1D,
+    WalkParams2D,
     momentum_grid,
     u1d_ssqw_k,
     u1d_ssqw_timesym_k,
@@ -43,6 +52,10 @@ __all__ = [
 ]
 
 
+# spectral reality holds while max |Im E| stays within this
+EXACT_PT_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class SymmetryReport:
     relation: str
@@ -50,31 +63,20 @@ class SymmetryReport:
     passed: bool
 
 
-def _inv2(m: np.ndarray) -> np.ndarray:
-    """Adjugate inverse of a (..., 2, 2) stack with unit determinant."""
-    out = np.empty_like(m)
-    out[..., 0, 0] = m[..., 1, 1]
-    out[..., 0, 1] = -m[..., 0, 1]
-    out[..., 1, 0] = -m[..., 1, 0]
-    out[..., 1, 1] = m[..., 0, 0]
-    return out
-
-
 def _report(relation: str, diff: np.ndarray, tol: float) -> SymmetryReport:
     viol = float(np.max(np.abs(diff)))
     return SymmetryReport(relation=relation, max_violation=viol, passed=bool(viol <= tol))
 
 
-def check_pt_1d(p: WalkParams1D, n_points: int, tol: float) -> SymmetryReport:
-    """Combined parity-time relation sigma_z U*(k) sigma_z = U(k)^-1.
+def _timesym_residual(p: WalkParams1D, n_points: int) -> np.ndarray:
+    """sigma_x U'(k) sigma_x - U'(k)^dag on the time-symmetric frame, entrywise."""
+    u = u1d_ssqw_timesym_k(p, momentum_grid(n_points))
+    return u[..., ::-1, ::-1] - np.conj(np.swapaxes(u, -1, -2))
 
-    Evaluated on the time-symmetric representation; holds for every scaling
-    factor, including beyond the exceptional point.
-    """
-    ks = momentum_grid(n_points)
-    u = u1d_ssqw_timesym_k(p, ks)
-    lhs = SIGMA_Z @ np.conj(u) @ SIGMA_Z
-    return _report("PT", lhs - _inv2(u), tol)
+
+def check_pt_1d(p: WalkParams1D, n_points: int, tol: float) -> SymmetryReport:
+    """Combined parity-time relation sigma_z U'*(k) sigma_z = U'(k)^-1."""
+    return _report("PT", _timesym_residual(p, n_points), tol)
 
 
 def check_exact_pt(p: WalkParams1D, n_points: int, tol: float) -> SymmetryReport:
@@ -90,32 +92,25 @@ def check_exact_pt(p: WalkParams1D, n_points: int, tol: float) -> SymmetryReport
     return _report("ExactPT", im_e, tol)
 
 
-def check_phs(model: str, params, n_points: int, tol: float) -> SymmetryReport:
+def check_phs(params: WalkParams1D | WalkParams2D, n_points: int, tol: float) -> SymmetryReport:
     """Particle-hole relation conj(U(k)) = U(-k).
 
-    ``model`` is "1d" (time-symmetric representation of the split-step walk,
-    params: WalkParams1D) or "2d" (params: WalkParams2D; k -> -k negates
-    both momentum components).
+    A ``WalkParams1D`` is checked on the time-symmetric representation of
+    the split-step walk, a ``WalkParams2D`` on ``u2d_k`` over an
+    n_points x n_points grid (k -> -k negates both momentum components).
     """
-    if model == "1d":
-        ks = momentum_grid(n_points)
-        diff = np.conj(u1d_ssqw_timesym_k(params, ks)) - u1d_ssqw_timesym_k(params, -ks)
-        return _report("PHS", diff, tol)
-    if model == "2d":
-        ks = momentum_grid(n_points)
+    ks = momentum_grid(n_points)
+    if isinstance(params, WalkParams2D):
         kx, ky = ks[:, None], ks[None, :]
         diff = np.conj(u2d_k(params, kx, ky)) - u2d_k(params, -kx, -ky)
-        return _report("PHS", diff, tol)
-    raise ValueError(f"unknown model {model!r}; expected '1d' or '2d'")
+    else:
+        diff = np.conj(u1d_ssqw_timesym_k(params, ks)) - u1d_ssqw_timesym_k(params, -ks)
+    return _report("PHS", diff, tol)
 
 
 def check_cs(p: WalkParams1D, n_points: int, tol: float) -> SymmetryReport:
-    """Chiral relation sigma_x U'(k) sigma_x = U'(k)^dag on the time-symmetric frame."""
-    ks = momentum_grid(n_points)
-    u = u1d_ssqw_timesym_k(p, ks)
-    lhs = SIGMA_X @ u @ SIGMA_X
-    rhs = np.conj(np.swapaxes(u, -1, -2))
-    return _report("CS", lhs - rhs, tol)
+    """Chiral relation sigma_x U'(k) sigma_x = U'(k)^dag."""
+    return _report("CS", _timesym_residual(p, n_points), tol)
 
 
 def find_exceptional_point(
@@ -123,7 +118,7 @@ def find_exceptional_point(
     theta2: float,
     gamma_hi: float,
     n_points: int = 201,
-    tol: float = 1e-8,
+    tol: float = EXACT_PT_TOL,
 ) -> float:
     """Bisect the scaling factor where the spectrum stops being real.
 

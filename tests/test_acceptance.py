@@ -324,9 +324,9 @@ def test_criterion_09_symmetry_suite():
     pt_ok = all(results)
     flip_ok = (lw.check_exact_pt(lw.WalkParams1D(anchor.theta1, anchor.theta2, 0.20), 201, 1e-8).passed
                and not lw.check_exact_pt(lw.WalkParams1D(anchor.theta1, anchor.theta2, 0.22), 201, 1e-8).passed)
-    phs_cs_ok = (lw.check_phs("1d", lw.WalkParams1D(-3 * np.pi / 8, np.pi / 8, 0.3), 201, 1e-10).passed
+    phs_cs_ok = (lw.check_phs(lw.WalkParams1D(-3 * np.pi / 8, np.pi / 8, 0.3), 201, 1e-10).passed
                  and lw.check_cs(lw.WalkParams1D(-3 * np.pi / 8, np.pi / 4, 0.15), 201, 1e-10).passed
-                 and lw.check_phs("2d", lw.WalkParams2D(7 * np.pi / 6, 7 * np.pi / 6, 0.2, 0.2), 51, 1e-10).passed)
+                 and lw.check_phs(lw.WalkParams2D(7 * np.pi / 6, 7 * np.pi / 6, 0.2, 0.2), 51, 1e-10).passed)
     t1, t2, kx, ky, gx = np.pi / 3, np.pi / 5, 0.7, np.pi / 4, 1e-5
     lhs = (np.cos(lw.quasi_energy_2d(lw.WalkParams2D(t1, t2, gx, 0.0), kx, ky))
            - np.cos(lw.quasi_energy_2d(lw.WalkParams2D(t1, t2), kx, ky)))

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from lossywalk import cli
 from lossywalk.cli import cli_dispatch, parse_angle, parse_range
 from lossywalk.sweeps import sweep_phase_diagram_1d
+from lossywalk.symmetries import check_phs
 from lossywalk.tables import read_table, write_table
 
 
@@ -150,7 +151,22 @@ def test_symmetry_check_command():
     code, out = run_cli(["symmetry-check", "--theta1", "-3pi/8", "--theta2", "pi/4",
                          "--gamma", "0.15", "--nk", "101"])
     assert code == 0
-    assert "PT: " in out and "CS: " in out and "passed=True" in out
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["PT", "ExactPT", "PHS", "CS"]
+    assert all(line.endswith(" passed=True") for line in lines)
+
+
+@pytest.mark.parametrize("nk, grid", [("101", 51), ("2", 3)])
+def test_symmetry_check_command_2d(nk, grid):
+    grids = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "check_phs", lambda p, n, tol: grids.append(n) or check_phs(p, n, tol))
+        code, out = run_cli(["symmetry-check", "--model", "2d", "--theta1", "7pi/6", "--theta2", "7pi/6",
+                             "--gamma-x", "0.2", "--gamma-y", "0.2", "--nk", nk])
+    assert code == 0
+    assert grids == [grid]
+    lines = out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("PHS: ") and lines[0].endswith(" passed=True")
 
 
 def test_validation_error_exit_code():

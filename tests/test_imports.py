@@ -1,5 +1,6 @@
 """Every name a ``lossywalk`` module or a test module imports is used in that module,
-and every module-level private name and dataclass field of ``lossywalk`` is read somewhere.
+every module-level private name and dataclass field of ``lossywalk`` is read somewhere,
+and no ``lossywalk`` module forms an ``@`` matrix product.
 
 No linter ships with the project, so these stdlib ``ast`` checks stand in
 for one.  ``__init__`` (whose imports are the package's re-exports) and
@@ -182,3 +183,31 @@ def test_dataclass_fields_are_read():
     defining = [p.read_text() for p in SRC.glob("*.py")]
     readers = [p.read_text() for p in [*PERFBENCH.rglob("*.py"), *TESTS.glob("*.py")]]
     assert unread_fields(defining, readers) == []
+
+
+def matmul_lines(source: str) -> list[int]:
+    """Line of each ``@`` or ``@=`` matrix product in ``source`` (not decorators or text)."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.MatMult))
+
+
+def test_matmul_lines_finds_only_products():
+    module = (
+        '"""u @ v in a docstring is text."""\n'
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class P:\n"
+        "    x: float\n"
+        "def f(a, b):\n"
+        "    c = a @ b\n"
+        "    c @= b\n"
+        "    return c, 'a @ b'\n"
+    )
+    assert matmul_lines(module) == [7, 8]
+
+
+def test_library_forms_no_matrix_product():
+    # a 2x2 operator is a tuple of its entries and a relation a reordering of
+    # them (``walks``, ``symmetries``); only LAPACK sees a dense matrix
+    found = [f"{p.name}:{line}" for p in sorted(SRC.glob("*.py")) for line in matmul_lines(p.read_text())]
+    assert found == []

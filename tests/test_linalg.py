@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_multiset_close, bloch_axis, branch_dist, eig2_pair, exp_bloch, is_unitary
+from helpers import SIGMA_Z, assert_multiset_close, bloch_axis, branch_dist, eig2_pair, exp_bloch, is_unitary
 
-from lossywalk.linalg import SIGMA_Z, eig2_batch, eig2_vector, eig_general, quasienergy
+from lossywalk.linalg import eig2_batch, eig2_vector, eig_general, quasienergy
 from lossywalk.walks import (
     GAMMA_MAX,
     WalkParams1D,

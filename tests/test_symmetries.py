@@ -2,10 +2,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SIGMA_Y, branch_dist
+from helpers import SIGMA_X, SIGMA_Y, SIGMA_Z, branch_dist
 
 from lossywalk.errors import NoBracket
-from lossywalk.linalg import SIGMA_X, SIGMA_Z, eig2_batch
+from lossywalk.linalg import eig2_batch
 from lossywalk.symmetries import (
     check_cs,
     check_exact_pt,
@@ -78,12 +78,12 @@ def test_pt_vs_exact_pt_hierarchy():
 
 
 def test_phs_1d():
-    assert check_phs("1d", WalkParams1D(-3 * np.pi / 8, np.pi / 8, 0.3), 201, 1e-10).passed
+    assert check_phs(WalkParams1D(-3 * np.pi / 8, np.pi / 8, 0.3), 201, 1e-10).passed
 
 
 def test_phs_2d():
     p = WalkParams2D(7 * np.pi / 6, 7 * np.pi / 6, 0.2, 0.2)
-    assert check_phs("2d", p, 51, 1e-10).passed
+    assert check_phs(p, 51, 1e-10).passed
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -91,8 +91,8 @@ def test_phs_2d():
 def test_phs_holds_at_random_loss(t1, t2, g, gy):
     # every factor but the shifts is real for real scalings, so conj U(k)
     # = U(-k) at any loss; what is left is rounding in the entries
-    assert check_phs("1d", WalkParams1D(t1, t2, g), 51, _rounding_bound(abs(g))).passed
-    assert check_phs("2d", WalkParams2D(t1, t2, g, gy), 51, _rounding_bound(abs(g) + abs(gy))).passed
+    assert check_phs(WalkParams1D(t1, t2, g), 51, _rounding_bound(abs(g))).passed
+    assert check_phs(WalkParams2D(t1, t2, g, gy), 51, _rounding_bound(abs(g) + abs(gy))).passed
 
 
 def test_phs_negative_control():
@@ -116,6 +116,23 @@ def test_cs_holds_at_random_loss(t1, t2, g):
     # PT holds for every loss too, beyond the exceptional point included
     assert check_cs(WalkParams1D(t1, t2, g), 51, _rounding_bound(abs(g))).passed
     assert check_pt_1d(WalkParams1D(t1, t2, g), 51, _rounding_bound(abs(g))).passed
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(ANGLE, ANGLE, st.floats(-3.0, 3.0), ANGLE)
+def test_pt_and_cs_residuals_have_equal_max_norm(t1, t2, g, phi):
+    # sigma_z conj(U) sigma_z - adj U and sigma_x U sigma_x - U^dag have the
+    # same entries up to sign and order (docs/NOTES.md), at any loss and
+    # phase, beyond the exceptional point included
+    p = WalkParams1D(t1, t2, g, phi)
+    u = u1d_ssqw_timesym_k(p, momentum_grid(51))
+    a, b, c, d = u[:, 0, 0], u[:, 0, 1], u[:, 1, 0], u[:, 1, 1]
+    adj = np.stack([np.stack([d, -b], axis=-1), np.stack([-c, a], axis=-1)], axis=-2)
+    pt = np.max(np.abs(SIGMA_Z @ u.conj() @ SIGMA_Z - adj))
+    cs = np.max(np.abs(SIGMA_X @ u @ SIGMA_X - np.swapaxes(u.conj(), -1, -2)))
+    assert pt == cs
+    assert check_pt_1d(p, 51, 1.0).max_violation == pt
+    assert check_cs(p, 51, 1.0).max_violation == cs
 
 
 def test_cs_fails_on_plain_representation():

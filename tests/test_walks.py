@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import assert_multiset_close, bloch_axis, branch_dist, eig2_pair, exp_bloch, is_unitary
+from helpers import SIGMA_X, assert_multiset_close, bloch_axis, branch_dist, eig2_pair, exp_bloch, is_unitary
 
 from lossywalk.errors import DegenerateCoin, GapClosure
-from lossywalk.linalg import SIGMA_X, eig2_batch, quasienergy
+from lossywalk.linalg import eig2_batch, quasienergy
 from lossywalk.walks import (
     GAMMA_MAX,
     CriticalKind,
