@@ -1,11 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Bad input raises a ``ValueError`` and a numerical failure an
+``ArithmeticError``; each class below subclasses the base of its category.
+"""
 
 
-class ConvergenceFailure(Exception):
+class ConvergenceFailure(ArithmeticError):
     """Dense eigensolver did not converge within its iteration budget."""
 
 
-class GapClosure(Exception):
+class GapClosure(ArithmeticError):
     """Band construction hit degenerate eigenvalues on the momentum grid.
 
     Carries the offending quasi-momenta in ``k_samples``.
@@ -16,21 +20,21 @@ class GapClosure(Exception):
         super().__init__(f"gap closes at {len(self.k_samples)} grid point(s)")
 
 
-class OrthogonalLink(Exception):
+class OrthogonalLink(ArithmeticError):
     """A link overlap in a discrete geometric-phase product is (numerically) zero."""
 
 
-class DegenerateCoin(Exception):
+class DegenerateCoin(ArithmeticError):
     """Critical scaling factor undefined: sin(theta1/2)*sin(theta2/2) = 0."""
 
 
-class InvalidRegion(Exception):
+class InvalidRegion(ValueError):
     """Region boundary incompatible with the lattice size."""
 
 
-class NoBracket(Exception):
+class NoBracket(ArithmeticError):
     """Bisection requested on an interval where the predicate does not change."""
 
 
-class CheckpointMismatch(Exception):
+class CheckpointMismatch(ValueError):
     """Checkpoint file does not match the sweep configuration."""

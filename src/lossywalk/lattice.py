@@ -37,7 +37,7 @@ boundary and, on the chain only, its inverse participation ratio reaches
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -93,13 +93,18 @@ EDGE_IPR_MIN = 0.05  # inverse participation ratio a chain edge state reaches
 
 @dataclass(frozen=True)
 class EdgeStateReport:
-    """One selected eigenvalue with its localization diagnostics."""
+    """One selected eigenvalue with its localization diagnostics.
+
+    ``profile`` is the state's normalized spin-summed probability per site,
+    in site order; it takes no part in ``==`` or ``hash``.
+    """
 
     eigenvalue: complex
     quasi_energy: complex
     ipr: float
     peak_site: int
     is_edge: bool
+    profile: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass
@@ -154,31 +159,25 @@ def chain_spectrum(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eig_general(op)
 
 
-def _localization(vector: np.ndarray, boundary: int):
-    """Site marginal of a state and the localization diagnostics read from it.
-
-    Returns the spin-summed probability per site (normalized), its inverse
-    participation ratio, the coordinate of its peak, and whether that peak
-    lies within ``EDGE_WINDOW`` sites of either region boundary +-``boundary``.
-    """
-    probs = np.abs(vector[0::2]) ** 2 + np.abs(vector[1::2]) ** 2
-    probs = probs / probs.sum()
-    peak = int(_site_coords(len(probs))[int(np.argmax(probs))])
-    near = min(abs(peak - boundary), abs(peak + boundary)) <= EDGE_WINDOW
-    return probs, float(np.sum(probs**2)), peak, near
-
-
 def _reports(values, vectors, keep, boundary: int, ipr_min: float) -> list[EdgeStateReport]:
     """One report per index of ``keep``, in its order.
 
-    ``is_edge`` marks a peak near a region boundary with ipr >= ``ipr_min``.
+    The IPR and peak site are read from the state's ``profile``; ``is_edge``
+    marks a peak within ``EDGE_WINDOW`` sites of either region boundary
+    +-``boundary`` with ipr >= ``ipr_min``.
     """
     es = quasienergy(values)
     out = []
     for i in keep:
-        _, ipr, peak, near = _localization(vectors[:, i], boundary)
+        v = vectors[:, i]
+        probs = np.abs(v[0::2]) ** 2 + np.abs(v[1::2]) ** 2
+        probs = probs / probs.sum()
+        peak = int(_site_coords(len(probs))[int(np.argmax(probs))])
+        ipr = float(np.sum(probs**2))
+        near = min(abs(peak - boundary), abs(peak + boundary)) <= EDGE_WINDOW
         out.append(EdgeStateReport(eigenvalue=complex(values[i]), quasi_energy=complex(es[i]),
-                                   ipr=ipr, peak_site=peak, is_edge=bool(near and ipr >= ipr_min)))
+                                   ipr=ipr, peak_site=peak, is_edge=bool(near and ipr >= ipr_min),
+                                   profile=probs))
     return out
 
 
@@ -323,8 +322,9 @@ def strip_gap_states_grid(
     diagonalized once per symmetry class, by ``strip_gap_states`` in the
     widest window of the class; each row then keeps the states inside its
     own window.  A mirrored row holds the conjugate eigenvalues,
-    quasi-energies -conj(E) and the same IPR, peak site and ``is_edge``,
-    since its eigenvectors are the complex conjugates.  A copied row (kx + pi,
+    quasi-energies -conj(E) and the same profile, IPR, peak site and
+    ``is_edge``, since its eigenvectors are the complex conjugates and
+    conjugate vectors have equal site marginals.  A copied row (kx + pi,
     or the other member of a real class) holds the representative's states,
     equal to the per-kx call up to rounding.
     """

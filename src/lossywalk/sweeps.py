@@ -123,7 +123,7 @@ def _workers(workers: int | None) -> int:
 
 def _config_hash(meta: dict, axes) -> bytes:
     canon = {
-        "meta": {k: v for k, v in sorted(meta.items()) if k != "workers"},
+        "meta": meta,
         "axes": [[name, list(map(float, vals))] for name, vals in axes],
     }
     return hashlib.sha256(json.dumps(canon, sort_keys=True).encode()).digest()

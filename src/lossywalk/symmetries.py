@@ -118,7 +118,6 @@ def find_exceptional_point(
     theta2: float,
     gamma_hi: float,
     n_points: int = 201,
-    tol: float = EXACT_PT_TOL,
 ) -> float:
     """Bisect the scaling factor where the spectrum stops being real.
 
@@ -128,7 +127,7 @@ def find_exceptional_point(
     """
 
     def is_real(gamma: float) -> bool:
-        return check_exact_pt(WalkParams1D(theta1, theta2, gamma), n_points, tol).passed
+        return check_exact_pt(WalkParams1D(theta1, theta2, gamma), n_points, EXACT_PT_TOL).passed
 
     lo, hi = 0.0, float(gamma_hi)
     if not is_real(lo):

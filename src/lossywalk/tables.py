@@ -52,11 +52,8 @@ def write_table(table: SweepTable, path: str, fmt: str) -> None:
     axes_values = [vals for _, vals in table.axes]
     lines = [",".join(names + ["value", "status"])]
     for flat, combo in enumerate(itertools.product(*axes_values)):
-        v = table.values[flat]
-        row = [_fmt(x) for x in combo]
-        row.append("nan" if np.isnan(v) else _fmt(v))
-        row.append(STATUS_LABELS[int(table.status[flat])])
-        lines.append(",".join(row))
+        row = [_fmt(x) for x in (*combo, table.values[flat])]
+        lines.append(",".join(row + [STATUS_LABELS[int(table.status[flat])]]))
     with _opened(path, "table") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import inspect
 import json
 import math
 import os
@@ -12,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lossywalk import cli
+from lossywalk import cli, errors
 from lossywalk.cli import cli_dispatch, parse_angle, parse_range
-from lossywalk.sweeps import sweep_phase_diagram_1d
+from lossywalk.sweeps import sweep_chern_vs_gamma, sweep_phase_diagram_1d
 from lossywalk.symmetries import check_phs
 from lossywalk.tables import read_table, write_table
 
@@ -195,6 +196,55 @@ def test_config_file_defaults_and_unknown_keys(tmp_path):
     assert code == 1
 
 
+def test_top_level_flags_are_not_abbreviated(tmp_path):
+    # --config and --json are read from the raw arguments, so a prefix such
+    # as --conf must be rejected rather than parsed and then ignored
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"theta2": "0.3927"}))
+    code, out = run_cli(["--conf", str(cfg), "winding", "--theta1", "-1.1781"])
+    assert (code, out) == (1, "")
+    code, out = run_cli(["--js", "winding", "--theta1", "0", "--theta2", "0"])
+    assert (code, out) == (1, "")
+
+
+# exit code, JSON error kind and category base of each exception a handler may raise
+_FAILURES = {
+    errors.ConvergenceFailure: (2, "numerical", ArithmeticError),
+    errors.GapClosure: (2, "numerical", ArithmeticError),
+    errors.OrthogonalLink: (2, "numerical", ArithmeticError),
+    errors.DegenerateCoin: (2, "numerical", ArithmeticError),
+    errors.NoBracket: (2, "numerical", ArithmeticError),
+    errors.InvalidRegion: (1, "validation", ValueError),
+    errors.CheckpointMismatch: (1, "validation", ValueError),
+    ValueError: (1, "validation", ValueError),
+    ArithmeticError: (2, "numerical", ArithmeticError),
+    np.linalg.LinAlgError: (1, "validation", ValueError),
+    OSError: (1, "io", OSError),
+}
+
+
+def test_every_package_error_has_a_listed_failure():
+    declared = {c for _, c in inspect.getmembers(errors, inspect.isclass)
+                if c.__module__ == errors.__name__}
+    assert declared and declared <= set(_FAILURES)
+
+
+@pytest.mark.parametrize("exc_type", list(_FAILURES), ids=lambda c: c.__name__)
+def test_failure_category_follows_the_exception_base(monkeypatch, exc_type):
+    code, kind, base = _FAILURES[exc_type]
+    assert issubclass(exc_type, base)
+    exc = exc_type([0.5]) if exc_type is errors.GapClosure else exc_type("boom")
+
+    def handler(ns):
+        raise exc
+
+    monkeypatch.setitem(cli._HANDLERS, "winding", handler)
+    got, out = run_cli(["--json", "winding", "--theta1", "0", "--theta2", "0"])
+    message = f"{exc_type.__name__}: {exc}" if kind == "numerical" else str(exc)
+    assert got == code
+    assert json.loads(out) == {"error": kind, "message": message}
+
+
 def test_table_csv_and_json_emission(tmp_path):
     table = sweep_phase_diagram_1d(np.array([-3 * np.pi / 8]), np.array([np.pi / 8, 5 * np.pi / 8]),
                                    n_k=51, workers=1)
@@ -218,6 +268,39 @@ def test_sweep_command_emits_files(tmp_path):
     assert (tmp_path / "winding_sweep.json").exists()
     assert (tmp_path / "winding_sweep.csv").exists()
     assert (tmp_path / "winding_sweep_plot.py").exists()
+
+
+def _assert_emitted_table(outdir, stem, direct):
+    # json, csv and plot script on disk; the table equals the direct sweep's
+    back = read_table(str(outdir / f"{stem}.json"))
+    assert [(n, v.tolist()) for n, v in back.axes] == [(n, v.tolist()) for n, v in direct.axes]
+    assert back.values.tobytes() == direct.values.tobytes()
+    assert back.status.tobytes() == direct.status.tobytes()
+    assert back.meta == direct.meta
+    write_table(direct, str(outdir / "direct.csv"), "csv")
+    assert (outdir / f"{stem}.csv").read_bytes() == (outdir / "direct.csv").read_bytes()
+    assert (outdir / f"{stem}_plot.py").is_file()
+
+
+def test_phase1d_command_matches_sweep(tmp_path):
+    code, out = run_cli(["--outdir", str(tmp_path), "--workers", "1", "phase1d",
+                         "--theta1-range=-pi:pi:5", "--theta2-range", "-pi/2:pi:4", "--nk", "51"])
+    assert code == 0
+    assert out == f"wrote {tmp_path}/phase1d.json, .csv and phase1d_plot.py\n"
+    direct = sweep_phase_diagram_1d(parse_range("-pi:pi:5"), parse_range("-pi/2:pi:4"), 51,
+                                    workers=1)
+    _assert_emitted_table(tmp_path, "phase1d", direct)
+
+
+def test_chern_sweep_command_matches_sweep(tmp_path):
+    code, out = run_cli(["--outdir", str(tmp_path), "--workers", "1", "chern-sweep",
+                         "--theta1", "pi/4", "--theta2-range", "0:2pi:3",
+                         "--gamma-x-range", "0:0.4:2", "--gamma-y", "0.1", "--grid", "11"])
+    assert code == 0
+    assert out == f"wrote {tmp_path}/chern_sweep.json, .csv and chern_sweep_plot.py\n"
+    direct = sweep_chern_vs_gamma(parse_angle("pi/4"), parse_range("0:2pi:3"),
+                                  parse_range("0:0.4:2"), 0.1, 11, workers=1)
+    _assert_emitted_table(tmp_path, "chern_sweep", direct)
 
 
 def test_plot_script_deterministic_and_runnable(tmp_path):

@@ -91,6 +91,10 @@ def test_edge_state_detection_interface():
         for r in edges:
             assert min(abs(r.peak_site - 50), abs(r.peak_site + 50)) <= 10
             assert r.ipr >= 0.05
+            # the report's site profile is the distribution its IPR and peak are read from
+            assert r.profile.shape == (201,) and abs(r.profile.sum() - 1.0) < 1e-12
+            assert r.ipr == float(np.sum(r.profile**2))
+            assert r.peak_site == int(np.argmax(r.profile)) - 100
 
 
 def test_no_edge_states_on_homogeneous_ring():
@@ -398,6 +402,7 @@ def test_strip_gap_states_grid_matches_per_kx_calls(gamma):
             for g, w in zip(got, want):
                 assert abs(g.eigenvalue - w.eigenvalue) <= 1e-9
                 assert abs(g.ipr - w.ipr) <= 1e-9
+                assert np.max(np.abs(g.profile - w.profile)) <= 1e-9
         rep, mirrored, _ = classes[j]
         if rep == j:
             assert got == want

@@ -132,6 +132,17 @@ def test_eig_general_real_input(m, want):
         assert np.linalg.norm(m @ v - value * v) < 1e-15
 
 
+@pytest.mark.parametrize("m, cause", [
+    (np.array([[1.0, np.nan], [0.0, 1.0]]), "^matrix entries must be finite$"),
+    (np.array([[1.0, 0.0], [np.inf, 1.0]], dtype=complex), "^matrix entries must be finite$"),
+    (np.ones((2, 3)), r"^expected a square matrix, got shape \(2, 3\)$"),
+    (np.ones(4), r"^expected a square matrix, got shape \(4,\)$"),
+])
+def test_eig_general_rejects_non_finite_and_non_square_input(m, cause):
+    with pytest.raises(ValueError, match=cause):
+        eig_general(m)
+
+
 def test_eig_general_permutation_vs_polynomial_oracle():
     m = np.zeros((6, 6), dtype=complex)
     for i in range(6):

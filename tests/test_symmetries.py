@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -151,6 +152,12 @@ def test_exceptional_point_anchor_1():
 def test_exceptional_point_anchor_2():
     got = find_exceptional_point(*ANCHOR2, gamma_hi=1.0)
     assert abs(got - 0.2832) < 1e-3
+
+
+def test_exceptional_point_needs_a_complex_spectrum_at_gamma_hi():
+    # the anchor's exceptional point is 0.2110: [0, 0.1] does not bracket it
+    with pytest.raises(NoBracket, match="^spectrum still real at gamma = 0.1$"):
+        find_exceptional_point(*ANCHOR, gamma_hi=0.1)
 
 
 def test_exceptional_point_gapless_at_zero():

@@ -385,6 +385,14 @@ def test_quasi_energies_pair_as_plus_minus():
             assert abs(values[0] * values[1] - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("name", ["theta1", "theta2", "gamma_x", "gamma_y"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_walk_params_2d_rejects_non_finite_fields(name, bad):
+    fields = {"theta1": 0.3, "theta2": 0.4, "gamma_x": 0.1, "gamma_y": 0.2, name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        WalkParams2D(**fields)
+
+
 def test_walk_params_2d_bounds_the_summed_loss():
     # u2d_k entries have size e^{2 (|gx| + |gy|)}, which eig2_batch squares
     cause = (r"\|gamma_x\| \+ \|gamma_y\| must be below 177.4, "
