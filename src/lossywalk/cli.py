@@ -28,6 +28,8 @@ import numpy as np
 
 from .invariants import band_spectrum_1d, band_spectrum_2d, chern_number, winding_number
 from .lattice import (
+    CHAIN_REAL_TOL,
+    CHAIN_REAL_TOL_LOSSY,
     RegionSpec,
     _site_coords,
     build_chain_operator,
@@ -36,6 +38,7 @@ from .lattice import (
     strip_band_structure,
 )
 from .linalg import quasienergy
+from .pool import _dense_workers, _run_rows
 from .sweeps import (
     sweep_chern_2d,
     sweep_chern_vs_gamma,
@@ -64,6 +67,10 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NEGATIVE_VALUE
+
+    def error(self, message):
+        # bad arguments are bad input: cli_dispatch reports them, as JSON under --json
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def parse_angle(text: str) -> float:
@@ -108,7 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--json", action="store_true", help="machine-readable errors on stdout")
     top.add_argument("--config", help="JSON file with defaults for the subcommand flags")
     top.add_argument("--outdir", default="out", help="directory for emitted files")
-    top.add_argument("--workers", type=int, default=None, help="process-pool size for sweeps")
+    top.add_argument("--workers", type=int, default=None,
+                     help="process-pool size for sweeps and dense solves (default: the CPU affinity)")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("winding", help="lower-band winding number at one parameter point")
@@ -289,18 +297,26 @@ def _cmd_symmetry_check(ns) -> None:
         print(f"{r.relation}: max_violation={r.max_violation:.3e} passed={r.passed}")
 
 
-def _emit_chains(spec: RegionSpec, n: int, gammas, outdir: str, stems, name: str) -> None:
+def _chain_row(args) -> tuple[np.ndarray, int]:
+    """Eigenvalues and edge-state count of the two-region chain at one loss."""
+    n, spec, g = args
+    lam, vectors = chain_spectrum(build_chain_operator(n, spec, g))
+    reports = detect_edge_states(lam, vectors, CHAIN_REAL_TOL if g == 0 else CHAIN_REAL_TOL_LOSSY,
+                                 spec.boundary)
+    return lam, sum(1 for r in reports if r.is_edge)
+
+
+def _emit_chains(spec: RegionSpec, n: int, gammas, outdir: str, stems, name: str,
+                 workers: int | None) -> None:
     """One spectrum CSV per loss on the two-region chain, then one plot script."""
     os.makedirs(outdir, exist_ok=True)
-    for g, stem in zip(gammas, stems):
-        lam, vectors = chain_spectrum(build_chain_operator(n, spec, g))
-        reports = detect_edge_states(lam, vectors, 1e-6 if g == 0 else 1e-4, spec.boundary)
+    rows = _run_rows(_chain_row, [(n, spec, g) for g in gammas], _dense_workers(workers))
+    for (lam, n_edge), stem in zip(rows, stems):
         es = quasienergy(lam)
         write_spectrum_csv(
             os.path.join(outdir, f"{stem}.csv"),
             {"re_lambda": lam.real, "im_lambda": lam.imag, "re_energy": es.real, "im_energy": es.imag},
         )
-        n_edge = sum(1 for r in reports if r.is_edge)
         print(f"{stem}: {len(lam)} eigenvalues, {n_edge} edge state(s)")
     emit_plot_script("spectrum", os.path.join(outdir, f"{name}_plot.py"),
                      [f"{stem}.csv" for stem in stems], f"{name}.png",
@@ -308,12 +324,12 @@ def _emit_chains(spec: RegionSpec, n: int, gammas, outdir: str, stems, name: str
 
 
 def _emit_strips(spec: RegionSpec, n_y: int, kx_samples: int, losses, outdir: str, stems,
-                 name: str, labels) -> None:
+                 name: str, labels, workers: int | None) -> None:
     """One band CSV (kx, then e0, e1, ...) per (gamma_x, gamma_y) loss, then one plot script."""
     os.makedirs(outdir, exist_ok=True)
     files = [f"{stem}.csv" for stem in stems]
     for (gx, gy), fname in zip(losses, files):
-        bands = strip_band_structure(spec, n_y, kx_samples, gx, gy)
+        bands = strip_band_structure(spec, n_y, kx_samples, gx, gy, workers=workers)
         cols = {"kx": bands.kx}
         cols.update((f"e{j}", e) for j, e in enumerate(bands.re_energies.T))
         write_spectrum_csv(os.path.join(outdir, fname), cols)
@@ -324,13 +340,13 @@ def _emit_strips(spec: RegionSpec, n_y: int, kx_samples: int, losses, outdir: st
 
 def _cmd_chain_spectrum(ns) -> None:
     _emit_chains(RegionSpec(ns.boundary, ns.inner, ns.outer), ns.n, [ns.gamma], ns.outdir,
-                 ["chain_spectrum"], "chain_spectrum")
+                 ["chain_spectrum"], "chain_spectrum", ns.workers)
 
 
 def _cmd_strip_bands(ns) -> None:
     _emit_strips(RegionSpec(ns.boundary, ns.inner, ns.outer), ns.ny, ns.kx_samples,
                  [(ns.gamma_x, ns.gamma_y)], ns.outdir, ["strip_bands"], "strip_bands",
-                 [f"gx={ns.gamma_x} gy={ns.gamma_y}"])
+                 [f"gx={ns.gamma_x} gy={ns.gamma_y}"], ns.workers)
 
 
 # Each figure is one function holding its own parameters.  Angles stay in
@@ -396,7 +412,8 @@ def _figure_5(ns) -> None:
 def _figure_6(ns) -> None:
     """chain spectra for increasing loss"""
     gammas = [0.0, 0.2, 0.2110, 0.25]
-    _emit_chains(_FIG67_CHAIN, 201, gammas, ns.outdir, [f"fig6_gamma{g}" for g in gammas], "fig6")
+    _emit_chains(_FIG67_CHAIN, 201, gammas, ns.outdir, [f"fig6_gamma{g}" for g in gammas], "fig6",
+                 ns.workers)
 
 
 def _figure_7(ns) -> None:
@@ -405,7 +422,7 @@ def _figure_7(ns) -> None:
     t1, t2 = spec.angles(n)
     lam, vectors = chain_spectrum(build_chain_operator(n, spec, 0.0))
     cols = {"site": _site_coords(n).astype(float), "theta1": t1, "theta2": t2}
-    edges = (r for r in detect_edge_states(lam, vectors, 1e-6, spec.boundary) if r.is_edge)
+    edges = (r for r in detect_edge_states(lam, vectors, CHAIN_REAL_TOL, spec.boundary) if r.is_edge)
     cols.update((f"edge{i}_prob", r.profile) for i, r in enumerate(edges))
     write_spectrum_csv(os.path.join(ns.outdir, "fig7_partition.csv"), cols)
     emit_plot_script("lines", os.path.join(ns.outdir, "fig7_plot.py"),
@@ -419,7 +436,7 @@ def _figure_8(ns) -> None:
     gammas = [0.0, 0.2, 0.3, 0.47]
     _emit_strips(RegionSpec(50, parse_pair("7pi/6,7pi/6"), parse_pair("3pi/2,pi")), 201, 64,
                  [(g, g) for g in gammas], ns.outdir, [f"fig8_gamma{g}" for g in gammas], "fig8",
-                 [f"gamma={g}" for g in gammas])
+                 [f"gamma={g}" for g in gammas], ns.workers)
 
 
 _FIGURES = {"2a": _figure_2a, "2b": _figure_2b, "3": _figure_3, "4": _figure_4,
@@ -458,7 +475,7 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
 
     try:
         ns = parser.parse_args(_inject_config(argv))
-    except SystemExit as exc:  # argparse already printed usage
+    except SystemExit as exc:  # --help
         return 1 if exc.code not in (0, None) else 0
     except ValueError as exc:
         return fail(1, "validation", str(exc))

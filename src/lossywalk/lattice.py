@@ -29,6 +29,12 @@ diagonalize once per symmetry class of the kx grid (``_kx_classes``) and
 fill the partner rows from it; ``strip_band_structure`` does so in real
 arithmetic where 2 kx is a multiple of pi.
 
+Dense solves run at one BLAS thread (``linalg.one_blas_thread``), so their
+bits do not depend on the environment.  The grid functions take
+``workers`` as the sweeps do and fan their class representatives out over
+the process pool (``pool``); each result lands in its class's rows, so the
+output is the same at every worker count.
+
 One loop reports the edge states of both geometries: a state is an edge
 state when its site marginal peaks within ``EDGE_WINDOW`` sites of a region
 boundary and, on the chain only, its inverse participation ratio reaches
@@ -42,7 +48,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidRegion
-from .linalg import eig_general, quasienergy
+from .linalg import eig_general, one_blas_thread, quasienergy
+from .pool import _dense_workers, _run_rows
 from .walks import WalkParams2D, _mul, _phase, _rot, _rows, _x_half, momentum_grid, quasi_energy_2d
 
 __all__ = [
@@ -89,6 +96,10 @@ class RegionSpec:
 
 EDGE_WINDOW = 10  # sites between a state's peak and a region boundary
 EDGE_IPR_MIN = 0.05  # inverse participation ratio a chain edge state reaches
+# |Im lambda| up to which a chain eigenvalue counts as real, without and with
+# loss (``detect_edge_states``; docs/NOTES.md, "Chain real-axis tolerances")
+CHAIN_REAL_TOL = 1e-6
+CHAIN_REAL_TOL_LOSSY = 1e-4
 
 
 @dataclass(frozen=True)
@@ -241,27 +252,38 @@ def _kx_classes(n: int) -> list[tuple[int, bool, bool]]:
     return out
 
 
+def _band_row(args) -> np.ndarray:
+    """Sorted Re E of the strip at one kx, from its real part when ``real``."""
+    n_y, spec, kx, gamma_x, gamma_y, real = args
+    op = build_strip_operator(n_y, spec, kx, gamma_x, gamma_y)
+    with one_blas_thread():
+        values = np.linalg.eigvals(op.real if real else op)
+    return np.sort(quasienergy(values).real)
+
+
 def strip_band_structure(
     spec: RegionSpec,
     n_y: int,
     kx_samples: int,
     gamma_x: float,
     gamma_y: float,
+    workers: int | None = None,
 ) -> StripBands:
     """Real parts of the strip quasi-energies over a transverse-momentum grid.
 
     Only one kx per symmetry class is diagonalized (its real part for a real
-    class).  A mirrored row is the representative's row negated and reversed:
-    Re E = -angle(lambda), and the eigenvalues at -kx are conjugates.
+    class), in a pool of ``workers``.  A mirrored row is the
+    representative's row negated and reversed: Re E = -angle(lambda), and
+    the eigenvalues at -kx are conjugates.
     """
     ks = momentum_grid(kx_samples)
+    classes = _kx_classes(kx_samples)
+    reps = [j for j, (rep, _, _) in enumerate(classes) if rep == j]
+    tasks = [(n_y, spec, ks[j], gamma_x, gamma_y, classes[j][2]) for j in reps]
+    solved = dict(zip(reps, _run_rows(_band_row, tasks, _dense_workers(workers))))
     rows = np.empty((kx_samples, 2 * n_y))
-    for j, (rep, mirrored, real) in enumerate(_kx_classes(kx_samples)):
-        if rep == j:
-            op = build_strip_operator(n_y, spec, ks[j], gamma_x, gamma_y)
-            rows[j] = np.sort(quasienergy(np.linalg.eigvals(op.real if real else op)).real)
-        else:
-            rows[j] = -rows[rep, ::-1] if mirrored else rows[rep]
+    for j, (rep, mirrored, _) in enumerate(classes):
+        rows[j] = -solved[rep][::-1] if mirrored else solved[rep]
     return StripBands(kx=ks, re_energies=rows)
 
 
@@ -308,6 +330,10 @@ def strip_gap_states(
     return _reports(values, vectors, keep, spec.boundary, 0.0)
 
 
+def _gap_states(args) -> list[EdgeStateReport]:
+    return strip_gap_states(*args)
+
+
 def strip_gap_states_grid(
     spec: RegionSpec,
     n_y: int,
@@ -315,18 +341,19 @@ def strip_gap_states_grid(
     gamma_x: float,
     gamma_y: float,
     gap_half: np.ndarray,
+    workers: int | None = None,
 ) -> list[list[EdgeStateReport]]:
     """``strip_gap_states`` at every point of the ``strip_band_structure`` grid.
 
     ``gap_half`` is one window half-width per kx.  The strip is
     diagonalized once per symmetry class, by ``strip_gap_states`` in the
-    widest window of the class; each row then keeps the states inside its
-    own window.  A mirrored row holds the conjugate eigenvalues,
-    quasi-energies -conj(E) and the same profile, IPR, peak site and
-    ``is_edge``, since its eigenvectors are the complex conjugates and
-    conjugate vectors have equal site marginals.  A copied row (kx + pi,
-    or the other member of a real class) holds the representative's states,
-    equal to the per-kx call up to rounding.
+    widest window of the class and in a pool of ``workers``; each row then
+    keeps the states inside its own window.  A mirrored row holds the
+    conjugate eigenvalues, quasi-energies -conj(E) and the same profile,
+    IPR, peak site and ``is_edge``, since its eigenvectors are the complex
+    conjugates and conjugate vectors have equal site marginals.  A copied
+    row (kx + pi, or the other member of a real class) holds the
+    representative's states, equal to the per-kx call up to rounding.
     """
     ks = momentum_grid(kx_samples)
     halves = np.asarray(gap_half, dtype=float)
@@ -336,8 +363,8 @@ def strip_gap_states_grid(
     widest: dict[int, float] = {}
     for j, (rep, _, _) in enumerate(classes):
         widest[rep] = max(widest.get(rep, -np.inf), halves[j])
-    found = {rep: strip_gap_states(spec, n_y, float(ks[rep]), gamma_x, gamma_y, gap_half=half)
-             for rep, half in widest.items()}
+    tasks = [(spec, n_y, float(ks[rep]), gamma_x, gamma_y, half) for rep, half in widest.items()]
+    found = dict(zip(widest, _run_rows(_gap_states, tasks, _dense_workers(workers))))
     out = []
     for j, (rep, mirrored, _) in enumerate(classes):
         kept = [s for s in found[rep] if abs(s.quasi_energy.real) < halves[j] - _GAP_MARGIN]

@@ -12,6 +12,15 @@ vector and a caller that needs only the spectrum builds none.
 strips through LAPACK (``numpy.linalg.eig``), in real arithmetic when the
 matrix is real (every chain), and returns them in canonical (Re, Im) order.
 
+Every dense LAPACK call in the package runs inside ``one_blas_thread``,
+which pins the OpenBLAS that numpy loaded to one thread (through
+``ctypes``) and restores the previous count on exit.  A second BLAS
+thread buys nothing at the package's sizes, and LAPACK's bits depend on
+the thread count, so pinned outputs are the same under any
+``OPENBLAS_NUM_THREADS`` and leave the cores to the process pool
+(``pool``).  Where no such library is found (``_BLAS`` is None) the pin
+is a no-op and dense solves stay serial.
+
 Quasi-energy branch convention: an eigenvalue lambda of a one-step
 operator corresponds to E = i log(lambda) with the principal logarithm
 (``quasienergy``), i.e. Re E = -arg(lambda) in [-pi, pi) and
@@ -26,9 +35,55 @@ return its partner, the lower band with Re E in [-pi, 0]: at
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import glob
+import os
+
 import numpy as np
 
 from .errors import ConvergenceFailure
+
+
+def _openblas():
+    """(get, set) thread-count functions of the OpenBLAS in numpy's wheel libraries, or None."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)  # the handle numpy already holds
+        except OSError:
+            continue
+        # scipy-openblas (numpy >= 2) prefixes its symbols; ILP64 builds add 64_
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get = getattr(lib, name.format("get"), None)
+            put = getattr(lib, name.format("set"), None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+_BLAS = _openblas()
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with BLAS at one thread; restore the previous count on exit, also on error.
+
+    A no-op when ``_BLAS`` is None.
+    """
+    if _BLAS is None:
+        yield
+        return
+    get, put = _BLAS
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 def eig2_batch(m: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -91,7 +146,8 @@ def eig_general(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     try:
-        values, vectors = np.linalg.eig(m)
+        with one_blas_thread():
+            values, vectors = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     order = np.lexsort((values.imag, values.real))

@@ -5,9 +5,9 @@ stores row-major float results plus a per-cell status marker.  ``_sweep``
 is the one sweep body: it validates both axes and builds each row's cells,
 the argument tuples of the row function, from the two axes through the
 public sweep's ``cell(x, y)`` map.  Rows (first axis) are distributed over
-a process pool; results land in preallocated slots indexed by grid
-position, so the table is bit-identical regardless of worker count or
-scheduling.
+the process pool of ``pool``; results land in preallocated slots indexed
+by grid position, so the table is bit-identical regardless of worker count
+or scheduling.
 
 A winding row is one batched ``band_spectrum_1d`` and ``winding_number``
 call; its masks make a cell with colliding eigenvalues or vanishing links
@@ -35,7 +35,6 @@ import hashlib
 import json
 import os
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +47,7 @@ from .errors import (
 )
 from ._version import __version__ as _pkg_version
 from .invariants import band_spectrum_1d, band_spectrum_2d, chern_number, winding_number
+from .pool import _run_rows, _workers
 from .walks import (
     CriticalKind,
     WalkParams1D,
@@ -112,15 +112,6 @@ class SweepTable:
         return cls(axes=axes, values=values, status=status, meta=dict(data["meta"]))
 
 
-def _workers(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
-
-
 def _config_hash(meta: dict, axes) -> bytes:
     canon = {
         "meta": meta,
@@ -168,15 +159,6 @@ class _Checkpoint:
             fh.write(status.astype(np.uint8).tobytes())
             fh.seek(self._bitmap_off + row)
             fh.write(b"\x01")
-
-
-def _run_rows(row_fn, args_list, workers: int):
-    """Yield row_fn over args_list in order, each as soon as it is done; pool only if it pays."""
-    if workers <= 1 or len(args_list) <= 1:
-        yield from map(row_fn, args_list)
-        return
-    with ProcessPoolExecutor(max_workers=min(workers, len(args_list))) as pool:
-        yield from pool.map(row_fn, args_list, chunksize=1)
 
 
 def _sweep(axes, cell, row_fn, meta, workers, checkpoint):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from lossywalk import cli, errors
 from lossywalk.cli import cli_dispatch, parse_angle, parse_range
+from lossywalk.lattice import RegionSpec
 from lossywalk.sweeps import sweep_chern_vs_gamma, sweep_phase_diagram_1d
 from lossywalk.symmetries import check_phs
 from lossywalk.tables import read_table, write_table
@@ -173,6 +174,20 @@ def test_symmetry_check_command_2d(nk, grid):
 def test_validation_error_exit_code():
     code, _ = run_cli(["winding", "--theta1", "nonsense", "--theta2", "0"])
     assert code == 1
+
+
+@pytest.mark.parametrize("args, message", [
+    (["winding", "--theta1", "nonsense", "--theta2", "0"],
+     "lossywalk winding: argument --theta1: cannot parse angle 'nonsense'"),
+    (["winding", "--theta1", "0"], "lossywalk winding: the following arguments are required: --theta2"),
+    (["winding", "--theta1", "0", "--theta2", "0", "--bogus"], "lossywalk: unrecognized arguments: --bogus"),
+    ([], "lossywalk: the following arguments are required: command"),
+])
+def test_argument_errors_are_one_json_object_under_json(args, message):
+    code, out = run_cli(["--json", *args])
+    assert code == 1
+    assert json.loads(out) == {"error": "validation", "message": message}
+    assert run_cli(args) == (1, "")  # without --json the error goes to stderr
 
 
 def test_numerical_error_exit_code_and_json():
@@ -362,6 +377,19 @@ def test_figure_six_emits_four_spectra(tmp_path):
     assert (chain / "chain_spectrum_plot.py").exists()
     m = re.search(r"(\d+) eigenvalues, (\d+) edge state", out)
     assert m is not None and m.group(1) == "402"
+
+
+def test_chain_spectra_are_bit_equal_at_one_and_two_workers(tmp_path, capsys):
+    # n = 101 is a size at which the chain's bits would follow the BLAS thread count
+    spec = RegionSpec(25, cli.parse_pair("-3pi/8,5pi/8"), cli.parse_pair("-3pi/8,pi/4"))
+    gammas = [0.0, 0.2, 0.25]
+    for workers in (1, 2):
+        cli._emit_chains(spec, 101, gammas, str(tmp_path / str(workers)), ["a", "b", "c"], "chains", workers)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == lines[3:] and "edge state" in lines[0]
+    for stem in ("a", "b", "c", "chains_plot"):
+        name = f"{stem}.py" if stem == "chains_plot" else f"{stem}.csv"
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 def test_strip_bands_emits_columns_and_plot(tmp_path):

@@ -1,6 +1,7 @@
 """Every name a ``lossywalk`` module or a test module imports is used in that module,
 every module-level private name and dataclass field of ``lossywalk`` is read somewhere,
-and no ``lossywalk`` module forms an ``@`` matrix product.
+no ``lossywalk`` module forms an ``@`` matrix product, and every dense eigensolve
+runs inside ``linalg.one_blas_thread``.
 
 No linter ships with the project, so these stdlib ``ast`` checks stand in
 for one.  ``__init__`` (whose imports are the package's re-exports) and
@@ -210,4 +211,52 @@ def test_library_forms_no_matrix_product():
     # a 2x2 operator is a tuple of its entries and a relation a reordering of
     # them (``walks``, ``symmetries``); only LAPACK sees a dense matrix
     found = [f"{p.name}:{line}" for p in sorted(SRC.glob("*.py")) for line in matmul_lines(p.read_text())]
+    assert found == []
+
+
+def unpinned_eig_calls(source: str) -> list[str]:
+    """``function:line`` of each ``linalg.eig``/``eigvals`` call outside a ``with one_blas_thread()``."""
+    found = []
+
+    def pins(item):
+        call = item.context_expr
+        name = getattr(call, "func", None)
+        return getattr(name, "id", getattr(name, "attr", None)) == "one_blas_thread"
+
+    def visit(node, function, pinned):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.With) and any(map(pins, node.items)):
+            pinned = True
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("eig", "eigvals") and not pinned
+              and getattr(node.func.value, "attr", None) == "linalg"):
+            found.append(f"{function}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function, pinned)
+
+    visit(ast.parse(source), "<module>", False)
+    return found
+
+
+def test_unpinned_eig_calls_finds_only_calls_outside_the_pin():
+    module = (
+        "import numpy as np\n"
+        "from .linalg import one_blas_thread\n"
+        "def pinned(m):\n"
+        "    with one_blas_thread():\n"
+        "        return np.linalg.eig(m), np.linalg.eigvals(m)\n"
+        "def bare(m):\n"
+        "    with open('x'):\n"
+        "        a = np.linalg.eigvals(m)\n"
+        "    return a, np.linalg.eig(m), np.linalg.eigh(m), eig(m)\n"
+        "b = numpy.linalg.eig(np.eye(2))\n"
+    )
+    assert unpinned_eig_calls(module) == ["bare:8", "bare:9", "<module>:10"]
+
+
+def test_every_dense_eigensolve_runs_at_one_blas_thread():
+    # LAPACK's bits depend on the BLAS thread count (linalg.one_blas_thread)
+    found = [f"{p.name}:{call}" for p in sorted(SRC.glob("*.py"))
+             for call in unpinned_eig_calls(p.read_text())]
     assert found == []

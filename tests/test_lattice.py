@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +15,7 @@ from helpers import (
     strip_operator_by_matmul,
 )
 
+from lossywalk import linalg, pool
 from lossywalk.errors import InvalidRegion
 from lossywalk.lattice import (
     EDGE_IPR_MIN,
@@ -26,7 +31,7 @@ from lossywalk.lattice import (
     strip_gap_states,
     strip_gap_states_grid,
 )
-from lossywalk.linalg import eig2_batch, quasienergy
+from lossywalk.linalg import eig2_batch, eig_general, quasienergy
 from lossywalk.walks import WalkParams1D, WalkParams2D, u1d_ssqw_k, u2d_k
 
 FIG6_SPEC = RegionSpec(50, (-3 * np.pi / 8, 5 * np.pi / 8), (-3 * np.pi / 8, np.pi / 4))
@@ -439,3 +444,72 @@ def test_is_edge_rules_of_chain_and_strip():
 def test_strip_gap_states_grid_rejects_wrong_window_shape():
     with pytest.raises(ValueError):
         strip_gap_states_grid(STRIP_SPEC, STRIP_NY, 4, 0.0, 0.0, gap_half=np.ones(3))
+
+
+def _grid_bytes(grid) -> bytes:
+    """Every number of a ``strip_gap_states_grid`` result, profiles included, as bytes."""
+    return b"".join(np.concatenate([[s.eigenvalue, s.quasi_energy, s.ipr, s.peak_site, s.is_edge],
+                                    s.profile]).tobytes() for row in grid for s in row) + bytes(map(len, grid))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.47])
+def test_strip_grids_are_bit_equal_at_one_and_two_workers(gamma):
+    halves = np.full(8, 0.6)
+    one = strip_band_structure(STRIP_SPEC, STRIP_NY, 8, gamma, gamma, workers=1)
+    two = strip_band_structure(STRIP_SPEC, STRIP_NY, 8, gamma, gamma, workers=2)
+    assert one.re_energies.tobytes() == two.re_energies.tobytes()
+    one = strip_gap_states_grid(STRIP_SPEC, STRIP_NY, 8, gamma, gamma, halves, workers=1)
+    two = strip_gap_states_grid(STRIP_SPEC, STRIP_NY, 8, gamma, gamma, halves, workers=2)
+    assert sum(map(len, one)) > 0
+    assert _grid_bytes(one) == _grid_bytes(two)
+
+
+def test_no_blas_to_pin_means_serial_dense_solves_and_the_same_results(monkeypatch):
+    # small enough that the BLAS thread count does not change the bits
+    spec, n_y, halves = RegionSpec(3, STRIP_SPEC.params_inner, STRIP_SPEC.params_outer), 11, np.full(8, 0.6)
+    bands = strip_band_structure(spec, n_y, 8, 0.2, 0.2, workers=2)
+    grid = strip_gap_states_grid(spec, n_y, 8, 0.2, 0.2, halves, workers=2)
+    chain = eig_general(build_chain_operator(n_y, spec, 0.2))
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(linalg, "_BLAS", None)
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", no_pool)
+    assert pool._dense_workers(2) == 1 and pool._workers(2) == 2
+    assert strip_band_structure(spec, n_y, 8, 0.2, 0.2, workers=2).re_energies.tobytes() == \
+        bands.re_energies.tobytes()
+    assert _grid_bytes(strip_gap_states_grid(spec, n_y, 8, 0.2, 0.2, halves, workers=2)) == _grid_bytes(grid)
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(eig_general(build_chain_operator(n_y, spec, 0.2)), chain))
+
+
+# strip (n_y = 41) and chain (n = 101) sizes at which LAPACK's bits differ
+# between one and two BLAS threads unless the solves are pinned
+_DENSE_DIGESTS = """
+import hashlib
+import numpy as np
+from lossywalk.lattice import RegionSpec, build_chain_operator, strip_band_structure, strip_gap_states_grid
+from lossywalk.linalg import eig_general
+strip = RegionSpec(10, (7 * np.pi / 6, 7 * np.pi / 6), (3 * np.pi / 2, np.pi))
+chain = RegionSpec(25, (-3 * np.pi / 8, 5 * np.pi / 8), (-3 * np.pi / 8, np.pi / 4))
+bands = strip_band_structure(strip, 41, 8, 0.47, 0.47).re_energies.tobytes()
+grid = strip_gap_states_grid(strip, 41, 8, 0.47, 0.47, np.full(8, 0.6))
+states = b"".join(np.concatenate([[s.eigenvalue, s.ipr], s.profile]).tobytes() for row in grid for s in row)
+values, vectors = eig_general(build_chain_operator(101, chain, 0.2))
+for data in (bands, states, values.tobytes() + vectors.tobytes()):
+    print(hashlib.sha256(data).hexdigest())
+"""
+
+
+def test_dense_outputs_do_not_depend_on_the_blas_thread_count():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(linalg.__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _DENSE_DIGESTS], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.split())
+    assert len(digests[0]) == 3
+    assert digests[0] == digests[1]

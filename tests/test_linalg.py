@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from helpers import SIGMA_Z, assert_multiset_close, bloch_axis, branch_dist, eig2_pair, exp_bloch, is_unitary
 
-from lossywalk.linalg import eig2_batch, eig2_vector, eig_general, quasienergy
+from lossywalk import linalg
+from lossywalk.linalg import eig2_batch, eig2_vector, eig_general, one_blas_thread, quasienergy
 from lossywalk.walks import (
     GAMMA_MAX,
     WalkParams1D,
@@ -161,6 +162,27 @@ def test_eig_general_residual_random():
     vals, vecs = eig_general(m)
     for value, v in zip(vals, vecs.T):
         assert np.linalg.norm(m @ v - value * v) <= 1e-9 * scale
+
+
+@pytest.mark.skipif(linalg._BLAS is None, reason="no OpenBLAS found in numpy's wheel libraries")
+def test_one_blas_thread_pins_and_restores():
+    get, put = linalg._BLAS
+    initial = get()
+    try:
+        put(2)
+        before = get()  # 2, or the library's cap
+        with one_blas_thread():
+            assert get() == 1
+        assert get() == before
+        with pytest.raises(RuntimeError):
+            with one_blas_thread():
+                assert get() == 1
+                raise RuntimeError("body failed")
+        assert get() == before
+        eig_general(np.eye(3))  # the dense solve pins itself
+        assert get() == before
+    finally:
+        put(initial)
 
 
 def test_chain_operator_unitary_spectrum():
