@@ -38,7 +38,7 @@ from .lattice import (
     strip_band_structure,
 )
 from .linalg import quasienergy
-from .pool import _dense_workers, _run_rows
+from .pool import _run_dense
 from .sweeps import (
     sweep_chern_2d,
     sweep_chern_vs_gamma,
@@ -310,7 +310,7 @@ def _emit_chains(spec: RegionSpec, n: int, gammas, outdir: str, stems, name: str
                  workers: int | None) -> None:
     """One spectrum CSV per loss on the two-region chain, then one plot script."""
     os.makedirs(outdir, exist_ok=True)
-    rows = _run_rows(_chain_row, [(n, spec, g) for g in gammas], _dense_workers(workers))
+    rows = _run_dense(_chain_row, [(n, spec, g) for g in gammas], workers)
     for (lam, n_edge), stem in zip(rows, stems):
         es = quasienergy(lam)
         write_spectrum_csv(

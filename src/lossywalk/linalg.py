@@ -18,8 +18,8 @@ which pins the OpenBLAS that numpy loaded to one thread (through
 thread buys nothing at the package's sizes, and LAPACK's bits depend on
 the thread count, so pinned outputs are the same under any
 ``OPENBLAS_NUM_THREADS`` and leave the cores to the process pool
-(``pool``).  Where no such library is found (``_BLAS`` is None) the pin
-is a no-op and dense solves stay serial.
+(``pool``).  Where no such library is found (``_openblas`` returns None)
+the pin is a no-op and dense solves stay serial.
 
 Quasi-energy branch convention: an eigenvalue lambda of a one-step
 operator corresponds to E = i log(lambda) with the principal logarithm
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import glob
 import os
 
@@ -45,8 +46,12 @@ import numpy as np
 from .errors import ConvergenceFailure
 
 
+@functools.cache
 def _openblas():
-    """(get, set) thread-count functions of the OpenBLAS in numpy's wheel libraries, or None."""
+    """(get, set) thread-count functions of the OpenBLAS in numpy's wheel libraries, or None.
+
+    Looked up on first use, so importing the package opens no library.
+    """
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
         try:
@@ -65,20 +70,19 @@ def _openblas():
     return None
 
 
-_BLAS = _openblas()
-
-
 @contextlib.contextmanager
 def one_blas_thread():
     """Run the body with BLAS at one thread; restore the previous count on exit, also on error.
 
-    A no-op when ``_BLAS`` is None.
+    A no-op when ``_openblas`` finds no library or the count is already 1:
+    in a forked child, OpenBLAS answers any set call by restarting its
+    thread pool, whose new threads spin for about 0.1 s of CPU.
     """
-    if _BLAS is None:
+    get, put = _openblas() or (None, None)
+    before = 1 if get is None else get()
+    if before == 1:
         yield
         return
-    get, put = _BLAS
-    before = get()
     put(1)
     try:
         yield

@@ -164,9 +164,9 @@ def test_eig_general_residual_random():
         assert np.linalg.norm(m @ v - value * v) <= 1e-9 * scale
 
 
-@pytest.mark.skipif(linalg._BLAS is None, reason="no OpenBLAS found in numpy's wheel libraries")
+@pytest.mark.skipif(linalg._openblas() is None, reason="no OpenBLAS found in numpy's wheel libraries")
 def test_one_blas_thread_pins_and_restores():
-    get, put = linalg._BLAS
+    get, put = linalg._openblas()
     initial = get()
     try:
         put(2)
@@ -183,6 +183,26 @@ def test_one_blas_thread_pins_and_restores():
         assert get() == before
     finally:
         put(initial)
+
+
+def test_one_blas_thread_sets_nothing_when_already_at_one_thread(monkeypatch):
+    # in a forked worker any set call restarts OpenBLAS's thread pool, so a
+    # worker that inherits a count of 1 must make none
+    count, sets = [1], []
+
+    def put(n):
+        sets.append(n)
+        count[0] = n
+
+    monkeypatch.setattr(linalg, "_openblas", lambda: (lambda: count[0], put))
+    with one_blas_thread():
+        assert count == [1]
+    assert sets == []
+    count[0] = 3
+    with one_blas_thread():
+        with one_blas_thread():
+            assert count == [1]
+    assert sets == [1, 3] and count == [3]
 
 
 def test_chain_operator_unitary_spectrum():
