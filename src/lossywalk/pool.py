@@ -4,9 +4,9 @@
 and yields the results in list order, so a caller that stores each result
 in its own slot gets the same output at every worker count.  It starts a
 ``ProcessPoolExecutor`` only for two or more tasks and more than one
-worker.  On Linux the pool forks: workers inherit the parent's module
-globals, including any wrapper installed on them, and its BLAS thread
-count.
+worker.  On Linux (up to Python 3.13) the pool forks: workers inherit the
+parent's module globals, including any wrapper installed on them, and its
+BLAS thread count.
 
 Dense solves (``lattice``, ``cli``) go through ``_run_dense``.  It pools
 only where ``linalg.one_blas_thread`` can pin BLAS to one thread, since
