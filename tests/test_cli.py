@@ -380,7 +380,6 @@ def test_figure_six_emits_four_spectra(tmp_path):
 
 
 def test_chain_spectra_are_bit_equal_at_one_and_two_workers(tmp_path, capsys):
-    # n = 101 is a size at which the chain's bits would follow the BLAS thread count
     spec = RegionSpec(25, cli.parse_pair("-3pi/8,5pi/8"), cli.parse_pair("-3pi/8,pi/4"))
     gammas = [0.0, 0.2, 0.25]
     for workers in (1, 2):
