@@ -110,13 +110,27 @@ def parse_pair(text: str) -> tuple[float, float]:
     return (parse_angle(parts[0]), parse_angle(parts[1]))
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    top = _Parser(prog="lossywalk", description=__doc__.splitlines()[0], allow_abbrev=False)
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
+def _top_flags() -> argparse.ArgumentParser:
+    """The top-level flags without --help; ``_inject_config``'s first pass reads only these."""
+    top = _Parser(prog="lossywalk", add_help=False, allow_abbrev=False)
     top.add_argument("--json", action="store_true", help="machine-readable errors on stdout")
     top.add_argument("--config", help="JSON file with defaults for the subcommand flags")
     top.add_argument("--outdir", default="out", help="directory for emitted files")
-    top.add_argument("--workers", type=int, default=None,
+    top.add_argument("--workers", type=positive_int, default=None,
                      help="process-pool size for sweeps and dense solves (default: the CPU affinity)")
+    return top
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    top = _Parser(prog="lossywalk", description=__doc__.splitlines()[0], parents=[_top_flags()],
+                  allow_abbrev=False)
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("winding", help="lower-band winding number at one parameter point")
@@ -192,30 +206,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _inject_config(argv: list[str]) -> list[str]:
-    """Splice config-file values (as flags) right after the subcommand token.
+    """Splice config-file values (as flags) after the subcommand, the first non-top-level argument.
 
     Keys use the flag names; explicit command-line flags win; unknown keys
     are rejected before any computation.
     """
-    path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-            break
-        if tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-            break
-    if path is None:
+    first = _top_flags()
+    first.add_argument("rest", nargs=argparse.REMAINDER)
+    known, _ = first.parse_known_args(argv)
+    if known.config is None:
         return argv
     try:
-        with open(path) as fh:
+        with open(known.config) as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {known.config}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
-    cmd_pos = next((i for i, tok in enumerate(argv) if tok in _HANDLERS), None)
-    if cmd_pos is None:
+    if not known.rest:
         raise ValueError("config file given but no subcommand found")
     extra = []
     for key, value in cfg.items():
@@ -225,7 +233,8 @@ def _inject_config(argv: list[str]) -> list[str]:
         if flag in argv or any(a.startswith(flag + "=") for a in argv):
             continue  # command line wins
         extra.extend([flag, str(value)])
-    return argv[: cmd_pos + 1] + extra + argv[cmd_pos + 1 :]
+    cmd_end = len(argv) - len(known.rest) + 1
+    return argv[:cmd_end] + extra + argv[cmd_end:]
 
 
 def _emit_sweep(table, outdir: str, stem: str, title: str, value_label: str) -> None:

@@ -162,6 +162,8 @@ def band_spectrum_2d(p: WalkParams2D, nx: int, ny: int) -> BandData2D:
     (1, ny) columns, so its factors are evaluated per axis and only the
     final product fills the grid.
     """
+    if nx < 1 or ny < 1:
+        raise ValueError(f"grid sizes must be positive, got {nx} x {ny}")
     qx = (-np.pi + 2.0 * np.pi * (np.arange(nx) + 0.25) / nx) / 2.0
     qy = (-np.pi + 2.0 * np.pi * (np.arange(ny) + 0.25) / ny) / 2.0
     collisions, lam, entries = _lower_band(u2d_k(p, qx[:, None], qy[None, :]))

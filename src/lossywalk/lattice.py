@@ -29,7 +29,7 @@ diagonalize once per symmetry class of the kx grid (``_kx_classes``) and
 fill the partner rows from it; ``strip_band_structure`` does so in real
 arithmetic where 2 kx is a multiple of pi.
 
-Dense solves run at one BLAS thread (``linalg.one_blas_thread``), so their
+Dense solves run at one BLAS thread (``linalg.eig_general``), so their
 bits do not depend on the environment.  The grid functions take
 ``workers`` as the sweeps do and fan their class representatives out over
 the process pool (``pool``); each result lands in its class's rows, so the
@@ -48,7 +48,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidRegion
-from .linalg import eig_general, one_blas_thread, quasienergy
+from .linalg import eig_general, quasienergy
 from .pool import _run_dense
 from .walks import WalkParams2D, _mul, _phase, _rot, _rows, _x_half, momentum_grid, quasi_energy_2d
 
@@ -256,9 +256,7 @@ def _band_row(args) -> np.ndarray:
     """Sorted Re E of the strip at one kx, from its real part when ``real``."""
     n_y, spec, kx, gamma_x, gamma_y, real = args
     op = build_strip_operator(n_y, spec, kx, gamma_x, gamma_y)
-    with one_blas_thread():
-        values = np.linalg.eigvals(op.real if real else op)
-    return np.sort(quasienergy(values).real)
+    return np.sort(quasienergy(eig_general(op.real if real else op, vectors=False)).real)
 
 
 def strip_band_structure(

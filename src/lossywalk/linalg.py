@@ -8,18 +8,19 @@ discriminant D = ((a - d)/2)^2 + bc, and lambda1 = 1/lambda0.
 ``eig2_vector`` is the vector step: the unit adjugate eigenvector of one
 chosen eigenvalue per matrix, so a caller that needs one band builds one
 vector and a caller that needs only the spectrum builds none.
-``eig_general`` takes the dense NxN spectra of real-space chains and
-strips through LAPACK (``numpy.linalg.eig``), in real arithmetic when the
-matrix is real (every chain), and returns them in canonical (Re, Im) order.
+``eig_general`` is the one dense LAPACK entry point: the NxN spectra of
+real-space chains and strips (``numpy.linalg.eig``, or ``eigvals`` for
+values only), in real arithmetic when the matrix is real (every chain).
 
-Every dense LAPACK call in the package runs inside ``one_blas_thread``,
-which pins the OpenBLAS that numpy loaded to one thread (through
-``ctypes``) and restores the previous count on exit.  A second BLAS
+It first calls ``pin_one_blas_thread``, which pins the OpenBLAS that numpy
+loaded to one thread (through ``ctypes``) once per process: the package
+leaves BLAS at one thread after its first dense solve.  A second BLAS
 thread buys nothing at the package's sizes, and LAPACK's bits depend on
-the thread count, so pinned outputs are the same under any
-``OPENBLAS_NUM_THREADS`` and leave the cores to the process pool
-(``pool``).  Where no such library is found (``_openblas`` returns None)
-the pin is a no-op and dense solves stay serial.
+the thread count, so outputs are the same under any
+``OPENBLAS_NUM_THREADS`` and the cores go to the process pool (``pool``).
+Nothing restores the count: forked workers inherit it, and a restore would
+restart OpenBLAS's thread pool after every fan-out.  Without such a
+library (``_openblas`` returns None) dense solves stay serial.
 
 Quasi-energy branch convention: an eigenvalue lambda of a one-step
 operator corresponds to E = i log(lambda) with the principal logarithm
@@ -35,7 +36,6 @@ return its partner, the lower band with Re E in [-pi, 0]: at
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import glob
@@ -70,24 +70,18 @@ def _openblas():
     return None
 
 
-@contextlib.contextmanager
-def one_blas_thread():
-    """Run the body with BLAS at one thread; restore the previous count on exit, also on error.
+@functools.cache
+def pin_one_blas_thread() -> bool:
+    """Set BLAS to one thread for the rest of the process; True if a library was found.
 
-    A no-op when ``_openblas`` finds no library or the count is already 1:
-    in a forked child, OpenBLAS answers any set call by restarting its
-    thread pool, whose new threads spin for about 0.1 s of CPU.
+    Makes no set call where the count is already 1: in a forked child,
+    OpenBLAS answers any set call by restarting its thread pool, whose new
+    threads spin for about 0.1 s of CPU.
     """
     get, put = _openblas() or (None, None)
-    before = 1 if get is None else get()
-    if before == 1:
-        yield
-        return
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
+    if get is not None and get() != 1:
+        put(1)
+    return get is not None
 
 
 def eig2_batch(m: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -136,12 +130,13 @@ def eig2_vector(entries: tuple[np.ndarray, ...], lam: np.ndarray) -> np.ndarray:
     return np.stack([v0 / nrm, v1 / nrm], axis=-1)
 
 
-def eig_general(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full right eigendecomposition of a dense NxN matrix, in real LAPACK if it is real.
+def eig_general(m: np.ndarray, vectors: bool = True) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """Right eigendecomposition of a dense NxN matrix, in real LAPACK if it is real.
 
     Returns ``(values, vectors)``, complex either way: the eigenvalues sorted
     by (Re, Im), ascending, and ``vectors[:, i]`` the unit-norm eigenvector
-    of ``values[i]``.
+    of ``values[i]``.  With ``vectors=False`` it returns the eigenvalues
+    alone, in LAPACK's order.
     """
     m = np.asarray(m)
     m = m.astype(np.result_type(m, float), copy=False)
@@ -149,15 +144,17 @@ def eig_general(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("matrix entries must be finite")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    pin_one_blas_thread()
     try:
-        with one_blas_thread():
-            values, vectors = np.linalg.eig(m)
+        if not vectors:
+            return np.linalg.eigvals(m).astype(complex, copy=False)
+        values, vecs = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     order = np.lexsort((values.imag, values.real))
     values = values[order].astype(complex, copy=False)
-    vectors = vectors[:, order].astype(complex, copy=False)
-    return values, vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
+    vecs = vecs[:, order].astype(complex, copy=False)
+    return values, vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
 
 
 def quasienergy(lam: np.ndarray) -> np.ndarray:

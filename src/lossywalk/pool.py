@@ -8,11 +8,11 @@ worker.  On Linux (up to Python 3.13) the pool forks: workers inherit the
 parent's module globals, including any wrapper installed on them, and its
 BLAS thread count.
 
-Dense solves (``lattice``, ``cli``) go through ``_run_dense``.  It pools
-only where ``linalg.one_blas_thread`` can pin BLAS to one thread, since
-forked children at the default BLAS threads compete for the same cores
-and run slower than one serial solve at a time, and it holds the pin while
-the workers fork.
+Dense solves (``lattice``, ``cli``) go through ``_run_dense``.  It pins
+BLAS to one thread for the process (``linalg.pin_one_blas_thread``) before
+the workers fork, so they inherit the count, and pools only where that pin
+found a library: forked children at the default BLAS threads compete for
+the same cores and run slower than one serial solve at a time.
 """
 
 from __future__ import annotations
@@ -33,13 +33,8 @@ def _workers(workers: int | None) -> int:
 
 
 def _run_dense(row_fn, args_list, workers: int | None):
-    """``_run_rows`` for dense solves, under one ``linalg.one_blas_thread`` for the whole fan-out.
-
-    Forked workers inherit the count of 1, so their own pins set nothing.
-    Where ``linalg`` found no BLAS to pin, the solves run serially.
-    """
-    with linalg.one_blas_thread():
-        yield from _run_rows(row_fn, args_list, _workers(workers) if linalg._openblas() is not None else 1)
+    """``_run_rows`` for dense solves: serial where ``linalg`` found no BLAS to pin."""
+    return _run_rows(row_fn, args_list, _workers(workers) if linalg.pin_one_blas_thread() else 1)
 
 
 def _run_rows(row_fn, args_list, workers: int):

@@ -188,6 +188,13 @@ def _sweep(axes, cell, row_fn, meta, workers, checkpoint):
     return SweepTable(axes=axes, values=values, status=status, meta=meta)
 
 
+def _size(name: str, n: int) -> int:
+    """A momentum-grid size, checked before the first row: a bad one fails the whole sweep."""
+    if n < 1:
+        raise ValueError(f"{name} must be positive, got {n}")
+    return n
+
+
 def _as_axis(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
@@ -268,7 +275,8 @@ def sweep_phase_diagram_1d(
     """Lower-band winding number over a (theta1, theta2) grid at zero scaling."""
     return _sweep([("theta1", theta1_range), ("theta2", theta2_range)],
                   lambda t1, t2: (t1, t2, 0.0, n_k), _winding_gamma_row,
-                  {"model": "ssqw_1d_phase_diagram", "gamma": 0.0, "n_k": n_k}, workers, checkpoint)
+                  {"model": "ssqw_1d_phase_diagram", "gamma": 0.0, "n_k": _size("n_k", n_k)},
+                  workers, checkpoint)
 
 
 def sweep_winding_vs_gamma(
@@ -282,7 +290,7 @@ def sweep_winding_vs_gamma(
     """Lower-band winding over (theta2, gamma) at fixed theta1, with critical overlays."""
     return _sweep([("theta2", theta2_range), ("gamma", gamma_range)],
                   lambda t2, g: (theta1, t2, g, n_k), _winding_gamma_row,
-                  {"model": "ssqw_1d_winding_vs_gamma", "theta1": float(theta1), "n_k": n_k,
+                  {"model": "ssqw_1d_winding_vs_gamma", "theta1": float(theta1), "n_k": _size("n_k", n_k),
                    "overlays": _gamma_c_overlays(theta1, _as_axis(theta2_range))}, workers, checkpoint)
 
 
@@ -297,7 +305,7 @@ def sweep_chern_2d(
     return _sweep([("theta1", theta1_range), ("theta2", theta2_range)],
                   lambda t1, t2: (t1, t2, 0.0, 0.0, grid), _chern_gamma_row,
                   {"model": "dtqw_2d_phase_diagram", "gamma_x": 0.0, "gamma_y": 0.0,
-                   "grid": grid}, workers, checkpoint)
+                   "grid": _size("grid", grid)}, workers, checkpoint)
 
 
 def sweep_chern_vs_gamma(
@@ -313,4 +321,4 @@ def sweep_chern_vs_gamma(
     return _sweep([("theta2", theta2_range), ("gamma_x", gamma_x_range)],
                   lambda t2, gx: (theta1, t2, gx, gamma_y, grid), _chern_gamma_row,
                   {"model": "dtqw_2d_chern_vs_gamma", "theta1": float(theta1),
-                   "gamma_y": float(gamma_y), "grid": grid}, workers, checkpoint)
+                   "gamma_y": float(gamma_y), "grid": _size("grid", grid)}, workers, checkpoint)

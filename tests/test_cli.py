@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lossywalk import cli, errors
+from lossywalk import cli, errors, lattice
 from lossywalk.cli import cli_dispatch, parse_angle, parse_range
 from lossywalk.lattice import RegionSpec
 from lossywalk.sweeps import sweep_chern_vs_gamma, sweep_phase_diagram_1d
@@ -425,3 +425,75 @@ def test_figure_seven_partition(tmp_path):
     assert text[0].startswith("site,theta1,theta2")
     assert "edge0_prob" in text[0] and "edge1_prob" in text[0]
     assert len(text) == 1 + 201
+
+
+def test_config_is_spliced_after_the_subcommand_not_after_an_option_value(tmp_path):
+    # "figure" here is the value of --outdir, not the subcommand
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"nk": 51}))
+    code, out = run_cli(["--outdir", "figure", "--config", str(cfg), "winding",
+                         "--theta1", "-3pi/8", "--theta2", "pi/4"])
+    assert code == 0
+    assert out == run_cli(["winding", "--theta1", "-3pi/8", "--theta2", "pi/4", "--nk", "51"])[1]
+    code, out = run_cli(["--json", f"--config={cfg}"])
+    assert code == 1
+    assert json.loads(out)["message"] == "config file given but no subcommand found"
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_are_rejected(workers):
+    code, out = run_cli(["--json", "--workers", workers, "winding", "--theta1", "0", "--theta2", "0"])
+    assert code == 1
+    assert json.loads(out) == {"error": "validation",
+                               "message": f"lossywalk: argument --workers: must be >= 1, got {workers}"}
+
+
+@pytest.mark.parametrize("args, message", [
+    (["chern", "--theta1", "pi/4", "--theta2", "pi/2", "--grid", "0"],
+     "grid sizes must be positive, got 0 x 0"),
+    (["chern", "--theta1", "pi/4", "--theta2", "pi/2", "--grid", "-2"],
+     "grid sizes must be positive, got -2 x -2"),
+    (["chern-sweep", "--theta1", "pi/4", "--theta2-range", "0:1:2", "--gamma-x-range", "0:1:2",
+      "--grid", "0"], "grid must be positive, got 0"),
+    (["phase1d", "--theta1-range", "0:1:2", "--theta2-range", "0:1:2", "--nk", "0"],
+     "n_k must be positive, got 0"),
+    (["winding-sweep", "--theta1", "-3pi/8", "--theta2-range", "0:1:2", "--gamma-range", "0:1:2",
+      "--nk", "-1"], "n_k must be positive, got -1"),
+])
+def test_grid_sizes_below_one_are_bad_input_and_write_nothing(tmp_path, args, message):
+    code, out = run_cli(["--json", "--outdir", str(tmp_path / "out"), *args])
+    assert (code, json.loads(out)) == (1, {"error": "validation", "message": message})
+    assert not (tmp_path / "out").exists()
+
+
+_CHAIN_ARGS = ["chain-spectrum", "--n", "21", "--boundary", "4", "--inner=-3pi/8,5pi/8", "--outer=-3pi/8,pi/4"]
+_STRIP_ARGS = ["strip-bands", "--ny", "11", "--boundary", "2", "--inner", "7pi/6,7pi/6", "--outer", "3pi/2,pi",
+               "--kx-samples", "4"]
+
+
+@pytest.mark.parametrize("args", [_CHAIN_ARGS, _STRIP_ARGS], ids=["chain", "strip"])
+def test_dense_failures_are_reported_alike_by_chain_and_strip(monkeypatch, tmp_path, args):
+    # both commands solve through linalg.eig_general: a non-finite operator is
+    # bad input, and a LAPACK failure is numerical
+    def with_nan(build):
+        def build_nan(*a):
+            op = build(*a)
+            op[0, 0] = np.nan
+            return op
+        return build_nan
+
+    monkeypatch.setattr(cli, "build_chain_operator", with_nan(cli.build_chain_operator))
+    monkeypatch.setattr(lattice, "build_strip_operator", with_nan(lattice.build_strip_operator))
+    argv = ["--json", "--workers", "1", "--outdir", str(tmp_path), *args]
+    code, out = run_cli(argv)
+    assert (code, json.loads(out)) == (1, {"error": "validation", "message": "matrix entries must be finite"})
+    monkeypatch.undo()
+
+    def fail(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", fail)
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    code, out = run_cli(argv)
+    assert (code, json.loads(out)) == (2, {"error": "numerical",
+                                           "message": "ConvergenceFailure: Eigenvalues did not converge"})

@@ -1,7 +1,7 @@
 """Every name a ``lossywalk`` module or a test module imports is used in that module,
 every module-level private name and dataclass field of ``lossywalk`` is read somewhere,
 no ``lossywalk`` module forms an ``@`` matrix product, and every dense eigensolve
-runs inside ``linalg.one_blas_thread``.
+goes through ``linalg.eig_general``, which pins BLAS to one thread first.
 
 No linter ships with the project, so these stdlib ``ast`` checks stand in
 for one.  ``__init__`` (whose imports are the package's re-exports) and
@@ -214,49 +214,56 @@ def test_library_forms_no_matrix_product():
     assert found == []
 
 
-def unpinned_eig_calls(source: str) -> list[str]:
-    """``function:line`` of each ``linalg.eig``/``eigvals`` call outside a ``with one_blas_thread()``."""
+def unpinned_eig_calls(source: str, entry: str | None) -> list[str]:
+    """``function:line`` of each ``linalg.eig``/``eigvals`` call outside the function ``entry``,
+    or inside it but not after its first ``pin_one_blas_thread()`` call."""
     found = []
 
-    def pins(item):
-        call = item.context_expr
-        name = getattr(call, "func", None)
-        return getattr(name, "id", getattr(name, "attr", None)) == "one_blas_thread"
-
-    def visit(node, function, pinned):
+    def visit(node, function, pinned_at):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        elif isinstance(node, ast.With) and any(map(pins, node.items)):
-            pinned = True
+            pins = [c.lineno for c in ast.walk(node) if isinstance(c, ast.Call)
+                    and getattr(c.func, "id", getattr(c.func, "attr", None)) == "pin_one_blas_thread"]
+            pinned_at = min(pins) if function == entry and pins else None
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-              and node.func.attr in ("eig", "eigvals") and not pinned
-              and getattr(node.func.value, "attr", None) == "linalg"):
+              and node.func.attr in ("eig", "eigvals")
+              and getattr(node.func.value, "attr", None) == "linalg"
+              and (pinned_at is None or node.lineno <= pinned_at)):
             found.append(f"{function}:{node.lineno}")
         for child in ast.iter_child_nodes(node):
-            visit(child, function, pinned)
+            visit(child, function, pinned_at)
 
-    visit(ast.parse(source), "<module>", False)
+    visit(ast.parse(source), "<module>", None)
     return found
 
 
 def test_unpinned_eig_calls_finds_only_calls_outside_the_pin():
     module = (
         "import numpy as np\n"
-        "from .linalg import one_blas_thread\n"
-        "def pinned(m):\n"
-        "    with one_blas_thread():\n"
-        "        return np.linalg.eig(m), np.linalg.eigvals(m)\n"
-        "def bare(m):\n"
-        "    with open('x'):\n"
-        "        a = np.linalg.eigvals(m)\n"
-        "    return a, np.linalg.eig(m), np.linalg.eigh(m), eig(m)\n"
-        "b = numpy.linalg.eig(np.eye(2))\n"
+        "def eig_general(m):\n"
+        "    early = np.linalg.eigvals(m)\n"
+        "    pin_one_blas_thread()\n"
+        "    return early, np.linalg.eig(m), np.linalg.eigvals(m)\n"
+        "def other(m):\n"
+        "    linalg.pin_one_blas_thread()\n"
+        "    return np.linalg.eig(m), np.linalg.eigh(m), eig(m)\n"
+        "def unpinned_entry(m):\n"
+        "    return np.linalg.eig(m)\n"
+        "b = numpy.linalg.eigvals(np.eye(2))\n"
     )
-    assert unpinned_eig_calls(module) == ["bare:8", "bare:9", "<module>:10"]
+    assert unpinned_eig_calls(module, "eig_general") == [
+        "eig_general:3", "other:8", "unpinned_entry:10", "<module>:11"]
+    # an entry point that never pins guards nothing
+    assert unpinned_eig_calls(module, "unpinned_entry") == [
+        "eig_general:3", "eig_general:5", "eig_general:5", "other:8", "unpinned_entry:10", "<module>:11"]
 
 
 def test_every_dense_eigensolve_runs_at_one_blas_thread():
-    # LAPACK's bits depend on the BLAS thread count (linalg.one_blas_thread)
+    # LAPACK's bits depend on the BLAS thread count, so every dense solve goes
+    # through the one entry point, linalg.eig_general, after its pin
     found = [f"{p.name}:{call}" for p in sorted(SRC.glob("*.py"))
-             for call in unpinned_eig_calls(p.read_text())]
+             for call in unpinned_eig_calls(p.read_text(), "eig_general" if p.name == "linalg.py" else None)]
     assert found == []
+    # not vacuous: the entry point holds the package's two LAPACK calls
+    calls = unpinned_eig_calls((SRC / "linalg.py").read_text(), None)
+    assert [call.split(":")[0] for call in calls] == ["eig_general", "eig_general"]

@@ -384,3 +384,10 @@ def test_chern_loss_induced_transition():
         lower = band_spectrum_2d(WalkParams2D(np.pi / 4, np.pi / 4, gx, 0.0), 61, 61)
         cs.append(chern_number(lower)[0])
     assert cs[0] == -1 and cs[-1] == 0
+
+
+@pytest.mark.parametrize("nx, ny", [(0, 5), (5, 0), (-2, -2)])
+def test_band_spectrum_2d_rejects_grid_sizes_below_one(nx, ny):
+    # an empty grid would have summed to a Chern number of 0
+    with pytest.raises(ValueError, match=f"^grid sizes must be positive, got {nx} x {ny}$"):
+        band_spectrum_2d(WalkParams2D(np.pi / 4, np.pi / 2, 0.0, 0.0), nx, ny)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,8 @@ from hypothesis import strategies as st
 
 from helpers import SIGMA_Z, assert_multiset_close, bloch_axis, branch_dist, eig2_pair, exp_bloch, is_unitary
 
-from lossywalk import linalg
-from lossywalk.linalg import eig2_batch, eig2_vector, eig_general, one_blas_thread, quasienergy
+from lossywalk import linalg, pool
+from lossywalk.linalg import eig2_batch, eig2_vector, eig_general, quasienergy
 from lossywalk.walks import (
     GAMMA_MAX,
     WalkParams1D,
@@ -165,29 +167,19 @@ def test_eig_general_residual_random():
 
 
 @pytest.mark.skipif(linalg._openblas() is None, reason="no OpenBLAS found in numpy's wheel libraries")
-def test_one_blas_thread_pins_and_restores():
+def test_a_dense_solve_leaves_blas_at_one_thread(fresh_pin):
     get, put = linalg._openblas()
-    initial = get()
-    try:
-        put(2)
-        before = get()  # 2, or the library's cap
-        with one_blas_thread():
-            assert get() == 1
-        assert get() == before
-        with pytest.raises(RuntimeError):
-            with one_blas_thread():
-                assert get() == 1
-                raise RuntimeError("body failed")
-        assert get() == before
-        eig_general(np.eye(3))  # the dense solve pins itself
-        assert get() == before
-    finally:
-        put(initial)
+    put(2)  # the library may cap it at the core count
+    eig_general(np.eye(3), vectors=False)
+    assert get() == 1
+    eig_general(np.eye(3))
+    list(pool._run_dense(_solve_in, [np.eye(3), 2 * np.eye(3)], 2))
+    assert get() == 1
 
 
-def test_one_blas_thread_sets_nothing_when_already_at_one_thread(monkeypatch):
+def test_pin_one_blas_thread_sets_nothing_when_already_at_one_thread(monkeypatch, fresh_pin):
     # in a forked worker any set call restarts OpenBLAS's thread pool, so a
-    # worker that inherits a count of 1 must make none
+    # process that is already at a count of 1 must make none
     count, sets = [1], []
 
     def put(n):
@@ -195,14 +187,46 @@ def test_one_blas_thread_sets_nothing_when_already_at_one_thread(monkeypatch):
         count[0] = n
 
     monkeypatch.setattr(linalg, "_openblas", lambda: (lambda: count[0], put))
-    with one_blas_thread():
-        assert count == [1]
+    assert linalg.pin_one_blas_thread()
     assert sets == []
+    linalg.pin_one_blas_thread.cache_clear()
     count[0] = 3
-    with one_blas_thread():
-        with one_blas_thread():
-            assert count == [1]
-    assert sets == [1, 3] and count == [3]
+    assert linalg.pin_one_blas_thread() and linalg.pin_one_blas_thread()
+    assert sets == [1] and count == [1]
+    linalg.pin_one_blas_thread.cache_clear()
+    monkeypatch.setattr(linalg, "_openblas", lambda: None)
+    assert not linalg.pin_one_blas_thread()
+
+
+def _solve_in(m):
+    """(pid, eigenvalues) of one dense solve, for the pool."""
+    return os.getpid(), eig_general(m, vectors=False)
+
+
+def test_a_pooled_fan_out_sets_the_count_once_in_the_parent(monkeypatch, tmp_path, fresh_pin):
+    log = tmp_path / "sets"
+    count = [2]
+
+    def put(n):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        count[0] = n
+
+    monkeypatch.setattr(linalg, "_openblas", lambda: (lambda: count[0], put))
+    rows = list(pool._run_dense(_solve_in, [k * np.eye(3) for k in range(1, 5)], 2))
+    assert os.getpid() not in {pid for pid, _ in rows}  # the solves ran in workers
+    assert [values.tolist() for _, values in rows] == [[k] * 3 for k in range(1, 5)]
+    assert log.read_text().split() == [str(os.getpid())]
+
+
+def test_eig_general_values_only_are_lapacks_values_in_lapacks_order():
+    # the strip bands sort their quasi-energies themselves; a values-only
+    # solve must not reorder LAPACK's output, ties between -0 and +0 included
+    rng = np.random.default_rng(3)
+    for m in (rng.normal(size=(30, 30)), rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))):
+        got = eig_general(m, vectors=False)
+        assert got.dtype == complex
+        assert got.tobytes() == np.linalg.eigvals(m).astype(complex).tobytes()
 
 
 def test_chain_operator_unitary_spectrum():

@@ -344,3 +344,19 @@ def test_sweeps_reject_empty_or_2d_axes(name, axis, bad):
     axes[axis] = bad
     with pytest.raises(ValueError, match="^axis ranges must be nonempty 1D arrays$"):
         TINY_SWEEPS[name](*axes)
+
+
+@pytest.mark.parametrize("size", [0, -2])
+@pytest.mark.parametrize("name, sweep", [
+    ("n_k", lambda a, b, n, ckpt: sweep_phase_diagram_1d(a, b, n_k=n, workers=1, checkpoint=ckpt)),
+    ("n_k", lambda a, b, n, ckpt: sweep_winding_vs_gamma(-1, a, b, n_k=n, workers=1, checkpoint=ckpt)),
+    ("grid", lambda a, b, n, ckpt: sweep_chern_2d(a, b, grid=n, workers=1, checkpoint=ckpt)),
+    ("grid", lambda a, b, n, ckpt: sweep_chern_vs_gamma(1, a, b, 0, grid=n, workers=1, checkpoint=ckpt)),
+], ids=["phase1d", "winding", "chern2d", "chern_gamma"])
+def test_sweeps_reject_grid_sizes_below_one_before_the_first_row(tmp_path, size, name, sweep):
+    # a bad size fails the sweep, not each cell: no table of error (or C = 0)
+    # cells, and no checkpoint
+    ckpt = tmp_path / "ckpt"
+    with pytest.raises(ValueError, match=f"^{name} must be positive, got {size}$"):
+        sweep(np.array([np.pi / 4]), np.array([0.0]), size, ckpt)
+    assert not ckpt.exists()
