@@ -8,6 +8,8 @@ shorthand such as ``-3pi/8`` or ``7pi/6``; the shorthand is evaluated as
 ``figure <id>`` runs ``_FIGURES[id]``, one function per figure of the paper
 that holds its own parameters; the chain and strip figures write through the
 same emitters as the ``chain-spectrum`` and ``strip-bands`` subcommands.
+Every emitter solves all its losses before its first write, which makes
+``--outdir``: a rejected or failing command leaves no output behind.
 
 Exit codes: 0 success, 1 bad input (``ValueError``) or I/O failure
 (``OSError``), 2 numerical failure (``ArithmeticError``; see ``errors``).
@@ -238,7 +240,6 @@ def _inject_config(argv: list[str]) -> list[str]:
 
 
 def _emit_sweep(table, outdir: str, stem: str, title: str, value_label: str) -> None:
-    os.makedirs(outdir, exist_ok=True)
     write_table(table, os.path.join(outdir, f"{stem}.json"), "json")
     write_table(table, os.path.join(outdir, f"{stem}.csv"), "csv")
     emit_plot_script(
@@ -293,6 +294,9 @@ def _cmd_chern_sweep(ns) -> None:
 
 
 def _cmd_symmetry_check(ns) -> None:
+    for name in ("gamma_x", "gamma_y") if ns.model == "1d" else ("gamma",):
+        if getattr(ns, name) != 0:
+            raise ValueError(f"--{name.replace('_', '-')} does not apply to --model {ns.model}")
     if ns.model == "1d":
         p = WalkParams1D(ns.theta1, ns.theta2, ns.gamma)
         reports = [check_pt_1d(p, ns.nk, ns.tol),
@@ -306,27 +310,25 @@ def _cmd_symmetry_check(ns) -> None:
         print(f"{r.relation}: max_violation={r.max_violation:.3e} passed={r.passed}")
 
 
-def _chain_row(args) -> tuple[np.ndarray, int]:
-    """Eigenvalues and edge-state count of the two-region chain at one loss."""
+def _chain_row(args) -> tuple[np.ndarray, list]:
+    """Eigenvalues and edge states of the two-region chain at one loss."""
     n, spec, g = args
     lam, vectors = chain_spectrum(build_chain_operator(n, spec, g))
     reports = detect_edge_states(lam, vectors, CHAIN_REAL_TOL if g == 0 else CHAIN_REAL_TOL_LOSSY,
                                  spec.boundary)
-    return lam, sum(1 for r in reports if r.is_edge)
+    return lam, [r for r in reports if r.is_edge]
 
 
 def _emit_chains(spec: RegionSpec, n: int, gammas, outdir: str, stems, name: str,
                  workers: int | None) -> None:
     """One spectrum CSV per loss on the two-region chain, then one plot script."""
-    os.makedirs(outdir, exist_ok=True)
-    rows = _run_dense(_chain_row, [(n, spec, g) for g in gammas], workers)
-    for (lam, n_edge), stem in zip(rows, stems):
+    for (lam, edges), stem in zip(_run_dense(_chain_row, [(n, spec, g) for g in gammas], workers), stems):
         es = quasienergy(lam)
         write_spectrum_csv(
             os.path.join(outdir, f"{stem}.csv"),
             {"re_lambda": lam.real, "im_lambda": lam.imag, "re_energy": es.real, "im_energy": es.imag},
         )
-        print(f"{stem}: {len(lam)} eigenvalues, {n_edge} edge state(s)")
+        print(f"{stem}: {len(lam)} eigenvalues, {len(edges)} edge state(s)")
     emit_plot_script("spectrum", os.path.join(outdir, f"{name}_plot.py"),
                      [f"{stem}.csv" for stem in stems], f"{name}.png",
                      labels=[f"gamma={g}" for g in gammas])
@@ -335,10 +337,9 @@ def _emit_chains(spec: RegionSpec, n: int, gammas, outdir: str, stems, name: str
 def _emit_strips(spec: RegionSpec, n_y: int, kx_samples: int, losses, outdir: str, stems,
                  name: str, labels, workers: int | None) -> None:
     """One band CSV (kx, then e0, e1, ...) per (gamma_x, gamma_y) loss, then one plot script."""
-    os.makedirs(outdir, exist_ok=True)
+    solved = [strip_band_structure(spec, n_y, kx_samples, gx, gy, workers=workers) for gx, gy in losses]
     files = [f"{stem}.csv" for stem in stems]
-    for (gx, gy), fname in zip(losses, files):
-        bands = strip_band_structure(spec, n_y, kx_samples, gx, gy, workers=workers)
+    for bands, fname in zip(solved, files):
         cols = {"kx": bands.kx}
         cols.update((f"e{j}", e) for j, e in enumerate(bands.re_energies.T))
         write_spectrum_csv(os.path.join(outdir, fname), cols)
@@ -427,11 +428,9 @@ def _figure_6(ns) -> None:
 
 def _figure_7(ns) -> None:
     """chain partition and edge-state site profiles"""
-    n, spec = 201, _FIG67_CHAIN
-    t1, t2 = spec.angles(n)
-    lam, vectors = chain_spectrum(build_chain_operator(n, spec, 0.0))
-    cols = {"site": _site_coords(n).astype(float), "theta1": t1, "theta2": t2}
-    edges = (r for r in detect_edge_states(lam, vectors, CHAIN_REAL_TOL, spec.boundary) if r.is_edge)
+    _, edges = _chain_row((201, _FIG67_CHAIN, 0.0))
+    t1, t2 = _FIG67_CHAIN.angles(201)
+    cols = {"site": _site_coords(201).astype(float), "theta1": t1, "theta2": t2}
     cols.update((f"edge{i}_prob", r.profile) for i, r in enumerate(edges))
     write_spectrum_csv(os.path.join(ns.outdir, "fig7_partition.csv"), cols)
     emit_plot_script("lines", os.path.join(ns.outdir, "fig7_plot.py"),
@@ -452,11 +451,6 @@ _FIGURES = {"2a": _figure_2a, "2b": _figure_2b, "3": _figure_3, "4": _figure_4,
             "5": _figure_5, "6": _figure_6, "7": _figure_7, "8": _figure_8}
 
 
-def _cmd_figure(ns) -> None:
-    os.makedirs(ns.outdir, exist_ok=True)
-    _FIGURES[ns.id](ns)
-
-
 _HANDLERS = {
     "winding": _cmd_winding,
     "chern": _cmd_chern,
@@ -467,7 +461,7 @@ _HANDLERS = {
     "symmetry-check": _cmd_symmetry_check,
     "chain-spectrum": _cmd_chain_spectrum,
     "strip-bands": _cmd_strip_bands,
-    "figure": _cmd_figure,
+    "figure": lambda ns: _FIGURES[ns.id](ns),
 }
 
 def cli_dispatch(argv: list[str] | None = None) -> int:

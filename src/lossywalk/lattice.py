@@ -278,7 +278,7 @@ def strip_band_structure(
     classes = _kx_classes(kx_samples)
     reps = [j for j, (rep, _, _) in enumerate(classes) if rep == j]
     tasks = [(n_y, spec, ks[j], gamma_x, gamma_y, classes[j][2]) for j in reps]
-    solved = dict(zip(reps, list(_run_dense(_band_row, tasks, workers))))
+    solved = dict(zip(reps, _run_dense(_band_row, tasks, workers)))
     rows = np.empty((kx_samples, 2 * n_y))
     for j, (rep, mirrored, _) in enumerate(classes):
         rows[j] = -solved[rep][::-1] if mirrored else solved[rep]
@@ -362,7 +362,7 @@ def strip_gap_states_grid(
     for j, (rep, _, _) in enumerate(classes):
         widest[rep] = max(widest.get(rep, -np.inf), halves[j])
     tasks = [(spec, n_y, float(ks[rep]), gamma_x, gamma_y, half) for rep, half in widest.items()]
-    found = dict(zip(widest, list(_run_dense(_gap_states, tasks, workers))))
+    found = dict(zip(widest, _run_dense(_gap_states, tasks, workers)))
     out = []
     for j, (rep, mirrored, _) in enumerate(classes):
         kept = [s for s in found[rep] if abs(s.quasi_energy.real) < halves[j] - _GAP_MARGIN]

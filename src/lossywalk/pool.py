@@ -32,9 +32,9 @@ def _workers(workers: int | None) -> int:
         return os.cpu_count() or 1
 
 
-def _run_dense(row_fn, args_list, workers: int | None):
-    """``_run_rows`` for dense solves: serial where ``linalg`` found no BLAS to pin."""
-    return _run_rows(row_fn, args_list, _workers(workers) if linalg.pin_one_blas_thread() else 1)
+def _run_dense(row_fn, args_list, workers: int | None) -> list:
+    """All rows of ``_run_rows`` for dense solves: serial where ``linalg`` found no BLAS to pin."""
+    return list(_run_rows(row_fn, args_list, _workers(workers) if linalg.pin_one_blas_thread() else 1))
 
 
 def _run_rows(row_fn, args_list, workers: int):

@@ -31,8 +31,9 @@ def _fmt(v: float) -> str:
 
 @contextlib.contextmanager
 def _opened(path: str, what: str):
-    """Open ``path`` for writing; an OSError names what was being written."""
+    """Open ``path`` for writing, making its directory; an OSError names what was being written."""
     try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w") as fh:
             yield fh
     except OSError as exc:

@@ -156,6 +156,8 @@ GAP_SIN_TOL = 1e-9
 # (eig2_batch's discriminant, eig2_vector's |v|^2): beyond this (about
 # 177.4) they overflow float64
 GAMMA_MAX = np.log(np.finfo(float).max) / 4.0
+# critical_gamma's channels k0, E0 in {0, pi} have |sin k0|, |sin E0| below this
+CHANNEL_SIN_TOL = 1e-9
 
 
 def momentum_grid(n_points: int) -> np.ndarray:
@@ -358,6 +360,8 @@ def critical_gamma(theta1: float, theta2: float, k0: float, e0: float) -> Critic
     yields a real critical point for x >= 1, a shifted one (phi_c = pi/2,
     i.e. k -> k + pi/2) for x <= -1, and no closing for |x| < 1.
     """
+    if max(abs(np.sin(k0)), abs(np.sin(e0))) > CHANNEL_SIN_TOL:
+        raise ValueError(f"k0 and e0 must be 0 or pi, got k0={k0:g}, e0={e0:g}")
     s1s2 = np.sin(theta1 / 2.0) * np.sin(theta2 / 2.0)
     if abs(s1s2) < 1e-12:
         raise DegenerateCoin(f"sin(theta1/2) sin(theta2/2) = {s1s2:.2e}")

@@ -117,6 +117,17 @@ def test_critical_gamma_channel_flags():
     assert abs(float(out) - 0.2832) < 5e-4
 
 
+@pytest.mark.parametrize("k0, e0, code, out", [
+    ("pi", "pi", 0, "0.211006\n"),
+    ("-pi", "-pi", 0, "0.211006\n"),
+    ("pi/2", "0", 1, '{"error": "validation", "message": "k0 and e0 must be 0 or pi, got k0=1.5708, e0=0"}\n'),
+    ("0", "pi/4", 1, '{"error": "validation", "message": "k0 and e0 must be 0 or pi, got k0=0, e0=0.785398"}\n'),
+])
+def test_critical_gamma_rejects_channels_off_zero_and_pi(k0, e0, code, out):
+    assert run_cli(["--json", "critical-gamma", "--theta1", "-3pi/8", "--theta2", "pi/4",
+                    "--k0", k0, "--e0", e0]) == (code, out)
+
+
 def test_winding_command_fig3a():
     code, out = run_cli(["winding", "--theta1", "-1.1781", "--theta2", "0.3927",
                          "--gamma", "0.25", "--nk", "201"])
@@ -169,6 +180,15 @@ def test_symmetry_check_command_2d(nk, grid):
     assert grids == [grid]
     lines = out.splitlines()
     assert len(lines) == 1 and lines[0].startswith("PHS: ") and lines[0].endswith(" passed=True")
+
+
+@pytest.mark.parametrize("model, flag", [("2d", "--gamma"), ("1d", "--gamma-x"), ("1d", "--gamma-y")])
+def test_symmetry_check_rejects_the_other_models_loss(model, flag):
+    args = ["symmetry-check", "--model", model, "--theta1", "-3pi/8", "--theta2", "pi/4", "--nk", "21"]
+    code, out = run_cli(["--json", *args, flag, "0.3"])
+    assert (code, json.loads(out)) == (1, {"error": "validation",
+                                           "message": f"{flag} does not apply to --model {model}"})
+    assert run_cli([*args, flag, "0"])[0] == 0
 
 
 def test_validation_error_exit_code():
@@ -459,10 +479,45 @@ def test_workers_below_one_are_rejected(workers):
      "n_k must be positive, got 0"),
     (["winding-sweep", "--theta1", "-3pi/8", "--theta2-range", "0:1:2", "--gamma-range", "0:1:2",
       "--nk", "-1"], "n_k must be positive, got -1"),
+    # the dense commands too: rejected input leaves no --outdir behind
+    (["strip-bands", "--ny", "11", "--boundary", "2", "--inner", "0.3,0.4", "--outer", "1.0,2.0",
+      "--kx-samples", "0"], "n_points must be positive"),
+    (["chain-spectrum", "--n", "20", "--inner=-3pi/8,5pi/8", "--outer=-3pi/8,pi/4"],
+     "ring size must be odd, got 20"),
+    (["chain-spectrum", "--n", "21", "--boundary", "0", "--inner=-3pi/8,5pi/8", "--outer=-3pi/8,pi/4"],
+     "boundary 0 outside (0, 10) for 21 sites"),
 ])
 def test_grid_sizes_below_one_are_bad_input_and_write_nothing(tmp_path, args, message):
     code, out = run_cli(["--json", "--outdir", str(tmp_path / "out"), *args])
     assert (code, json.loads(out)) == (1, {"error": "validation", "message": message})
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_failing_loss_leaves_no_partial_figure(monkeypatch, tmp_path):
+    # figure 6's third loss fails after the first two are solved: nothing is written
+    def build(n, spec, gamma):
+        if gamma == 0.211:
+            raise errors.ConvergenceFailure("Eigenvalues did not converge")
+        return lattice.build_chain_operator(n, spec, gamma)
+
+    monkeypatch.setattr(cli, "build_chain_operator", build)
+    code, out = run_cli(["--json", "--workers", "1", "--outdir", str(tmp_path / "out"), "figure", "6"])
+    assert (code, json.loads(out)) == (2, {"error": "numerical",
+                                           "message": "ConvergenceFailure: Eigenvalues did not converge"})
+    assert not (tmp_path / "out").exists()
+
+
+def test_strip_emitter_solves_every_loss_before_writing(monkeypatch, tmp_path):
+    def solve(spec, n_y, kx_samples, gamma_x, gamma_y, workers=None):
+        if gamma_x:
+            raise errors.ConvergenceFailure("Eigenvalues did not converge")
+        return lattice.strip_band_structure(spec, n_y, kx_samples, gamma_x, gamma_y, workers=workers)
+
+    monkeypatch.setattr(cli, "strip_band_structure", solve)
+    spec = RegionSpec(2, cli.parse_pair("7pi/6,7pi/6"), cli.parse_pair("3pi/2,pi"))
+    with pytest.raises(errors.ConvergenceFailure):
+        cli._emit_strips(spec, 11, 4, [(0.0, 0.0), (0.2, 0.2)], str(tmp_path / "out"), ["a", "b"],
+                         "strips", ["g=0", "g=0.2"], 1)
     assert not (tmp_path / "out").exists()
 
 

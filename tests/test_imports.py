@@ -1,7 +1,9 @@
 """Every name a ``lossywalk`` module or a test module imports is used in that module,
 every module-level private name and dataclass field of ``lossywalk`` is read somewhere,
-no ``lossywalk`` module forms an ``@`` matrix product, and every dense eigensolve
-goes through ``linalg.eig_general``, which pins BLAS to one thread first.
+no ``lossywalk`` module forms an ``@`` matrix product, every dense eigensolve
+goes through ``linalg.eig_general``, which pins BLAS to one thread first, and
+every file the CLI writes goes through ``tables._opened``, which alone makes
+directories.
 
 No linter ships with the project, so these stdlib ``ast`` checks stand in
 for one.  ``__init__`` (whose imports are the package's re-exports) and
@@ -267,3 +269,55 @@ def test_every_dense_eigensolve_runs_at_one_blas_thread():
     # not vacuous: the entry point holds the package's two LAPACK calls
     calls = unpinned_eig_calls((SRC / "linalg.py").read_text(), None)
     assert [call.split(":")[0] for call in calls] == ["eig_general", "eig_general"]
+
+
+def file_calls(source: str) -> list[str]:
+    """``function:call:line`` of each ``open`` that may write and each ``makedirs``/``mkdir`` call.
+
+    An ``open`` reads when its mode (second argument or ``mode=``) is absent
+    or a string constant without "w", "a", "x" or "+"; any other counts as
+    ``open`` here.
+    """
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            if not all(isinstance(m, ast.Constant) and isinstance(m.value, str)
+                       and not set("wax+") & set(m.value) for m in modes):
+                found.append(f"{function}:open:{node.lineno}")
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("makedirs", "mkdir"):
+            found.append(f"{function}:{node.func.attr}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_file_calls_finds_only_writes_and_directory_calls():
+    module = (
+        "import os, pathlib\n"
+        "def read(p):\n"
+        "    with open(p) as a, open(p, 'rb') as b, open(p, mode='r') as c:\n"
+        "        return a, b, c, 'open(p, \"w\")'\n"
+        "def write(p, mode):\n"
+        "    open(p, 'w'); open(p, 'r+b'); open(p, mode=mode); open(p, 'a')\n"
+        "    os.makedirs(os.path.dirname(p))\n"
+        "    pathlib.Path(p).mkdir()\n"
+        "os.makedirs('out', exist_ok=True)\n"
+    )
+    assert file_calls(module) == ["write:open:6", "write:open:6", "write:open:6", "write:open:6",
+                                  "write:makedirs:7", "write:mkdir:8", "<module>:makedirs:9"]
+
+
+def test_one_writer_makes_the_output_directory():
+    # every command solves first and writes through tables._opened, which makes
+    # the file's directory: a command that fails before its first write leaves
+    # no --outdir behind (cli reads its config file, and writes nothing itself)
+    assert file_calls((SRC / "cli.py").read_text()) == []
+    dirs = [f"{p.name}:{call.rsplit(':', 1)[0]}" for p in sorted(SRC.glob("*.py"))
+            for call in file_calls(p.read_text()) if call.split(":")[1] != "open"]
+    assert dirs == ["tables.py:_opened:makedirs"]

@@ -173,7 +173,7 @@ def test_a_dense_solve_leaves_blas_at_one_thread(fresh_pin):
     eig_general(np.eye(3), vectors=False)
     assert get() == 1
     eig_general(np.eye(3))
-    list(pool._run_dense(_solve_in, [np.eye(3), 2 * np.eye(3)], 2))
+    pool._run_dense(_solve_in, [np.eye(3), 2 * np.eye(3)], 2)
     assert get() == 1
 
 
@@ -213,7 +213,7 @@ def test_a_pooled_fan_out_sets_the_count_once_in_the_parent(monkeypatch, tmp_pat
         count[0] = n
 
     monkeypatch.setattr(linalg, "_openblas", lambda: (lambda: count[0], put))
-    rows = list(pool._run_dense(_solve_in, [k * np.eye(3) for k in range(1, 5)], 2))
+    rows = pool._run_dense(_solve_in, [k * np.eye(3) for k in range(1, 5)], 2)
     assert os.getpid() not in {pid for pid, _ in rows}  # the solves ran in workers
     assert [values.tolist() for _, values in rows] == [[k] * 3 for k in range(1, 5)]
     assert log.read_text().split() == [str(os.getpid())]

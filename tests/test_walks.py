@@ -331,6 +331,16 @@ def test_critical_gamma_degenerate_coin():
         critical_gamma(0.0, np.pi / 4, 0.0, 0.0)
 
 
+def test_critical_gamma_accepts_only_the_closing_channels():
+    # the closed form holds for k0, E0 in {0, pi}; pi and -pi (sin ~ 1e-16) are the same channel
+    want = critical_gamma(-3 * np.pi / 8, np.pi / 4, np.pi, np.pi)
+    for k0, e0 in [(-np.pi, np.pi), (np.pi, -np.pi), (-np.pi, -np.pi)]:
+        assert critical_gamma(-3 * np.pi / 8, np.pi / 4, k0, e0) == want
+    for k0, e0 in [(np.pi / 2, 0.0), (0.0, np.pi / 2), (1e-6, 0.0), (np.pi, np.pi - 1e-6)]:
+        with pytest.raises(ValueError, match="k0 and e0 must be 0 or pi"):
+            critical_gamma(-3 * np.pi / 8, np.pi / 4, k0, e0)
+
+
 def test_critical_gamma_brackets_spectral_reality():
     # max_k |Im E| flips from ~0 to > 1e-4 across gamma_c
     rng = np.random.default_rng(RNG_SEED + 7)
