@@ -8,8 +8,8 @@ shorthand such as ``-3pi/8`` or ``7pi/6``; the shorthand is evaluated as
 ``figure <id>`` runs ``_FIGURES[id]``, one function per figure of the paper
 that holds its own parameters; the chain and strip figures write through the
 same emitters as the ``chain-spectrum`` and ``strip-bands`` subcommands.
-Every emitter solves all its losses before its first write, which makes
-``--outdir``: a rejected or failing command leaves no output behind.
+Every command and figure solves everything before its first write, which
+makes ``--outdir``: a rejected or failing command leaves no output behind.
 
 Exit codes: 0 success, 1 bad input (``ValueError``) or I/O failure
 (``OSError``), 2 numerical failure (``ArithmeticError``; see ``errors``).
@@ -384,7 +384,7 @@ def _figure_3(ns) -> None:
     """Bloch-vector winding trajectories of the lower band"""
     n_k = 201
     ks = momentum_grid(n_k)
-    files, labels = [], []
+    files, columns, labels = [], [], []
     for i, (t1s, t2s, g) in enumerate([("-3pi/8", "pi/8", 0.25), ("-3pi/8", "5pi/8", 0.25),
                                        ("-3pi/8", "pi/8", 1.8), ("-3pi/8", "pi/8", 3.0)]):
         p = WalkParams1D(parse_angle(t1s), parse_angle(t2s), g)
@@ -393,10 +393,11 @@ def _figure_3(ns) -> None:
         for j, axis in enumerate(("nx", "ny", "nz")):
             cols[f"re_{axis}"] = n[:, j].real
             cols[f"im_{axis}"] = n[:, j].imag
-        fname = f"fig3_case{i}.csv"
-        write_spectrum_csv(os.path.join(ns.outdir, fname), cols)
-        files.append(fname)
+        files.append(f"fig3_case{i}.csv")
+        columns.append(cols)
         labels.append(f"{t1s},{t2s},g={g}: W={winding_number(band_spectrum_1d(p, n_k)).w:.3f}")
+    for fname, cols in zip(files, columns):
+        write_spectrum_csv(os.path.join(ns.outdir, fname), cols)
     emit_plot_script("trajectory", os.path.join(ns.outdir, "fig3_plot.py"), files,
                      "fig3.png", labels=labels)
     print(f"wrote {ns.outdir}/fig3_case*.csv and fig3_plot.py")
@@ -404,18 +405,22 @@ def _figure_3(ns) -> None:
 
 def _figure_4(ns) -> None:
     """lower-band winding vs (gamma, theta2)"""
-    for i, t1s in enumerate(["-pi/2", "-3pi/4", "-pi"]):
-        table = sweep_winding_vs_gamma(parse_angle(t1s), parse_range("0:2pi:41"),
-                                       parse_range("0:1.5:41"), 201, workers=ns.workers)
+    panels = ["-pi/2", "-3pi/4", "-pi"]
+    tables = [sweep_winding_vs_gamma(parse_angle(t1s), parse_range("0:2pi:41"),
+                                     parse_range("0:1.5:41"), 201, workers=ns.workers)
+              for t1s in panels]
+    for i, (t1s, table) in enumerate(zip(panels, tables)):
         _emit_sweep(table, ns.outdir, f"fig4_panel{i}", f"winding, theta1={t1s}", "W")
 
 
 def _figure_5(ns) -> None:
     """Chern number vs (gamma_x, theta2)"""
-    for i, (t1s, gy) in enumerate([("pi/4", 0.0), ("3pi/8", 0.0), ("3pi/2", 0.0),
-                                   ("pi/4", 0.1), ("3pi/8", 0.5), ("3pi/2", 1.0)]):
-        table = sweep_chern_vs_gamma(parse_angle(t1s), parse_range("0:2pi:31"),
-                                     parse_range("0:2:31"), gy, 51, workers=ns.workers)
+    panels = [("pi/4", 0.0), ("3pi/8", 0.0), ("3pi/2", 0.0),
+              ("pi/4", 0.1), ("3pi/8", 0.5), ("3pi/2", 1.0)]
+    tables = [sweep_chern_vs_gamma(parse_angle(t1s), parse_range("0:2pi:31"),
+                                   parse_range("0:2:31"), gy, 51, workers=ns.workers)
+              for t1s, gy in panels]
+    for i, ((t1s, gy), table) in enumerate(zip(panels, tables)):
         _emit_sweep(table, ns.outdir, f"fig5_panel{i}", f"Chern, theta1={t1s}, gamma_y={gy}", "C")
 
 

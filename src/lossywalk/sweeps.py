@@ -5,15 +5,21 @@ stores row-major float results plus a per-cell status marker.  ``_sweep``
 is the one sweep body: it validates both axes and builds each row's cells,
 the argument tuples of the row function, from the two axes through the
 public sweep's ``cell(x, y)`` map.  Rows (first axis) are distributed over
-the process pool of ``pool``; results land in preallocated slots indexed
-by grid position, so the table is bit-identical regardless of worker count
-or scheduling.
+the process pool of ``pool``; results land in their slots by grid position,
+so the table is bit-identical regardless of worker count or scheduling.
 
 A winding row is one batched ``band_spectrum_1d`` and ``winding_number``
 call; its masks make a cell with colliding eigenvalues or vanishing links
 NaN and gap_closed.  If the batch raises, the row reruns cell by cell, so
 errors are the cells' own.  A batch of one equals the row, bit for bit.
 Chern rows stay per cell: one cell already diagonalises a whole 2D grid.
+
+Every row lands in one store, ``_Checkpoint``, holding the layout below: in
+memory without a checkpoint path, else that file, created blank (bitmap 0,
+NaN values, status 0) if missing and mapped shared once its size and header
+match (else ``CheckpointMismatch``).  Rows marked done are not run again.
+``write_row`` sets the bitmap byte last and nothing is synced, so the file
+survives a killed process but not an OS crash.
 
 Checkpoint file layout (little-endian, fixed width), version 1:
 
@@ -121,44 +127,37 @@ def _config_hash(meta: dict, axes) -> bytes:
 
 
 class _Checkpoint:
-    """Seekable per-row checkpoint store."""
+    """A sweep's rows in the version-1 layout, mapped onto ``path`` or held in memory."""
 
-    def __init__(self, path: str, cfg_hash: bytes, n_rows: int, n_cols: int):
-        self.path = path
-        self.n_rows = n_rows
-        self.n_cols = n_cols
-        self._hdr = struct.pack("<4sI32sII", _MAGIC, _CKPT_VERSION, cfg_hash, n_rows, n_cols)
-        self._bitmap_off = len(self._hdr)
-        self._values_off = self._bitmap_off + n_rows
-        self._status_off = self._values_off + 8 * n_rows * n_cols
-        if os.path.exists(path):
-            with open(path, "rb") as fh:
-                hdr = fh.read(len(self._hdr))
-            if hdr != self._hdr:
-                raise CheckpointMismatch(f"{path} does not match this sweep configuration")
+    def __init__(self, path, cfg_hash: bytes, n_rows: int, n_cols: int):
+        hdr = struct.pack("<4sI32sII", _MAGIC, _CKPT_VERSION, cfg_hash, n_rows, n_cols)
+        n = n_rows * n_cols
+        blank = hdr + bytes(n_rows) + np.full(n, np.nan).astype("<f8").tobytes() + bytes(n)
+        if path is None:
+            buf = np.frombuffer(bytearray(blank), np.uint8)
         else:
-            with open(path, "wb") as fh:
-                fh.write(self._hdr)
-                fh.write(bytes(n_rows))
-                fh.write(np.full(n_rows * n_cols, np.nan).tobytes())
-                fh.write(bytes(n_rows * n_cols))
-
-    def load(self):
-        with open(self.path, "rb") as fh:
-            fh.seek(self._bitmap_off)
-            bitmap = np.frombuffer(fh.read(self.n_rows), dtype=np.uint8).astype(bool)
-            values = np.frombuffer(fh.read(8 * self.n_rows * self.n_cols), dtype="<f8").copy()
-            status = np.frombuffer(fh.read(self.n_rows * self.n_cols), dtype=np.uint8).copy()
-        return bitmap, values, status
+            try:
+                if not os.path.exists(path):
+                    with open(path, "wb") as fh:
+                        fh.write(blank)
+                with open(path, "rb") as fh:
+                    head, size = fh.read(len(hdr)), os.fstat(fh.fileno()).st_size
+                if size != len(blank) or head != hdr:
+                    raise CheckpointMismatch(f"{path} does not match this sweep configuration")
+                buf = np.memmap(path, np.uint8, "r+")
+            except OSError as exc:
+                raise OSError(f"cannot write checkpoint to {path}: {exc}") from exc
+        off = len(hdr) + n_rows
+        self.n_cols = n_cols
+        self.done = buf[len(hdr) : off]
+        self.values = buf[off : off + 8 * n].view("<f8")
+        self.status = buf[off + 8 * n :]
 
     def write_row(self, row: int, values: np.ndarray, status: np.ndarray) -> None:
-        with open(self.path, "r+b") as fh:
-            fh.seek(self._values_off + 8 * row * self.n_cols)
-            fh.write(values.astype("<f8").tobytes())
-            fh.seek(self._status_off + row * self.n_cols)
-            fh.write(status.astype(np.uint8).tobytes())
-            fh.seek(self._bitmap_off + row)
-            fh.write(b"\x01")
+        cols = slice(row * self.n_cols, (row + 1) * self.n_cols)
+        self.values[cols] = values
+        self.status[cols] = status
+        self.done[row] = 1
 
 
 def _sweep(axes, cell, row_fn, meta, workers, checkpoint):
@@ -169,23 +168,13 @@ def _sweep(axes, cell, row_fn, meta, workers, checkpoint):
     """
     axes = [(name, _as_axis(vals)) for name, vals in axes]
     (_, xs), (_, ys) = axes
-    n_rows, n_cols = len(xs), len(ys)
-    values = np.full(n_rows * n_cols, np.nan)
-    status = np.full(n_rows * n_cols, STATUS_ERROR, dtype=np.uint8)
     meta = {**meta, "artifact_version": _pkg_version}
-    ckpt = None
-    done = np.zeros(n_rows, dtype=bool)
-    if checkpoint is not None:
-        ckpt = _Checkpoint(str(checkpoint), _config_hash(meta, axes), n_rows, n_cols)
-        done, values, status = ckpt.load()
-    todo = [i for i in range(n_rows) if not done[i]]
+    store = _Checkpoint(checkpoint, _config_hash(meta, axes), len(xs), len(ys))
+    todo = np.flatnonzero(store.done == 0)
     results = _run_rows(row_fn, [[cell(xs[i], y) for y in ys] for i in todo], _workers(workers))
     for i, (row_vals, row_stat) in zip(todo, results):
-        values[i * n_cols : (i + 1) * n_cols] = row_vals
-        status[i * n_cols : (i + 1) * n_cols] = row_stat
-        if ckpt is not None:
-            ckpt.write_row(i, row_vals, row_stat)
-    return SweepTable(axes=axes, values=values, status=status, meta=meta)
+        store.write_row(i, row_vals, row_stat)
+    return SweepTable(axes=axes, values=store.values.copy(), status=store.status.copy(), meta=meta)
 
 
 def _size(name: str, n: int) -> int:

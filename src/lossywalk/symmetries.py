@@ -122,9 +122,12 @@ def find_exceptional_point(
     """Bisect the scaling factor where the spectrum stops being real.
 
     The predicate is ``check_exact_pt(...).passed`` on an n_points grid;
-    the returned transition value is bracketed to 1e-6.  Raises NoBracket
-    when the predicate does not change over [0, gamma_hi].
+    the returned transition value is bracketed to 1e-6.  Raises ValueError
+    unless gamma_hi > 0, and NoBracket when the predicate does not change
+    over [0, gamma_hi].
     """
+    if not gamma_hi > 0:
+        raise ValueError(f"gamma_hi must be positive, got {gamma_hi}")
 
     def is_real(gamma: float) -> bool:
         return check_exact_pt(WalkParams1D(theta1, theta2, gamma), n_points, EXACT_PT_TOL).passed

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lossywalk import cli, errors, lattice
+from lossywalk import cli, errors, lattice, sweeps
 from lossywalk.cli import cli_dispatch, parse_angle, parse_range
 from lossywalk.lattice import RegionSpec
 from lossywalk.sweeps import sweep_chern_vs_gamma, sweep_phase_diagram_1d
@@ -552,3 +552,75 @@ def test_dense_failures_are_reported_alike_by_chain_and_strip(monkeypatch, tmp_p
     code, out = run_cli(argv)
     assert (code, json.loads(out)) == (2, {"error": "numerical",
                                            "message": "ConvergenceFailure: Eigenvalues did not converge"})
+
+
+_PHASE1D_ARGS = ["phase1d", "--theta1-range", "0:1:3", "--theta2-range", "0:1:3", "--nk", "21"]
+
+
+@pytest.mark.parametrize("cut", [
+    lambda raw: b"",
+    lambda raw: raw[:48],
+    lambda raw: raw[:-1],
+    lambda raw: raw + b"\x00",
+], ids=["empty", "header_only", "one_byte_short", "one_byte_long"])
+def test_checkpoint_of_the_wrong_size_is_bad_input(tmp_path, cut):
+    ck = tmp_path / "p.ckpt"
+    assert run_cli(["--outdir", str(tmp_path / "first"), *_PHASE1D_ARGS, "--checkpoint", str(ck)])[0] == 0
+    ck.write_bytes(cut(ck.read_bytes()))
+    code, out = run_cli(["--json", "--outdir", str(tmp_path / "out"), *_PHASE1D_ARGS,
+                         "--checkpoint", str(ck)])
+    assert (code, json.loads(out)) == (1, {"error": "validation",
+                                           "message": f"{ck} does not match this sweep configuration"})
+    assert not (tmp_path / "out").exists()
+
+
+def test_checkpoint_in_a_missing_directory_fails_before_the_first_row(monkeypatch, tmp_path):
+    rows = []
+    monkeypatch.setattr(sweeps, "_winding_gamma_row", lambda cells: rows.append(cells))
+    ck = tmp_path / "nodir" / "p.ckpt"
+    code, out = run_cli(["--json", "--workers", "1", "--outdir", str(tmp_path / "out"), *_PHASE1D_ARGS,
+                         "--checkpoint", str(ck)])
+    assert (code, json.loads(out)) == (1, {
+        "error": "io",
+        "message": f"cannot write checkpoint to {ck}: [Errno 2] No such file or directory: '{ck}'"})
+    assert rows == []
+    assert not (tmp_path / "out").exists() and not ck.parent.exists()
+
+
+def _fail_on_call(n, real):
+    """``real`` on the first 2 x 2 cells of its grid for the first n - 1 calls, then a ValueError."""
+    calls = []
+
+    def wrapped(theta1, theta2s, gammas, *args, **kwargs):
+        calls.append(theta1)
+        if len(calls) == n:
+            raise ValueError("injected failure")
+        return real(theta1, theta2s[:2], gammas[:2], *args, **kwargs)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("figure, name, n", [("4", "sweep_winding_vs_gamma", 3),
+                                             ("5", "sweep_chern_vs_gamma", 6)])
+def test_a_failing_panel_leaves_no_partial_figure(monkeypatch, tmp_path, figure, name, n):
+    # every panel is solved before the first is written: one JSON line, no --outdir
+    monkeypatch.setattr(cli, name, _fail_on_call(n, getattr(cli, name)))
+    code, out = run_cli(["--json", "--workers", "1", "--outdir", str(tmp_path / "out"), "figure", figure])
+    assert (code, out.count("\n"), json.loads(out)) == (
+        1, 1, {"error": "validation", "message": "injected failure"})
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_failing_trajectory_leaves_no_partial_figure(monkeypatch, tmp_path):
+    # figure 3's fourth case is the only one at g = 3.0
+    def bloch(p, k):
+        if p.gamma == 3.0:
+            raise ValueError("injected failure")
+        return real(p, k)
+
+    real = cli.bloch_ssqw
+    monkeypatch.setattr(cli, "bloch_ssqw", bloch)
+    code, out = run_cli(["--json", "--outdir", str(tmp_path / "out"), "figure", "3"])
+    assert (code, out.count("\n"), json.loads(out)) == (
+        1, 1, {"error": "validation", "message": "injected failure"})
+    assert not (tmp_path / "out").exists()

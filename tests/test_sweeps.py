@@ -1,6 +1,9 @@
+import hashlib
+import json
 import multiprocessing
 import os
 import signal
+import struct
 import time
 import warnings
 from concurrent.futures.process import BrokenProcessPool
@@ -163,6 +166,32 @@ def test_checkpoint_resume_identical(tmp_path):
     assert resumed.status.tobytes() == full.status.tobytes()
 
 
+def _checkpoint_rows(raw: bytes, n_rows: int, n_cols: int):
+    """The bitmap, value grid and status grid of a version-1 checkpoint's bytes."""
+    off = 48 + n_rows
+    n = n_rows * n_cols
+    return (np.frombuffer(raw[48:off], np.uint8),
+            np.frombuffer(raw[off : off + 8 * n], "<f8").reshape(n_rows, n_cols),
+            np.frombuffer(raw[off + 8 * n :], np.uint8).reshape(n_rows, n_cols))
+
+
+def test_checkpoint_file_is_the_version_1_layout(tmp_path):
+    # header, a bitmap of ones, the values as <f8, then the statuses, and
+    # nothing else; the hash is that of the canonical config JSON.  The even
+    # grid closes the gap at (-pi/2, pi/2), so a status and a NaN are stored
+    ck = tmp_path / "sweep.ckpt"
+    table = sweep_phase_diagram_1d(np.array([-np.pi / 2, -3 * np.pi / 8]),
+                                   np.array([np.pi / 8, np.pi / 2, 5 * np.pi / 8]),
+                                   n_k=200, workers=1, checkpoint=str(ck))
+    assert STATUS_GAP_CLOSED in table.status and STATUS_OK in table.status
+    canon = {"meta": table.meta, "axes": [[name, vals.tolist()] for name, vals in table.axes]}
+    cfg_hash = hashlib.sha256(json.dumps(canon, sort_keys=True).encode()).digest()
+    raw = ck.read_bytes()
+    assert struct.unpack("<4sI32sII", raw[:48]) == (b"LWCK", 1, cfg_hash, *table.shape)
+    assert raw[48:] == (bytes([1] * table.shape[0]) + table.values.astype("<f8").tobytes()
+                        + table.status.astype(np.uint8).tobytes())
+
+
 def test_interrupted_sweep_keeps_finished_rows(tmp_path, monkeypatch):
     ck = tmp_path / "sweep.ckpt"
     gammas = np.linspace(0, 0.3, 3)
@@ -182,8 +211,11 @@ def test_interrupted_sweep_keeps_finished_rows(tmp_path, monkeypatch):
     monkeypatch.setattr(sweeps, "band_spectrum_1d", interrupt_after_rows)
     with pytest.raises(KeyboardInterrupt):
         sweep_winding_vs_gamma(-3 * np.pi / 8, T2S, gammas, n_k=101, workers=1, checkpoint=str(ck))
-    bitmap = np.frombuffer(ck.read_bytes()[48 : 48 + len(T2S)], dtype=np.uint8)
-    assert bitmap.tolist() == [1] * rows_done + [0] * (len(T2S) - rows_done)
+    done, values, status = _checkpoint_rows(ck.read_bytes(), len(T2S), len(gammas))
+    assert done.tolist() == [1] * rows_done + [0] * (len(T2S) - rows_done)
+    assert values[:rows_done].tobytes() == full.grid()[:rows_done].tobytes()
+    assert status[:rows_done].tobytes() == full.status_grid()[:rows_done].tobytes()
+    assert np.isnan(values[rows_done:]).all() and not status[rows_done:].any()
     monkeypatch.setattr(sweeps, "band_spectrum_1d", real)
     resumed = sweep_winding_vs_gamma(-3 * np.pi / 8, T2S, gammas, n_k=101, workers=1,
                                      checkpoint=str(ck))
@@ -256,6 +288,25 @@ def test_checkpoint_rejects_other_config(tmp_path):
     with pytest.raises(CheckpointMismatch):
         sweep_winding_vs_gamma(-3 * np.pi / 8, T2S, np.linspace(0, 0.3, 3), n_k=51,
                                workers=1, checkpoint=str(ck))
+
+
+@pytest.mark.parametrize("cut", [
+    lambda raw: b"",
+    lambda raw: raw[:48],
+    lambda raw: raw[:-1],
+    lambda raw: raw + b"\x00",
+], ids=["empty", "header_only", "one_byte_short", "one_byte_long"])
+def test_checkpoint_of_the_wrong_size_is_a_mismatch(tmp_path, cut):
+    # the header alone matches in every case but the empty file; the sweep
+    # must neither read past the file nor map an empty one
+    ck = tmp_path / "sweep.ckpt"
+    gammas = np.linspace(0, 0.3, 3)
+    sweep_winding_vs_gamma(-3 * np.pi / 8, T2S, gammas, n_k=101, workers=1, checkpoint=str(ck))
+    bad = cut(ck.read_bytes())
+    ck.write_bytes(bad)
+    with pytest.raises(CheckpointMismatch, match="does not match this sweep configuration$"):
+        sweep_winding_vs_gamma(-3 * np.pi / 8, T2S, gammas, n_k=101, workers=1, checkpoint=str(ck))
+    assert ck.read_bytes() == bad
 
 
 def test_winding_sweep_overlays_present():

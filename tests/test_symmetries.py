@@ -160,6 +160,14 @@ def test_exceptional_point_needs_a_complex_spectrum_at_gamma_hi():
         find_exceptional_point(*ANCHOR, gamma_hi=0.1)
 
 
+@pytest.mark.parametrize("gamma_hi", [-1.0, 0.0])
+def test_exceptional_point_needs_a_positive_gamma_hi(gamma_hi):
+    # a negative bound used to return the midpoint of [gamma_hi, 0] (-0.5 for
+    # -1.0) although the anchor's exceptional point is 0.2110
+    with pytest.raises(ValueError, match=f"^gamma_hi must be positive, got {gamma_hi}$"):
+        find_exceptional_point(*ANCHOR, gamma_hi=gamma_hi)
+
+
 def test_exceptional_point_gapless_at_zero():
     # the closed form gives gamma_c = 0 here (cosh argument exactly 1):
     # bisection either reports the degenerate bracket or collapses to ~0
