@@ -1,12 +1,22 @@
 """The one process pool: sweep rows and dense solves, fanned out the same way.
 
-``_run_rows`` maps a module-level function over a list of argument tuples
-and yields the results in list order, so a caller that stores each result
-in its own slot gets the same output at every worker count.  It starts a
-``ProcessPoolExecutor`` only for two or more tasks and more than one
-worker.  On Linux (up to Python 3.13) the pool forks: workers inherit the
-parent's module globals, including any wrapper installed on them, and its
-BLAS thread count.
+``_run_rows`` maps a function over a list of argument tuples and yields the
+results in list order, so a caller that stores each result in its own slot
+gets the same output at every worker count.  For two or more tasks and more
+than one worker it forks ``min(workers, tasks)`` children; elsewhere, and
+where ``os.fork`` does not exist, it runs them serially in this process.
+
+The children inherit ``row_fn`` and the task list, so nothing is pickled on
+the way in, and they inherit the parent's module globals (including any
+wrapper installed on them) and its BLAS thread count.  Each child takes the
+next task index from one shared pipe (a 4-byte read, atomic on a pipe), so
+a child on a slower core simply takes fewer rows.  It writes each result,
+or the exception its task raised, as a length-framed pickle to its own pipe
+and ends with ``os._exit``.  The parent runs no threads: it polls those
+pipes, keeps the index pipe fed, and yields each row as soon as it and every
+row before it are in.  A child that dies raises ``BrokenProcessPool`` once
+the rows before it are yielded; leaving the generator early, or any error,
+kills and reaps every child.
 
 Dense solves (``lattice``, ``cli``) go through ``_run_dense``.  It pins
 BLAS to one thread for the process (``linalg.pin_one_blas_thread``) before
@@ -18,9 +28,15 @@ the same cores and run slower than one serial solve at a time.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import select
+import signal
+import struct
 
 from . import linalg
+
+_INDEX = struct.Struct("<I")  # one task index on the shared pipe
+_FRAME = struct.Struct("<Q")  # byte length of one pickled (index, ok, value) result
 
 
 def _workers(workers: int | None) -> int:
@@ -38,9 +54,110 @@ def _run_dense(row_fn, args_list, workers: int | None) -> list:
 
 
 def _run_rows(row_fn, args_list, workers: int):
-    """Yield row_fn over args_list in order, each as soon as it is done; pool only if it pays."""
-    if workers <= 1 or len(args_list) <= 1:
+    """Yield row_fn over args_list in order, each as soon as it is done; fork only if it pays."""
+    n = min(workers, len(args_list))
+    if n <= 1 or not hasattr(os, "fork"):
         yield from map(row_fn, args_list)
         return
-    with ProcessPoolExecutor(max_workers=min(workers, len(args_list))) as pool:
-        yield from pool.map(row_fn, args_list, chunksize=1)
+    yield from _forked(row_fn, args_list, n)
+
+
+def _forked(row_fn, args_list, n_workers: int):
+    todo = memoryview(b"".join(map(_INDEX.pack, range(len(args_list)))))
+    index_r, index_w = os.pipe()
+    os.set_blocking(index_w, False)
+    feeding, children = True, {}  # children: result pipe (read end) -> [pid, unread bytes]
+    try:
+        todo = _feed(index_w, todo)
+        for _ in range(n_workers):
+            out_r, out_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(row_fn, args_list, index_r, index_w, out_w)
+            os.close(out_w)
+            children[out_r] = [pid, bytearray()]
+        poller = select.poll()
+        for fd in children:
+            poller.register(fd, select.POLLIN)
+        poller.register(index_w, select.POLLOUT)
+        done, nxt, broken = {}, 0, None
+        while True:
+            while nxt in done:
+                ok, value = done.pop(nxt)
+                if not ok:
+                    raise value
+                yield value
+                nxt += 1
+            if nxt == len(args_list):
+                return
+            if broken or not children:
+                from concurrent.futures.process import BrokenProcessPool  # imports multiprocessing
+
+                raise BrokenProcessPool(broken or "every worker exited with rows left")
+            if feeding and not todo:
+                poller.unregister(index_w)
+                os.close(index_w)  # no tasks left: each child exits at EOF
+                feeding = False
+            for fd, _ in poller.poll():
+                if fd == index_w:
+                    todo = _feed(index_w, todo)
+                    continue
+                pid, buf = children[fd]
+                chunk = os.read(fd, 1 << 16)
+                if not chunk:
+                    poller.unregister(fd)
+                    os.close(fd)
+                    del children[fd]
+                    status = os.waitpid(pid, 0)[1]
+                    if status:
+                        broken = f"worker {pid} ended abruptly (wait status {status})"
+                    continue
+                buf += chunk
+                while len(buf) >= _FRAME.size:
+                    end = _FRAME.size + _FRAME.unpack_from(buf)[0]
+                    if len(buf) < end:
+                        break
+                    i, ok, value = pickle.loads(buf[_FRAME.size : end])
+                    del buf[:end]
+                    done[i] = ok, value
+    finally:
+        for fd, (pid, _) in children.items():  # not yet reaped, so kill cannot miss
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        os.close(index_r)
+        if feeding:
+            os.close(index_w)
+
+
+def _feed(index_w: int, todo: memoryview) -> memoryview:
+    """Write whole indices into the non-blocking index pipe until it is full; return the rest.
+
+    Each write is at most ``PIPE_BUF`` bytes, so it is atomic: all of it or
+    nothing, and the pipe never holds part of an index.
+    """
+    while todo:
+        try:
+            todo = todo[os.write(index_w, todo[: select.PIPE_BUF]) :]
+        except BlockingIOError:
+            break
+    return todo
+
+
+def _child(row_fn, args_list, index_r: int, index_w: int, out_w: int) -> None:
+    """A forked worker: run tasks by index until the index pipe is closed, then exit."""
+    code = 1
+    try:
+        os.close(index_w)  # else no child would see EOF once the parent closes its copy
+        while len(raw := os.read(index_r, _INDEX.size)) == _INDEX.size:
+            (i,) = _INDEX.unpack(raw)
+            try:
+                data = pickle.dumps((i, True, row_fn(args_list[i])), pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:
+                data = pickle.dumps((i, False, exc), pickle.HIGHEST_PROTOCOL)
+            frame = memoryview(_FRAME.pack(len(data)) + data)
+            while frame:
+                frame = frame[os.write(out_w, frame) :]
+        code = 0
+    finally:
+        os._exit(code)

@@ -5,7 +5,7 @@ stores row-major float results plus a per-cell status marker.  ``_sweep``
 is the one sweep body: it validates both axes and builds each row's cells,
 the argument tuples of the row function, from the two axes through the
 public sweep's ``cell(x, y)`` map.  Rows (first axis) are distributed over
-the process pool of ``pool``; results land in their slots by grid position,
+the forked workers of ``pool``; results land in their slots by grid position,
 so the table is bit-identical regardless of worker count or scheduling.
 
 A winding row is one batched ``band_spectrum_1d`` and ``winding_number``
@@ -163,8 +163,9 @@ class _Checkpoint:
 def _sweep(axes, cell, row_fn, meta, workers, checkpoint):
     """Run ``row_fn`` on each row of a two-axis grid; row i's cells are ``cell(x_i, y)`` over y.
 
-    ``cell`` runs only in this process, so it may be a lambda; ``row_fn`` is
-    pickled to the pool's workers, so it must be module-level.
+    ``cell`` runs in this process; ``row_fn`` runs in the workers, which
+    inherit it by fork, so nothing is pickled on the way in.  The table holds
+    plain copies of the store's arrays, never views of the mapped file.
     """
     axes = [(name, _as_axis(vals)) for name, vals in axes]
     (_, xs), (_, ys) = axes
@@ -174,7 +175,7 @@ def _sweep(axes, cell, row_fn, meta, workers, checkpoint):
     results = _run_rows(row_fn, [[cell(xs[i], y) for y in ys] for i in todo], _workers(workers))
     for i, (row_vals, row_stat) in zip(todo, results):
         store.write_row(i, row_vals, row_stat)
-    return SweepTable(axes=axes, values=store.values.copy(), status=store.status.copy(), meta=meta)
+    return SweepTable(axes=axes, values=np.array(store.values), status=np.array(store.status), meta=meta)
 
 
 def _size(name: str, n: int) -> int:
@@ -192,7 +193,7 @@ def _as_axis(values) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# cell kernels and the row loop (top level so process pools can pickle them)
+# cell kernels and the row loop
 
 def _winding_value(theta1: float, theta2: float, gamma: float, n_k: int) -> float:
     lower = band_spectrum_1d(WalkParams1D(theta1, theta2, gamma), n_k)

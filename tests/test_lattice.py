@@ -471,11 +471,11 @@ def test_no_blas_to_pin_means_serial_dense_solves_and_the_same_results(monkeypat
     grid = strip_gap_states_grid(spec, n_y, 8, 0.2, 0.2, halves, workers=2)
     chain = eig_general(build_chain_operator(n_y, spec, 0.2))
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
+    def no_fork():
+        raise AssertionError("a worker was forked")
 
     monkeypatch.setattr(linalg, "_openblas", lambda: None)
-    monkeypatch.setattr(pool, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     linalg.pin_one_blas_thread.cache_clear()  # the real library was pinned above
     assert not linalg.pin_one_blas_thread()
     assert pool._workers(2) == 2

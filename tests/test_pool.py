@@ -1,0 +1,58 @@
+import operator
+import os
+import time
+
+import pytest
+
+from lossywalk import linalg, pool
+from lossywalk.errors import ConvergenceFailure
+
+
+def _forks(monkeypatch) -> list[int]:
+    """The pids of the workers forked from here on."""
+    pids, real = [], os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def test_more_tasks_than_the_index_pipe_holds_come_back_in_order():
+    # a pipe holds 16 Ki 4-byte indices, so the parent must keep feeding it
+    n = 20_000
+    assert list(pool._run_rows(operator.neg, list(range(n)), 2)) == [-i for i in range(n)]
+
+
+def _fails_in_worker(k):
+    if k == 2:
+        raise ConvergenceFailure(f"no convergence for task {k} in {os.getpid()}")
+    return os.getpid()
+
+
+def test_a_pooled_dense_failure_is_raised_in_the_parent_with_its_message(monkeypatch, fresh_pin):
+    monkeypatch.setattr(linalg, "_openblas", lambda: (lambda: 1, lambda n: None))
+    pids = _forks(monkeypatch)
+    with pytest.raises(ConvergenceFailure, match="no convergence for task 2 in ") as info:
+        pool._run_dense(_fails_in_worker, list(range(4)), 2)
+    assert int(str(info.value).split()[-1]) in pids and len(pids) == 2
+
+
+def test_closing_the_generator_leaves_no_worker_alive(monkeypatch):
+    pids = _forks(monkeypatch)
+    rows = pool._run_rows(lambda k: time.sleep(0.01) or k, list(range(50)), 2)
+    assert next(rows) == 0
+    rows.close()
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def test_without_fork_rows_run_serially_in_this_process(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    assert list(pool._run_rows(lambda _: os.getpid(), [0, 1, 2], 2)) == [os.getpid()] * 3

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import multiprocessing
 import os
 import signal
 import struct
@@ -137,9 +136,10 @@ def test_fig2a_row_runs_batched_without_warnings(monkeypatch):
 
 def test_determinism_across_worker_counts():
     a = sweep_winding_vs_gamma(-3 * np.pi / 8, T2S, np.linspace(0, 0.4, 3), n_k=101, workers=1)
-    b = sweep_winding_vs_gamma(-3 * np.pi / 8, T2S, np.linspace(0, 0.4, 3), n_k=101, workers=2)
-    assert a.values.tobytes() == b.values.tobytes()
-    assert a.status.tobytes() == b.status.tobytes()
+    for workers in (2, 3):
+        b = sweep_winding_vs_gamma(-3 * np.pi / 8, T2S, np.linspace(0, 0.4, 3), n_k=101, workers=workers)
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.status.tobytes() == b.status.tobytes()
 
 
 def test_cell_recomputed_in_isolation_matches():
@@ -223,11 +223,9 @@ def test_interrupted_sweep_keeps_finished_rows(tmp_path, monkeypatch):
     assert resumed.status.tobytes() == full.status.tobytes()
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="pool workers must inherit the patched cell function")
 def test_killed_worker_keeps_finished_rows(tmp_path, monkeypatch):
     # the first cell of row 1 kills its own pool worker, but only once row 0
-    # is in the checkpoint; pool.map yields in order, so rows 2 and 3 are
+    # is in the checkpoint; the pool yields in order, so rows 2 and 3 are
     # never written even if they finish
     ck = tmp_path / "sweep.ckpt"
     marker = tmp_path / "resume"
@@ -343,6 +341,18 @@ def test_table_roundtrip_json():
     assert back.status.tobytes() == table.status.tobytes()
     assert back.meta == table.meta
     assert [n for n, _ in back.axes] == [n for n, _ in table.axes]
+
+
+def test_tables_hold_plain_arrays_with_and_without_a_checkpoint(tmp_path):
+    # a view of the mapped checkpoint would make every element read in
+    # to_dict and write_table go through np.memmap
+    args = (-3 * np.pi / 8, T2S, np.linspace(0, 0.3, 3))
+    plain = sweep_winding_vs_gamma(*args, n_k=101, workers=1)
+    mapped = sweep_winding_vs_gamma(*args, n_k=101, workers=1, checkpoint=str(tmp_path / "s.ckpt"))
+    for table in (plain, mapped):
+        assert type(table.values) is np.ndarray and type(table.status) is np.ndarray
+    assert mapped.values.tobytes() == plain.values.tobytes()
+    assert mapped.status.tobytes() == plain.status.tobytes()
 
 
 def test_default_workers_follow_cpu_affinity(monkeypatch):
