@@ -19,6 +19,9 @@ class GapClosure(ArithmeticError):
         self.k_samples = list(k_samples)
         super().__init__(f"gap closes at {len(self.k_samples)} grid point(s)")
 
+    def __reduce__(self):
+        return type(self), (self.k_samples,)
+
 
 class OrthogonalLink(ArithmeticError):
     """A link overlap in a discrete geometric-phase product is (numerically) zero."""

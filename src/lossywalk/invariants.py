@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GapClosure, OrthogonalLink
-from .linalg import eig2_batch, eig2_vector, quasienergy
+from .linalg import eig2_batch, eig2_vector
 from .walks import WalkParams1D, WalkParams2D, momentum_grid, u1d_ssqw_k, u2d_k
 
 __all__ = [
@@ -79,7 +79,6 @@ class BandData1D:
 
     k_samples: np.ndarray
     states: np.ndarray  # (N, 2) unit right eigenvectors, adjugate gauge
-    energies: np.ndarray  # (N,) complex quasi-energies
 
 
 @dataclass
@@ -89,7 +88,6 @@ class BandData2D:
     kx: np.ndarray
     ky: np.ndarray
     states: np.ndarray  # (Nx, Ny, 2)
-    energies: np.ndarray  # (Nx, Ny)
 
 
 @dataclass(frozen=True)
@@ -126,22 +124,20 @@ def band_spectrum_1d(p: WalkParams1D, n_points: int) -> BandData1D:
     adjugate vectors ``eig2_vector`` builds for it alone, with no phase
     fix: the winding number is gauge-invariant.  Array fields given as
     (..., 1) columns make a batch of loops, equal bit for bit to one call
-    per cell; there a collision makes the cell's states and energies NaN
-    instead, and non-finite states in another cell raise FloatingPointError.
+    per cell; there a collision makes the cell's states NaN instead, and
+    non-finite states in another cell raise FloatingPointError.
     """
     ks = momentum_grid(n_points)
     collisions, lam, entries = _lower_band(u1d_ssqw_k(p, ks))
     if collisions.ndim == 1 and np.any(collisions):
         raise GapClosure(ks[collisions])
     states = eig2_vector(entries, lam)
-    energies = quasienergy(lam)
     if collisions.ndim > 1:
         closed = np.any(collisions, axis=-1)
         if not np.all(np.isfinite(states[~closed])):
             raise FloatingPointError("non-finite band states in a gapped cell")
         states[closed] = np.nan
-        energies[closed] = np.nan
-    return BandData1D(k_samples=ks, states=states, energies=energies)
+    return BandData1D(k_samples=ks, states=states)
 
 
 def band_spectrum_2d(p: WalkParams2D, nx: int, ny: int) -> BandData2D:
@@ -171,7 +167,7 @@ def band_spectrum_2d(p: WalkParams2D, nx: int, ny: int) -> BandData2D:
         kxg, kyg = np.meshgrid(qx, qy, indexing="ij")
         ks = np.stack([kxg[collisions], kyg[collisions]], axis=-1)
         raise GapClosure([tuple(row) for row in ks])
-    return BandData2D(kx=qx, ky=qy, states=eig2_vector(entries, lam), energies=quasienergy(lam))
+    return BandData2D(kx=qx, ky=qy, states=eig2_vector(entries, lam))
 
 
 def _links(states: np.ndarray, axis: int) -> np.ndarray:

@@ -29,9 +29,10 @@ Im E = log|lambda|.  The two bands are E and -E.  The closed forms
 (``walks._principal_arccos``) return the band with Re E in [0, pi]; on the
 degenerate set Re E in {0, pi} they take the branch with Im E <= 0
 (|lambda| <= 1, the decaying one).  The band functions of ``invariants``
-return its partner, the lower band with Re E in [-pi, 0]: at
-(theta1, theta2, gamma) = (-3pi/8, pi/4, 0.1) the energies of
-``band_spectrum_1d`` equal -``quasi_energy_ssqw`` to 6e-16.
+take its partner, the lower band with Re E in [-pi, 0]: at
+(theta1, theta2, gamma) = (-3pi/8, pi/4, 0.1) the quasi-energies of the
+lambda that ``invariants._lower_band`` picks on the loop equal
+-``quasi_energy_ssqw`` to 6e-16.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ import os
 import numpy as np
 
 from .errors import ConvergenceFailure
+
+__all__ = ["eig_general", "quasienergy"]
 
 
 @functools.cache

@@ -209,8 +209,8 @@ def winding_by_eig(p, n):
 def upper_band_by_eig(p, n):
     """The upper 1D band on the momentum_grid(n) loop, LAPACK's unit vectors."""
     ks = momentum_grid(n)
-    values, vectors, _ = _eig_lower_first(u1d_ssqw_k(p, ks))
-    return BandData1D(k_samples=ks, states=vectors[..., 1], energies=quasienergy(values[..., 1]))
+    _, vectors, _ = _eig_lower_first(u1d_ssqw_k(p, ks))
+    return BandData1D(k_samples=ks, states=vectors[..., 1])
 
 
 def chern_by_eig(p, n):

@@ -3,7 +3,8 @@ every module-level private name and dataclass field of ``lossywalk`` is read som
 no ``lossywalk`` module forms an ``@`` matrix product, every dense eigensolve
 goes through ``linalg.eig_general``, which pins BLAS to one thread first, and
 every file the CLI writes goes through ``tables._opened``, which alone makes
-directories.
+directories, and ``__init__`` binds the package namespace only by star
+imports of each module's ``__all__``.
 
 No linter ships with the project, so these stdlib ``ast`` checks stand in
 for one.  ``__init__`` (whose imports are the package's re-exports) and
@@ -11,10 +12,14 @@ for one.  ``__init__`` (whose imports are the package's re-exports) and
 """
 
 import ast
+import importlib
+import inspect
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import lossywalk
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "lossywalk"
@@ -321,3 +326,57 @@ def test_one_writer_makes_the_output_directory():
     dirs = [f"{p.name}:{call.rsplit(':', 1)[0]}" for p in sorted(SRC.glob("*.py"))
             for call in file_calls(p.read_text()) if call.split(":")[1] != "open"]
     assert dirs == ["tables.py:_opened:makedirs"]
+
+
+# the names ``__init__`` re-exported one by one, and the five that only a
+# module's ``__all__`` listed until ``__init__`` took every ``__all__``
+LISTED_NAMES = {
+    "BandData1D", "BandData2D", "BlochDecomposition", "CheckpointMismatch", "ConvergenceFailure",
+    "CriticalGamma", "CriticalKind", "DegenerateCoin", "EdgeStateReport", "GapClosure",
+    "InvalidRegion", "NoBracket", "OrthogonalLink", "RegionSpec", "StripBands", "SweepTable",
+    "SymmetryReport", "WalkParams1D", "WalkParams2D", "WindingResult", "band_spectrum_1d",
+    "band_spectrum_2d", "bloch_ssqw", "build_chain_operator", "build_strip_operator",
+    "chain_spectrum", "check_cs", "check_exact_pt", "check_phs", "check_pt_1d", "chern_number",
+    "critical_gamma", "detect_edge_states", "eig_general", "emit_plot_script",
+    "find_exceptional_point", "min_positive_critical_gamma", "momentum_grid", "pancharatnam_phase",
+    "quasi_energy_2d", "quasi_energy_ssqw", "quasienergy", "read_table", "strip_band_structure",
+    "strip_gap_states", "strip_gap_states_grid", "sweep_chern_2d", "sweep_chern_vs_gamma",
+    "sweep_phase_diagram_1d", "sweep_winding_vs_gamma", "u1d_dtqw_k", "u1d_ssqw_k",
+    "u1d_ssqw_timesym_k", "u2d_k", "u2d_triangular_k", "winding_number", "write_table",
+}
+ADDED_NAMES = {"STATUS_OK", "STATUS_GAP_CLOSED", "STATUS_ERROR", "STATUS_LABELS", "write_spectrum_csv"}
+
+
+def star_modules(source: str) -> list[str]:
+    """Modules that ``source`` star-imports from its own package, in order."""
+    return [n.module for n in ast.parse(source).body if isinstance(n, ast.ImportFrom)
+            and n.level == 1 and [a.name for a in n.names] == ["*"]]
+
+
+def test_init_binds_no_public_name_by_an_explicit_import():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    bound = [a.asname or a.name for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))
+             for a in n.names]
+    assert [name for name in bound if name != "*" and not name.startswith("_")] == []
+    assert star_modules("from .a import *\nfrom .b import c\nfrom d import *\n") == ["a"]
+
+
+def declares_all(source: str) -> bool:
+    """Whether ``source`` assigns ``__all__`` at module level."""
+    return any(isinstance(n, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in n.targets)
+               for n in ast.parse(source).body)
+
+
+def test_package_namespace_is_each_modules_all():
+    modules = star_modules((SRC / "__init__.py").read_text())
+    assert {p.stem for p in SRC.glob("*.py") if declares_all(p.read_text())} <= set(modules)
+    for name in modules:
+        module = importlib.import_module(f"lossywalk.{name}")
+        exported = getattr(module, "__all__", None)
+        if exported is None:  # errors: nothing but its exception classes
+            exported = [n for n in vars(module) if not n.startswith("_")]
+            assert exported and all(map(inspect.isclass, (getattr(module, n) for n in exported)))
+        for n in exported:
+            assert getattr(lossywalk, n) is getattr(module, n), f"{name}.{n}"
+    public = {n for n, v in vars(lossywalk).items() if not n.startswith("_") and not inspect.ismodule(v)}
+    assert public == LISTED_NAMES | ADDED_NAMES

@@ -14,7 +14,7 @@ from lossywalk.invariants import (
     pancharatnam_phase,
     winding_number,
 )
-from lossywalk.linalg import eig2_batch, quasienergy
+from lossywalk.linalg import eig2_batch, eig2_vector, quasienergy
 from lossywalk.walks import WalkParams1D, WalkParams2D, critical_gamma, momentum_grid, u1d_ssqw_k, u2d_k
 
 from helpers import (
@@ -27,9 +27,8 @@ FIG3B = WalkParams1D(-3 * np.pi / 8, 5 * np.pi / 8, 0.25)  # winding 0 phase
 
 def make_band(states, ks=None):
     states = np.asarray(states, dtype=complex)
-    n = len(states)
-    ks = momentum_grid(n) if ks is None else ks
-    return BandData1D(k_samples=ks, states=states, energies=np.zeros(n, dtype=complex))
+    ks = momentum_grid(len(states)) if ks is None else ks
+    return BandData1D(k_samples=ks, states=states)
 
 
 # --------------------------------------------------------------------------
@@ -87,34 +86,39 @@ def test_pancharatnam_orthogonal_link_raises():
 # --------------------------------------------------------------------------
 # 1D band construction
 
-def _other_energies(p, n, lower):
-    """Quasi-energies of the eig2_batch eigenvalue that is not the lower band's."""
-    es = quasienergy(eig2_batch(u1d_ssqw_k(p, momentum_grid(n)))[0])
-    assert np.all((lower.energies == es[:, 0]) | (lower.energies == es[:, 1]))
-    return np.where(lower.energies == es[:, 0], es[:, 1], es[:, 0])
+def _band_energies(p, n):
+    """Quasi-energies of the lower band's lambda (``_lower_band``) and of the other eig2_batch eigenvalue."""
+    u = u1d_ssqw_k(p, momentum_grid(n))
+    lower = quasienergy(invariants._lower_band(u)[1])
+    es = quasienergy(eig2_batch(u)[0])
+    assert np.all((lower == es[:, 0]) | (lower == es[:, 1]))
+    return lower, np.where(lower == es[:, 0], es[:, 1], es[:, 0])
 
 
 def test_band_spectrum_basics():
     lower = band_spectrum_1d(FIG3A, 201)
     assert np.all(np.diff(lower.k_samples) > 0)
     assert np.max(np.abs(np.linalg.norm(lower.states, axis=1) - 1.0)) < 1e-12
+    # the states are the adjugate vectors of _lower_band's lambda
+    _, lam, entries = invariants._lower_band(u1d_ssqw_k(FIG3A, lower.k_samples))
+    assert lower.states.tobytes() == eig2_vector(entries, lam).tobytes()
     # energies pair to zero sum per momentum (real parts mod 2 pi)
-    s = lower.energies + _other_energies(FIG3A, 201, lower)
+    energies, other = _band_energies(FIG3A, 201)
+    s = energies + other
     wrapped = (s.real + np.pi) % (2 * np.pi) - np.pi
     assert np.max(np.abs(wrapped + 1j * s.imag)) < 1e-9
-    assert np.all(lower.energies.real <= 1e-9)
+    assert np.all(energies.real <= 1e-9)
 
 
 def test_band_spectrum_hermitian_limit_real():
-    p = WalkParams1D(-np.pi / 2, np.pi / 2 + 0.1, 0.0)
-    lower = band_spectrum_1d(p, 201)
-    assert np.max(np.abs(lower.energies.imag)) < 1e-12
-    assert np.max(np.abs(_other_energies(p, 201, lower).imag)) < 1e-12
+    energies, other = _band_energies(WalkParams1D(-np.pi / 2, np.pi / 2 + 0.1, 0.0), 201)
+    assert np.max(np.abs(energies.imag)) < 1e-12
+    assert np.max(np.abs(other.imag)) < 1e-12
 
 
 def test_band_spectrum_broken_region_complex():
-    lower = band_spectrum_1d(WalkParams1D(-3 * np.pi / 8, np.pi / 4, 0.3), 201)
-    assert np.max(np.abs(lower.energies.imag)) > 1e-4
+    energies, _ = _band_energies(WalkParams1D(-3 * np.pi / 8, np.pi / 4, 0.3), 201)
+    assert np.max(np.abs(energies.imag)) > 1e-4
 
 
 def test_band_spectrum_gap_closure_reported():
@@ -142,12 +146,14 @@ def test_batched_band_spectrum_marks_closed_cells_and_matches_scalar_calls():
     cells = [(-3 * np.pi / 8, np.pi / 8, 0.25), (-np.pi / 2, np.pi / 2, 0.0), (-3 * np.pi / 8, np.pi / 4, 0.3)]
     cols = [np.array(c)[:, None] for c in zip(*cells)]
     lower = band_spectrum_1d(WalkParams1D(*cols), 200)
-    assert lower.states.shape == (3, 200, 2) and lower.energies.shape == (3, 200)
-    assert np.isnan(lower.states[1]).all() and np.isnan(lower.energies[1]).all()
+    assert lower.states.shape == (3, 200, 2)
+    assert np.isnan(lower.states[1]).all()
+    energies = quasienergy(invariants._lower_band(u1d_ssqw_k(WalkParams1D(*cols), lower.k_samples))[1])
     for i in (0, 2):
         want = band_spectrum_1d(WalkParams1D(*cells[i]), 200)
         assert lower.states[i].tobytes() == want.states.tobytes()
-        assert lower.energies[i].tobytes() == want.energies.tobytes()
+        want_energies = quasienergy(invariants._lower_band(u1d_ssqw_k(WalkParams1D(*cells[i]), want.k_samples))[1])
+        assert energies[i].tobytes() == want_energies.tobytes()
     result = winding_number(lower)
     assert np.isnan(result.w[1]) and result.is_integer.tolist() == [True, False, False]
 
@@ -283,10 +289,7 @@ def test_winding_batch_of_41_cells_equals_per_cell_calls(t1, t2):
 def test_chern_constant_field_zero():
     n = 21
     states = np.tile(np.array([0.6, 0.8j], dtype=complex), (n, n, 1))
-    band = BandData2D(
-        kx=momentum_grid(n) / 2, ky=momentum_grid(n) / 2,
-        states=states, energies=np.zeros((n, n), dtype=complex),
-    )
+    band = BandData2D(kx=momentum_grid(n) / 2, ky=momentum_grid(n) / 2, states=states)
     c, field = chern_number(band)
     assert c == 0
     assert np.max(np.abs(field)) < 1e-12
@@ -350,8 +353,8 @@ def test_lower_band_sits_on_the_oracle_band_on_real_pairs():
     band2 = band_spectrum_2d(p2, 51, 51)
     p1 = WalkParams1D(-3 * np.pi / 8, np.pi / 8, np.array([[0.3], [0.6], [1.2]]))
     band1 = band_spectrum_1d(p1, 201)
-    got = np.concatenate([band2.energies.ravel(), band1.energies.ravel()])
     stacks = [u2d_k(p2, band2.kx[:, None], band2.ky[None, :]), u1d_ssqw_k(p1, band1.k_samples)]
+    got = np.concatenate([quasienergy(invariants._lower_band(u)[1]).ravel() for u in stacks])
     want = np.concatenate([quasienergy(_eig_lower_first(u)[0][..., 0]).ravel() for u in stacks])
     assert np.count_nonzero(np.abs(np.sin(want.real)) < 1e-9) > 1000
     off = np.count_nonzero(~(branch_dist(got, want) < 1e-9))

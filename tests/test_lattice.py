@@ -287,11 +287,15 @@ def test_strip_real_where_two_kx_is_a_multiple_of_pi(region, gx, gy, kx):
 
 
 @st.composite
-def two_region_rings(draw, shared_theta1):
-    """(odd ring size in [21, 41], RegionSpec of two random regions)."""
+def two_region_rings(draw, shared=None):
+    """(odd ring size in [21, 41], RegionSpec of two random regions).
+
+    ``shared`` is the index of the angle (0 for theta1, 1 for theta2) both
+    regions take, or None.
+    """
     n = 2 * draw(st.integers(10, 20)) + 1
     inner = (draw(ANGLES), draw(ANGLES))
-    outer = (inner[0] if shared_theta1 else draw(ANGLES), draw(ANGLES))
+    outer = tuple(inner[i] if i == shared else draw(ANGLES) for i in range(2))
     return n, RegionSpec(draw(st.integers(1, (n - 1) // 2 - 1)), inner, outer)
 
 
@@ -302,19 +306,59 @@ def assert_reciprocal_pairs(op, rtol):
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
-@given(two_region_rings(shared_theta1=False), SCALINGS, SCALINGS, ANGLES)
+@given(two_region_rings(), SCALINGS, SCALINGS, ANGLES)
 def test_strip_spectrum_pairs_as_lambda_and_inverse(ring, gx, gy, kx):
     n, spec = ring
     assert_reciprocal_pairs(build_strip_operator(n, spec, kx, gx, gy), 1e-9)
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
-@given(two_region_rings(shared_theta1=True), SCALINGS)
+@given(two_region_rings(shared=0), SCALINGS)
 def test_chain_spectrum_pairs_as_lambda_and_inverse_at_shared_theta1(ring, g):
     # figures 6 and 7 share theta1 between the regions; a chain whose regions
     # differ in theta1 does not pair at gamma != 0 (docs/NOTES.md)
     n, spec = ring
     assert_reciprocal_pairs(build_chain_operator(n, spec, g), 1e-9)
+
+
+def reciprocal_form(n, centre):
+    """P = R (x) sigma_y on n sites, R the site reflection i -> (centre - i) mod n."""
+    r = np.zeros((n, n))
+    r[(centre - np.arange(n)) % n, np.arange(n)] = 1.0
+    return np.kron(r, np.array([[0.0, -1j], [1j, 0.0]]))
+
+
+def assert_symplectic(op, form):
+    """||U^T P U - P|| <= 1e-12, i.e. P U P^dag = U^-T (P is unitary and antisymmetric)."""
+    assert np.linalg.norm(op.T @ form @ op - form) <= 1e-12
+
+
+def test_reciprocal_form_is_unitary_hermitian_and_antisymmetric():
+    # the premises of docs/NOTES.md, "Finding: reciprocal pairing"
+    for n, centre in ((21, -1), (21, -2), (41, -2)):
+        p = reciprocal_form(n, centre)
+        assert np.array_equal(p.T, -p) and np.array_equal(p.conj().T, p)
+        assert np.array_equal(p @ p, np.eye(2 * n))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(two_region_rings(), SCALINGS, SCALINGS, ANGLES)
+def test_strip_is_symplectic_under_the_mirror_times_sigma_y(ring, gx, gy, kx):
+    # every factor is symplectic for R: i -> -1 - i, the mirror n -> -n of the
+    # regions (docs/NOTES.md, "Finding: reciprocal pairing")
+    n, spec = ring
+    assert_symplectic(build_strip_operator(n, spec, kx, gx, gy), reciprocal_form(n, -1))
+
+
+@pytest.mark.parametrize("shared, centre", [(0, -2), (1, -1)], ids=["theta1", "theta2"])
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(data=st.data(), g=SCALINGS)
+def test_chain_is_symplectic_when_its_regions_share_a_coin(shared, centre, data, g):
+    # T_up and T_down move the reflection centre by half a site each, so the
+    # theta1 and theta2 coins need mirrors one site apart: -2 - i for a shared
+    # theta1, -1 - i for a shared theta2 (docs/NOTES.md)
+    n, spec = data.draw(two_region_rings(shared=shared))
+    assert_symplectic(build_chain_operator(n, spec, g), reciprocal_form(n, centre))
 
 
 def test_kx_classes_cover_the_grid():

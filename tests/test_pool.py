@@ -1,10 +1,11 @@
 import operator
 import os
+import pickle
 import time
 
 import pytest
 
-from lossywalk import linalg, pool
+from lossywalk import errors, linalg, pool
 from lossywalk.errors import ConvergenceFailure
 
 
@@ -20,6 +21,18 @@ def _forks(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(os, "fork", fork)
     return pids
+
+
+ERRORS = [c for c in vars(errors).values() if isinstance(c, type) and c.__module__ == errors.__name__]
+
+
+@pytest.mark.parametrize("cls", ERRORS, ids=lambda c: c.__name__)
+def test_every_error_survives_a_pickle_round_trip(cls):
+    # a pooled result crosses the result pipe as a pickle
+    exc = cls([0.1, 0.2]) if cls is errors.GapClosure else cls("a message")
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is cls and str(back) == str(exc)
+    assert getattr(back, "k_samples", None) == getattr(exc, "k_samples", None)
 
 
 def test_more_tasks_than_the_index_pipe_holds_come_back_in_order():
