@@ -13,8 +13,8 @@ makes ``--outdir``: a rejected or failing command leaves no output behind.
 
 Exit codes: 0 success, 1 bad input (``ValueError``) or I/O failure
 (``OSError``), 2 numerical failure (``ArithmeticError``; see ``errors``).
-With ``--json`` errors are emitted as one JSON object on stdout.  Top-level
-flags take no abbreviations: ``--config`` and ``--json`` are read from argv.
+With ``--json`` errors are emitted as one JSON object on stdout.  No flag
+takes an abbreviation: ``--config`` and ``--json`` are read from argv.
 """
 
 from __future__ import annotations
@@ -134,75 +134,71 @@ def _build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="lossywalk", description=__doc__.splitlines()[0], parents=[_top_flags()],
                   allow_abbrev=False)
     sub = top.add_subparsers(dest="command", required=True)
+    angles, ckpt, regions = (_Parser(add_help=False) for _ in range(3))
+    angles.add_argument("--theta1", type=parse_angle, required=True)
+    angles.add_argument("--theta2", type=parse_angle, required=True)
+    ckpt.add_argument("--checkpoint", default=None)
+    regions.add_argument("--boundary", type=int, default=50)
+    regions.add_argument("--inner", type=parse_pair, required=True, help="theta1,theta2 for |n|<=boundary")
+    regions.add_argument("--outer", type=parse_pair, required=True)
 
-    p = sub.add_parser("winding", help="lower-band winding number at one parameter point")
-    p.add_argument("--theta1", type=parse_angle, required=True)
-    p.add_argument("--theta2", type=parse_angle, required=True)
+    def command(name, handler, text, *parents):
+        p = sub.add_parser(name, help=text, parents=parents, allow_abbrev=False)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("winding", _cmd_winding, "lower-band winding number at one parameter point", angles)
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--phi", type=float, default=0.0)
     p.add_argument("--nk", type=int, default=201)
 
-    p = sub.add_parser("chern", help="lower-band Chern number at one parameter point")
-    p.add_argument("--theta1", type=parse_angle, required=True)
-    p.add_argument("--theta2", type=parse_angle, required=True)
+    p = command("chern", _cmd_chern, "lower-band Chern number at one parameter point", angles)
     p.add_argument("--gamma-x", type=float, default=0.0)
     p.add_argument("--gamma-y", type=float, default=0.0)
     p.add_argument("--grid", type=int, default=201)
 
-    p = sub.add_parser("critical-gamma", help="closed-form critical scaling factor")
-    p.add_argument("--theta1", type=parse_angle, required=True)
-    p.add_argument("--theta2", type=parse_angle, required=True)
+    p = command("critical-gamma", _cmd_critical_gamma, "closed-form critical scaling factor", angles)
     p.add_argument("--k0", type=parse_angle, default=None, help="closing momentum, 0 or pi")
     p.add_argument("--e0", type=parse_angle, default=None, help="closing energy, 0 or pi")
 
-    p = sub.add_parser("phase1d", help="winding phase diagram over (theta1, theta2)")
+    p = command("phase1d", _cmd_phase1d, "winding phase diagram over (theta1, theta2)", ckpt)
     p.add_argument("--theta1-range", type=parse_range, default=parse_range("-pi:pi:101"))
     p.add_argument("--theta2-range", type=parse_range, default=parse_range("-pi:pi:101"))
     p.add_argument("--nk", type=int, default=201)
-    p.add_argument("--checkpoint", default=None)
 
-    p = sub.add_parser("winding-sweep", help="winding over (theta2, gamma) at fixed theta1")
+    p = command("winding-sweep", _cmd_winding_sweep, "winding over (theta2, gamma) at fixed theta1", ckpt)
     p.add_argument("--theta1", type=parse_angle, required=True)
     p.add_argument("--theta2-range", type=parse_range, required=True)
     p.add_argument("--gamma-range", type=parse_range, required=True)
     p.add_argument("--nk", type=int, default=201)
-    p.add_argument("--checkpoint", default=None)
 
-    p = sub.add_parser("chern-sweep", help="Chern number over (theta2, gamma_x)")
+    p = command("chern-sweep", _cmd_chern_sweep, "Chern number over (theta2, gamma_x)", ckpt)
     p.add_argument("--theta1", type=parse_angle, required=True)
     p.add_argument("--theta2-range", type=parse_range, required=True)
     p.add_argument("--gamma-x-range", type=parse_range, required=True)
     p.add_argument("--gamma-y", type=float, default=0.0)
     p.add_argument("--grid", type=int, default=51)
-    p.add_argument("--checkpoint", default=None)
 
-    p = sub.add_parser("symmetry-check", help="PT / exact-PT / particle-hole / chiral reports")
+    p = command("symmetry-check", _cmd_symmetry_check,
+                "PT / exact-PT / particle-hole / chiral reports", angles)
     p.add_argument("--model", choices=["1d", "2d"], default="1d")
-    p.add_argument("--theta1", type=parse_angle, required=True)
-    p.add_argument("--theta2", type=parse_angle, required=True)
     p.add_argument("--gamma", type=float, default=0.0, help="loss of the 1d walk (1d only)")
     p.add_argument("--gamma-x", type=float, default=0.0, help="loss along x (2d only)")
     p.add_argument("--gamma-y", type=float, default=0.0, help="loss along y (2d only)")
     p.add_argument("--nk", type=int, default=201, help="grid points; 2d clamps to [3, 51]")
     p.add_argument("--tol", type=float, default=1e-10)
 
-    p = sub.add_parser("chain-spectrum", help="spectrum of the two-region closed chain")
+    p = command("chain-spectrum", _cmd_chain_spectrum, "spectrum of the two-region closed chain", regions)
     p.add_argument("--n", type=int, default=201)
-    p.add_argument("--boundary", type=int, default=50)
-    p.add_argument("--inner", type=parse_pair, required=True, help="theta1,theta2 for |n|<=boundary")
-    p.add_argument("--outer", type=parse_pair, required=True)
     p.add_argument("--gamma", type=float, default=0.0)
 
-    p = sub.add_parser("strip-bands", help="strip band structure vs transverse momentum")
+    p = command("strip-bands", _cmd_strip_bands, "strip band structure vs transverse momentum", regions)
     p.add_argument("--ny", type=int, default=201)
-    p.add_argument("--boundary", type=int, default=50)
-    p.add_argument("--inner", type=parse_pair, required=True)
-    p.add_argument("--outer", type=parse_pair, required=True)
     p.add_argument("--gamma-x", type=float, default=0.0)
     p.add_argument("--gamma-y", type=float, default=0.0)
     p.add_argument("--kx-samples", type=int, default=64)
 
-    p = sub.add_parser("figure", help="one-shot reproduction presets")
+    p = command("figure", lambda ns: _FIGURES[ns.id](ns), "one-shot reproduction presets")
     p.add_argument("id", choices=sorted(_FIGURES))
     return top
 
@@ -456,19 +452,6 @@ _FIGURES = {"2a": _figure_2a, "2b": _figure_2b, "3": _figure_3, "4": _figure_4,
             "5": _figure_5, "6": _figure_6, "7": _figure_7, "8": _figure_8}
 
 
-_HANDLERS = {
-    "winding": _cmd_winding,
-    "chern": _cmd_chern,
-    "critical-gamma": _cmd_critical_gamma,
-    "phase1d": _cmd_phase1d,
-    "winding-sweep": _cmd_winding_sweep,
-    "chern-sweep": _cmd_chern_sweep,
-    "symmetry-check": _cmd_symmetry_check,
-    "chain-spectrum": _cmd_chain_spectrum,
-    "strip-bands": _cmd_strip_bands,
-    "figure": lambda ns: _FIGURES[ns.id](ns),
-}
-
 def cli_dispatch(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
@@ -488,7 +471,7 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         return fail(1, "validation", str(exc))
     try:
-        _HANDLERS[ns.command](ns)
+        ns.handler(ns)
     except ValueError as exc:
         return fail(1, "validation", str(exc))
     except ArithmeticError as exc:

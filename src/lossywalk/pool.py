@@ -11,12 +11,15 @@ the way in, and they inherit the parent's module globals (including any
 wrapper installed on them) and its BLAS thread count.  Each child takes the
 next task index from one shared pipe (a 4-byte read, atomic on a pipe), so
 a child on a slower core simply takes fewer rows.  It writes each result,
-or the exception its task raised, as a length-framed pickle to its own pipe
-and ends with ``os._exit``.  The parent runs no threads: it polls those
-pipes, keeps the index pipe fed, and yields each row as soon as it and every
-row before it are in.  A child that dies raises ``BrokenProcessPool`` once
-the rows before it are yielded; leaving the generator early, or any error,
-kills and reaps every child.
+or the exception its task raised, as a length-framed pickle to its own pipe,
+and ends with ``os._exit`` once the index pipe is closed.  The parent runs
+no threads.  It writes two indices per worker (at most ``PIPE_BUF`` bytes)
+before the fork and one more for each result that comes back, so the index
+pipe never fills, and closes it after the last index.  It polls the result
+pipes and yields each row as soon as it and every row before it are in.  A
+child that dies raises ``BrokenProcessPool`` once the rows before it are
+yielded; leaving the generator early, or any error, kills and reaps every
+child.
 
 Dense solves (``lattice``, ``cli``) go through ``_run_dense``.  It pins
 BLAS to one thread for the process (``linalg.pin_one_blas_thread``) before
@@ -63,12 +66,12 @@ def _run_rows(row_fn, args_list, workers: int):
 
 
 def _forked(row_fn, args_list, n_workers: int):
-    todo = memoryview(b"".join(map(_INDEX.pack, range(len(args_list)))))
     index_r, index_w = os.pipe()
-    os.set_blocking(index_w, False)
-    feeding, children = True, {}  # children: result pipe (read end) -> [pid, unread bytes]
+    # the pipe never holds more than this first batch, so no write of an index can block
+    sent = min(len(args_list), 2 * n_workers, select.PIPE_BUF // _INDEX.size)
+    os.write(index_w, b"".join(map(_INDEX.pack, range(sent))))
+    children = {}  # result pipe (read end) -> [pid, unread bytes]
     try:
-        todo = _feed(index_w, todo)
         for _ in range(n_workers):
             out_r, out_w = os.pipe()
             pid = os.fork()
@@ -79,7 +82,6 @@ def _forked(row_fn, args_list, n_workers: int):
         poller = select.poll()
         for fd in children:
             poller.register(fd, select.POLLIN)
-        poller.register(index_w, select.POLLOUT)
         done, nxt, broken = {}, 0, None
         while True:
             while nxt in done:
@@ -94,14 +96,10 @@ def _forked(row_fn, args_list, n_workers: int):
                 from concurrent.futures.process import BrokenProcessPool  # imports multiprocessing
 
                 raise BrokenProcessPool(broken or "every worker exited with rows left")
-            if feeding and not todo:
-                poller.unregister(index_w)
+            if sent == len(args_list) and index_w >= 0:
                 os.close(index_w)  # no tasks left: each child exits at EOF
-                feeding = False
+                index_w = -1
             for fd, _ in poller.poll():
-                if fd == index_w:
-                    todo = _feed(index_w, todo)
-                    continue
                 pid, buf = children[fd]
                 chunk = os.read(fd, 1 << 16)
                 if not chunk:
@@ -120,28 +118,17 @@ def _forked(row_fn, args_list, n_workers: int):
                     i, ok, value = pickle.loads(buf[_FRAME.size : end])
                     del buf[:end]
                     done[i] = ok, value
+                    if sent < len(args_list):  # one index in for each result out
+                        os.write(index_w, _INDEX.pack(sent))
+                        sent += 1
     finally:
         for fd, (pid, _) in children.items():  # not yet reaped, so kill cannot miss
             os.close(fd)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         os.close(index_r)
-        if feeding:
+        if index_w >= 0:
             os.close(index_w)
-
-
-def _feed(index_w: int, todo: memoryview) -> memoryview:
-    """Write whole indices into the non-blocking index pipe until it is full; return the rest.
-
-    Each write is at most ``PIPE_BUF`` bytes, so it is atomic: all of it or
-    nothing, and the pipe never holds part of an index.
-    """
-    while todo:
-        try:
-            todo = todo[os.write(index_w, todo[: select.PIPE_BUF]) :]
-        except BlockingIOError:
-            break
-    return todo
 
 
 def _child(row_fn, args_list, index_r: int, index_w: int, out_w: int) -> None:

@@ -85,8 +85,8 @@ def test_cli_accepts_negative_angle_values(a, b, x):
     shorthand, want = pi_form("-", a, b)
     seen = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(cli._HANDLERS, "critical-gamma", lambda ns: seen.append(ns) or 0)
-        mp.setitem(cli._HANDLERS, "phase1d", lambda ns: seen.append(ns) or 0)
+        mp.setattr(cli, "_cmd_critical_gamma", lambda ns: seen.append(ns) or 0)
+        mp.setattr(cli, "_cmd_phase1d", lambda ns: seen.append(ns) or 0)
         assert cli_dispatch(["critical-gamma", "--theta1", shorthand, "--theta2", repr(x)]) == 0
         assert cli_dispatch(["phase1d", "--theta1-range", f"{shorthand}:{x!r}:3"]) == 0
     assert seen[0].theta1.hex() == want.hex()
@@ -242,6 +242,69 @@ def test_top_level_flags_are_not_abbreviated(tmp_path):
     assert (code, out) == (1, "")
 
 
+def test_subcommand_flags_and_config_keys_are_not_abbreviated(tmp_path):
+    # --gam would otherwise be taken for --gamma, and a config key "gam" with it
+    args = ["winding", "--theta1", "0.1", "--theta2", "0.2"]
+    code, out = run_cli(["--json"] + args + ["--gam", "0.1"])
+    assert code == 1 and json.loads(out)["error"] == "validation"
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"gam": 0.3}))
+    code, out = run_cli(["--json", "--config", str(cfg)] + args)
+    assert code == 1 and json.loads(out)["error"] == "validation"
+
+
+_REQUIRED = (True, None)
+_FULL_TURN = (False, parse_range("-pi:pi:101").tolist())
+
+# per subcommand, each flag's option string (or a positional's dest) -> (required, default)
+_SURFACE = {
+    "winding": {"--theta1": _REQUIRED, "--theta2": _REQUIRED, "--gamma": (False, 0.0),
+                "--phi": (False, 0.0), "--nk": (False, 201)},
+    "chern": {"--theta1": _REQUIRED, "--theta2": _REQUIRED, "--gamma-x": (False, 0.0),
+              "--gamma-y": (False, 0.0), "--grid": (False, 201)},
+    "critical-gamma": {"--theta1": _REQUIRED, "--theta2": _REQUIRED, "--k0": (False, None),
+                       "--e0": (False, None)},
+    "phase1d": {"--theta1-range": _FULL_TURN, "--theta2-range": _FULL_TURN,
+                "--nk": (False, 201), "--checkpoint": (False, None)},
+    "winding-sweep": {"--theta1": _REQUIRED, "--theta2-range": _REQUIRED, "--gamma-range": _REQUIRED,
+                      "--nk": (False, 201), "--checkpoint": (False, None)},
+    "chern-sweep": {"--theta1": _REQUIRED, "--theta2-range": _REQUIRED, "--gamma-x-range": _REQUIRED,
+                    "--gamma-y": (False, 0.0), "--grid": (False, 51), "--checkpoint": (False, None)},
+    "symmetry-check": {"--model": (False, "1d"), "--theta1": _REQUIRED, "--theta2": _REQUIRED,
+                       "--gamma": (False, 0.0), "--gamma-x": (False, 0.0), "--gamma-y": (False, 0.0),
+                       "--nk": (False, 201), "--tol": (False, 1e-10)},
+    "chain-spectrum": {"--n": (False, 201), "--boundary": (False, 50), "--inner": _REQUIRED,
+                       "--outer": _REQUIRED, "--gamma": (False, 0.0)},
+    "strip-bands": {"--ny": (False, 201), "--boundary": (False, 50), "--inner": _REQUIRED,
+                    "--outer": _REQUIRED, "--gamma-x": (False, 0.0), "--gamma-y": (False, 0.0),
+                    "--kx-samples": (False, 64)},
+    "figure": {"id": _REQUIRED},
+}
+
+
+def _subcommands() -> dict:
+    parser = cli._build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_every_subcommand_keeps_its_flags_required_flags_and_defaults():
+    got = {}
+    for name, p in _subcommands().items():
+        got[name] = {}
+        for a in p._actions:
+            if not isinstance(a, argparse._HelpAction):
+                default = a.default.tolist() if isinstance(a.default, np.ndarray) else a.default
+                got[name]["/".join(a.option_strings) or a.dest] = (a.required, default)
+    assert got == _SURFACE
+    assert sum(map(len, _SURFACE.values())) == 50
+
+
+@pytest.mark.parametrize("name", list(_SURFACE))
+def test_every_subcommand_answers_help(name):
+    code, out = run_cli([name, "--help"])
+    assert code == 0 and out.startswith(f"usage: lossywalk {name}")
+
+
 # exit code, JSON error kind and category base of each exception a handler may raise
 _FAILURES = {
     errors.ConvergenceFailure: (2, "numerical", ArithmeticError),
@@ -273,7 +336,7 @@ def test_failure_category_follows_the_exception_base(monkeypatch, exc_type):
     def handler(ns):
         raise exc
 
-    monkeypatch.setitem(cli._HANDLERS, "winding", handler)
+    monkeypatch.setattr(cli, "_cmd_winding", handler)
     got, out = run_cli(["--json", "winding", "--theta1", "0", "--theta2", "0"])
     message = f"{exc_type.__name__}: {exc}" if kind == "numerical" else str(exc)
     assert got == code

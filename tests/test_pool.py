@@ -36,9 +36,12 @@ def test_every_error_survives_a_pickle_round_trip(cls):
 
 
 def test_more_tasks_than_the_index_pipe_holds_come_back_in_order():
-    # a pipe holds 16 Ki 4-byte indices, so the parent must keep feeding it
+    # more indices than one pipe holds (16 Ki at 4 bytes each): the parent sends one per
+    # result that comes back, and the rows still come back in list order
     n = 20_000
     assert list(pool._run_rows(operator.neg, list(range(n)), 2)) == [-i for i in range(n)]
+    # more workers than cores, each racing for the few indices in the pipe
+    assert list(pool._run_rows(operator.neg, list(range(2000)), 5)) == [-i for i in range(2000)]
 
 
 def _fails_in_worker(k):

@@ -334,6 +334,38 @@ def test_chern_sweep_zero_loss_column_matches_phase_diagram():
     assert np.allclose(sweep.grid()[:, 0], diagram.grid()[0, :], equal_nan=True)
 
 
+_STEP = 2 * np.pi / 20
+
+
+def _gap_line_values(t1, t2):
+    """sin(theta1 + theta2/2), sin(theta1 - theta2/2), sin(theta2/2) on the last axis: 0 on a gap line."""
+    return np.stack([np.sin(t1 + t2 / 2), np.sin(t1 - t2 / 2), np.sin(t2 / 2)], axis=-1)
+
+
+@pytest.mark.parametrize("offset", [0.0, (np.sqrt(5) - 1) / 2], ids=["on_grid", "irrational_offset"])
+def test_chern_changes_and_closures_sit_on_the_gap_lines(offset):
+    # the 2D analogue of the 1D phase-boundary property: C may change between
+    # neighbouring cells only across a gap line theta1 +- theta2/2 in pi Z or
+    # theta2 in 2 pi Z, and a cell reads gap_closed only within one step of one
+    axis = np.linspace(0, 2 * np.pi, 21) + offset * _STEP
+    table = sweep_chern_2d(axis, axis, grid=25, workers=1)
+    c, ok = table.grid(), table.status_grid() == STATUS_OK
+    t1, t2 = np.meshgrid(axis, axis, indexing="ij")
+    f = _gap_line_values(t1, t2)
+    changes = 0
+    for a, b in ((np.s_[:-1, :], np.s_[1:, :]), (np.s_[:, :-1], np.s_[:, 1:])):
+        crossed = np.any((f[a] * f[b] <= 0) | (np.minimum(abs(f[a]), abs(f[b])) < 1e-9), axis=-1)
+        changed = ok[a] & ok[b] & (c[a] != c[b])
+        assert not np.any(changed & ~crossed), np.argwhere(changed & ~crossed)
+        changes += int(changed.sum())
+    assert changes > 0
+    # distance along an axis to the nearest line of each family
+    dist = np.stack([abs(x - np.pi * np.round(x / np.pi)) for x in (t1 + t2 / 2, t1 - t2 / 2)]
+                    + [abs(t2 - 2 * np.pi * np.round(t2 / (2 * np.pi)))])
+    closed = table.status_grid() == STATUS_GAP_CLOSED
+    assert np.all(dist.min(axis=0)[closed] <= _STEP * (1 + 1e-12))
+
+
 def test_table_roundtrip_json():
     table = sweep_phase_diagram_1d(np.array([-3 * np.pi / 8]), np.array([np.pi / 8]), n_k=51, workers=1)
     back = SweepTable.from_dict(table.to_dict())
