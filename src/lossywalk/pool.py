@@ -16,10 +16,15 @@ and ends with ``os._exit`` once the index pipe is closed.  The parent runs
 no threads.  It writes two indices per worker (at most ``PIPE_BUF`` bytes)
 before the fork and one more for each result that comes back, so the index
 pipe never fills, and closes it after the last index.  It polls the result
-pipes and yields each row as soon as it and every row before it are in.  A
-child that dies raises ``BrokenProcessPool`` once the rows before it are
-yielded; leaving the generator early, or any error, kills and reaps every
-child.
+pipes and yields each row as soon as it and every row before it are in.
+Once a child dies, no more indices go out and the queued ones are taken
+back; the rows that the live children finish are yielded in order, then
+``BrokenProcessPool`` is raised.  Leaving the generator early, or any
+error, kills and reaps every child.
+
+``_run_rows`` first calls ``keep_freed_heap`` (once per process; children
+inherit it).  Its raised glibc mmap and trim thresholds keep numpy's freed
+temporaries in the heap, not faulted in again page by page (``docs/NOTES.md``).
 
 Dense solves (``lattice``, ``cli``) go through ``_run_dense``.  It pins
 BLAS to one thread for the process (``linalg.pin_one_blas_thread``) before
@@ -30,6 +35,8 @@ the same cores and run slower than one serial solve at a time.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 import pickle
 import select
@@ -56,8 +63,18 @@ def _run_dense(row_fn, args_list, workers: int | None) -> list:
     return list(_run_rows(row_fn, args_list, _workers(workers) if linalg.pin_one_blas_thread() else 1))
 
 
+@functools.cache
+def keep_freed_heap() -> None:
+    """Keep freed heap memory in this process (glibc ``mallopt``); elsewhere do nothing."""
+    if mallopt := getattr(ctypes.CDLL(None) if os.name == "posix" else None, "mallopt", None):
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: blocks under 32 MiB come from the heap
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: the heap keeps up to 64 MiB free at its top
+
+
 def _run_rows(row_fn, args_list, workers: int):
     """Yield row_fn over args_list in order, each as soon as it is done; fork only if it pays."""
+    keep_freed_heap()
     n = min(workers, len(args_list))
     if n <= 1 or not hasattr(os, "fork"):
         yield from map(row_fn, args_list)
@@ -92,13 +109,15 @@ def _forked(row_fn, args_list, n_workers: int):
                 nxt += 1
             if nxt == len(args_list):
                 return
-            if broken or not children:
+            if not children:
                 from concurrent.futures.process import BrokenProcessPool  # imports multiprocessing
 
                 raise BrokenProcessPool(broken or "every worker exited with rows left")
             if sent == len(args_list) and index_w >= 0:
                 os.close(index_w)  # no tasks left: each child exits at EOF
                 index_w = -1
+            while broken and os.read(index_r, select.PIPE_BUF):
+                pass  # take back the queued indices, so the live workers stop after their rows
             for fd, _ in poller.poll():
                 pid, buf = children[fd]
                 chunk = os.read(fd, 1 << 16)
@@ -109,6 +128,7 @@ def _forked(row_fn, args_list, n_workers: int):
                     status = os.waitpid(pid, 0)[1]
                     if status:
                         broken = f"worker {pid} ended abruptly (wait status {status})"
+                        sent = len(args_list)  # hand out no more tasks
                     continue
                 buf += chunk
                 while len(buf) >= _FRAME.size:
