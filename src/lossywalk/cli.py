@@ -39,7 +39,7 @@ from .lattice import (
     detect_edge_states,
     strip_band_structure,
 )
-from .linalg import quasienergy
+from .linalg import _process_policy, quasienergy
 from .pool import _run_dense
 from .sweeps import (
     sweep_chern_2d,
@@ -470,6 +470,7 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
         return 1 if exc.code not in (0, None) else 0
     except ValueError as exc:
         return fail(1, "validation", str(exc))
+    _process_policy()  # the CLI owns its process
     try:
         ns.handler(ns)
     except ValueError as exc:

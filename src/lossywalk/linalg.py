@@ -12,15 +12,18 @@ vector and a caller that needs only the spectrum builds none.
 real-space chains and strips (``numpy.linalg.eig``, or ``eigvals`` for
 values only), in real arithmetic when the matrix is real (every chain).
 
-It first calls ``pin_one_blas_thread``, which pins the OpenBLAS that numpy
-loaded to one thread (through ``ctypes``) once per process: the package
-leaves BLAS at one thread after its first dense solve.  A second BLAS
-thread buys nothing at the package's sizes, and LAPACK's bits depend on
-the thread count, so outputs are the same under any
-``OPENBLAS_NUM_THREADS`` and the cores go to the process pool (``pool``).
-Nothing restores the count: forked workers inherit it, and a restore would
-restart OpenBLAS's thread pool after every fan-out.  Without such a
-library (``_openblas`` returns None) dense solves stay serial.
+``_process_policy`` sets the process up once, through ``ctypes``, wherever
+the package takes a process over: before LAPACK (``eig_general``), before
+the pool's first row or fork (``pool``; workers inherit it) and once the
+CLI's arguments parse.  It pins the OpenBLAS that numpy loaded to one
+thread: a second thread buys nothing at the package's sizes, and LAPACK's
+bits depend on the thread count, so outputs are the same under any
+``OPENBLAS_NUM_THREADS`` and the cores go to the pool.  And it raises
+glibc's mmap and trim thresholds, so numpy's freed temporaries stay in the
+heap, not faulted in again page by page.  Nothing restores either half: a
+restore would restart OpenBLAS's thread pool after every fan-out.  A
+library loop over the band or EP functions keeps its caller's allocator.
+Without OpenBLAS (``_openblas`` returns None) dense solves stay serial.
 
 Quasi-energy branch convention: an eigenvalue lambda of a one-step
 operator corresponds to E = i log(lambda) with the principal logarithm
@@ -74,13 +77,18 @@ def _openblas():
 
 
 @functools.cache
-def pin_one_blas_thread() -> bool:
-    """Set BLAS to one thread for the rest of the process; True if a library was found.
+def _process_policy() -> bool:
+    """Pin BLAS to one thread and keep freed heap (glibc); True if a BLAS library was pinned.
 
-    Makes no set call where the count is already 1: in a forked child,
+    Makes no BLAS set call where the count is already 1: in a forked child,
     OpenBLAS answers any set call by restarting its thread pool, whose new
-    threads spin for about 0.1 s of CPU.
+    threads spin for about 0.1 s of CPU.  Without ``mallopt`` (not glibc)
+    the heap half does nothing.
     """
+    if mallopt := getattr(ctypes.CDLL(None) if os.name == "posix" else None, "mallopt", None):
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: blocks under 32 MiB come from the heap
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: the heap keeps up to 64 MiB free at its top
     get, put = _openblas() or (None, None)
     if get is not None and get() != 1:
         put(1)
@@ -147,7 +155,7 @@ def eig_general(m: np.ndarray, vectors: bool = True) -> np.ndarray | tuple[np.nd
         raise ValueError("matrix entries must be finite")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    pin_one_blas_thread()
+    _process_policy()
     try:
         if not vectors:
             return np.linalg.eigvals(m).astype(complex, copy=False)

@@ -22,21 +22,15 @@ back; the rows that the live children finish are yielded in order, then
 ``BrokenProcessPool`` is raised.  Leaving the generator early, or any
 error, kills and reaps every child.
 
-``_run_rows`` first calls ``keep_freed_heap`` (once per process; children
-inherit it).  Its raised glibc mmap and trim thresholds keep numpy's freed
-temporaries in the heap, not faulted in again page by page (``docs/NOTES.md``).
-
-Dense solves (``lattice``, ``cli``) go through ``_run_dense``.  It pins
-BLAS to one thread for the process (``linalg.pin_one_blas_thread``) before
-the workers fork, so they inherit the count, and pools only where that pin
-found a library: forked children at the default BLAS threads compete for
-the same cores and run slower than one serial solve at a time.
+``_run_rows`` first sets ``linalg._process_policy``, so the children
+inherit it.  Dense solves (``lattice``, ``cli``) go through ``_run_dense``,
+which pools only where that policy pinned a BLAS library: forked children
+at the default BLAS threads compete for the same cores and run slower than
+one serial solve at a time.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import os
 import pickle
 import select
@@ -60,22 +54,13 @@ def _workers(workers: int | None) -> int:
 
 def _run_dense(row_fn, args_list, workers: int | None) -> list:
     """All rows of ``_run_rows`` for dense solves: serial where ``linalg`` found no BLAS to pin."""
-    return list(_run_rows(row_fn, args_list, _workers(workers) if linalg.pin_one_blas_thread() else 1))
+    return list(_run_rows(row_fn, args_list, workers if linalg._process_policy() else 1))
 
 
-@functools.cache
-def keep_freed_heap() -> None:
-    """Keep freed heap memory in this process (glibc ``mallopt``); elsewhere do nothing."""
-    if mallopt := getattr(ctypes.CDLL(None) if os.name == "posix" else None, "mallopt", None):
-        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: blocks under 32 MiB come from the heap
-        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: the heap keeps up to 64 MiB free at its top
-
-
-def _run_rows(row_fn, args_list, workers: int):
+def _run_rows(row_fn, args_list, workers: int | None):
     """Yield row_fn over args_list in order, each as soon as it is done; fork only if it pays."""
-    keep_freed_heap()
-    n = min(workers, len(args_list))
+    linalg._process_policy()
+    n = min(_workers(workers), len(args_list))
     if n <= 1 or not hasattr(os, "fork"):
         yield from map(row_fn, args_list)
         return

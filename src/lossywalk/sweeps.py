@@ -53,7 +53,7 @@ from .errors import (
 )
 from ._version import __version__ as _pkg_version
 from .invariants import band_spectrum_1d, band_spectrum_2d, chern_number, winding_number
-from .pool import _run_rows, _workers
+from .pool import _run_rows
 from .walks import (
     CriticalKind,
     WalkParams1D,
@@ -172,7 +172,7 @@ def _sweep(axes, cell, row_fn, meta, workers, checkpoint):
     meta = {**meta, "artifact_version": _pkg_version}
     store = _Checkpoint(checkpoint, _config_hash(meta, axes), len(xs), len(ys))
     todo = np.flatnonzero(store.done == 0)
-    results = _run_rows(row_fn, [[cell(xs[i], y) for y in ys] for i in todo], _workers(workers))
+    results = _run_rows(row_fn, [[cell(xs[i], y) for y in ys] for i in todo], workers)
     for i, (row_vals, row_stat) in zip(todo, results):
         store.write_row(i, row_vals, row_stat)
     return SweepTable(axes=axes, values=np.array(store.values), status=np.array(store.status), meta=meta)

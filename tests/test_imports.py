@@ -1,10 +1,11 @@
 """Every name a ``lossywalk`` module or a test module imports is used in that module,
 every module-level private name and dataclass field of ``lossywalk`` is read somewhere,
 no ``lossywalk`` module forms an ``@`` matrix product, every dense eigensolve
-goes through ``linalg.eig_general``, which pins BLAS to one thread first, and
-every file the CLI writes goes through ``tables._opened``, which alone makes
-directories, and ``__init__`` binds the package namespace only by star
-imports of each module's ``__all__``.
+goes through ``linalg.eig_general``, which pins BLAS to one thread first,
+only ``linalg`` (the process policy) imports ``ctypes``, every file the CLI
+writes goes through ``tables._opened``, which alone makes directories, and
+``__init__`` binds the package namespace only by star imports of each
+module's ``__all__``.
 
 No linter ships with the project, so these stdlib ``ast`` checks stand in
 for one.  ``__init__`` (whose imports are the package's re-exports) and
@@ -223,14 +224,14 @@ def test_library_forms_no_matrix_product():
 
 def unpinned_eig_calls(source: str, entry: str | None) -> list[str]:
     """``function:line`` of each ``linalg.eig``/``eigvals`` call outside the function ``entry``,
-    or inside it but not after its first ``pin_one_blas_thread()`` call."""
+    or inside it but not after its first ``_process_policy()`` call."""
     found = []
 
     def visit(node, function, pinned_at):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
             pins = [c.lineno for c in ast.walk(node) if isinstance(c, ast.Call)
-                    and getattr(c.func, "id", getattr(c.func, "attr", None)) == "pin_one_blas_thread"]
+                    and getattr(c.func, "id", getattr(c.func, "attr", None)) == "_process_policy"]
             pinned_at = min(pins) if function == entry and pins else None
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
               and node.func.attr in ("eig", "eigvals")
@@ -249,10 +250,10 @@ def test_unpinned_eig_calls_finds_only_calls_outside_the_pin():
         "import numpy as np\n"
         "def eig_general(m):\n"
         "    early = np.linalg.eigvals(m)\n"
-        "    pin_one_blas_thread()\n"
+        "    _process_policy()\n"
         "    return early, np.linalg.eig(m), np.linalg.eigvals(m)\n"
         "def other(m):\n"
-        "    linalg.pin_one_blas_thread()\n"
+        "    linalg._process_policy()\n"
         "    return np.linalg.eig(m), np.linalg.eigh(m), eig(m)\n"
         "def unpinned_entry(m):\n"
         "    return np.linalg.eig(m)\n"
@@ -274,6 +275,24 @@ def test_every_dense_eigensolve_runs_at_one_blas_thread():
     # not vacuous: the entry point holds the package's two LAPACK calls
     calls = unpinned_eig_calls((SRC / "linalg.py").read_text(), None)
     assert [call.split(":")[0] for call in calls] == ["eig_general", "eig_general"]
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules that ``source`` imports absolutely."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_only_linalg_imports_ctypes():
+    # the process policy (BLAS pin and heap thresholds) is the package's only
+    # foreign call, so one module holds it
+    assert imported_modules("import ctypes.util\nfrom ctypes import CDLL\nfrom . import os\n") == {"ctypes"}
+    assert [p.name for p in sorted(SRC.glob("*.py")) if "ctypes" in imported_modules(p.read_text())] == ["linalg.py"]
 
 
 def file_calls(source: str) -> list[str]:

@@ -508,7 +508,7 @@ def test_strip_grids_are_bit_equal_at_one_and_two_workers(gamma):
     assert _grid_bytes(one) == _grid_bytes(two)
 
 
-def test_no_blas_to_pin_means_serial_dense_solves_and_the_same_results(monkeypatch, fresh_pin):
+def test_no_blas_to_pin_means_serial_dense_solves_and_the_same_results(monkeypatch, fresh_policy):
     # small enough that the BLAS thread count does not change the bits
     spec, n_y, halves = RegionSpec(3, STRIP_SPEC.params_inner, STRIP_SPEC.params_outer), 11, np.full(8, 0.6)
     bands = strip_band_structure(spec, n_y, 8, 0.2, 0.2, workers=2)
@@ -520,8 +520,8 @@ def test_no_blas_to_pin_means_serial_dense_solves_and_the_same_results(monkeypat
 
     monkeypatch.setattr(linalg, "_openblas", lambda: None)
     monkeypatch.setattr(os, "fork", no_fork)
-    linalg.pin_one_blas_thread.cache_clear()  # the real library was pinned above
-    assert not linalg.pin_one_blas_thread()
+    linalg._process_policy.cache_clear()  # the real library was pinned above
+    assert not linalg._process_policy()
     assert pool._workers(2) == 2
     assert strip_band_structure(spec, n_y, 8, 0.2, 0.2, workers=2).re_energies.tobytes() == \
         bands.re_energies.tobytes()

@@ -167,7 +167,7 @@ def test_eig_general_residual_random():
 
 
 @pytest.mark.skipif(linalg._openblas() is None, reason="no OpenBLAS found in numpy's wheel libraries")
-def test_a_dense_solve_leaves_blas_at_one_thread(fresh_pin):
+def test_a_dense_solve_leaves_blas_at_one_thread(fresh_policy):
     get, put = linalg._openblas()
     put(2)  # the library may cap it at the core count
     eig_general(np.eye(3), vectors=False)
@@ -177,7 +177,7 @@ def test_a_dense_solve_leaves_blas_at_one_thread(fresh_pin):
     assert get() == 1
 
 
-def test_pin_one_blas_thread_sets_nothing_when_already_at_one_thread(monkeypatch, fresh_pin):
+def test_pin_one_blas_thread_sets_nothing_when_already_at_one_thread(monkeypatch, fresh_policy):
     # in a forked worker any set call restarts OpenBLAS's thread pool, so a
     # process that is already at a count of 1 must make none
     count, sets = [1], []
@@ -187,15 +187,15 @@ def test_pin_one_blas_thread_sets_nothing_when_already_at_one_thread(monkeypatch
         count[0] = n
 
     monkeypatch.setattr(linalg, "_openblas", lambda: (lambda: count[0], put))
-    assert linalg.pin_one_blas_thread()
+    assert linalg._process_policy()
     assert sets == []
-    linalg.pin_one_blas_thread.cache_clear()
+    linalg._process_policy.cache_clear()
     count[0] = 3
-    assert linalg.pin_one_blas_thread() and linalg.pin_one_blas_thread()
+    assert linalg._process_policy() and linalg._process_policy()
     assert sets == [1] and count == [1]
-    linalg.pin_one_blas_thread.cache_clear()
+    linalg._process_policy.cache_clear()
     monkeypatch.setattr(linalg, "_openblas", lambda: None)
-    assert not linalg.pin_one_blas_thread()
+    assert not linalg._process_policy()
 
 
 def _solve_in(m):
@@ -203,7 +203,7 @@ def _solve_in(m):
     return os.getpid(), eig_general(m, vectors=False)
 
 
-def test_a_pooled_fan_out_sets_the_count_once_in_the_parent(monkeypatch, tmp_path, fresh_pin):
+def test_a_pooled_fan_out_sets_the_count_once_in_the_parent(monkeypatch, tmp_path, fresh_policy):
     log = tmp_path / "sets"
     count = [2]
 

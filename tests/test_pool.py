@@ -10,7 +10,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from lossywalk import errors, linalg, pool
+from lossywalk import cli, errors, linalg, pool
 from lossywalk.errors import ConvergenceFailure
 
 
@@ -55,7 +55,7 @@ def _fails_in_worker(k):
     return os.getpid()
 
 
-def test_a_pooled_dense_failure_is_raised_in_the_parent_with_its_message(monkeypatch, fresh_pin):
+def test_a_pooled_dense_failure_is_raised_in_the_parent_with_its_message(monkeypatch, fresh_policy):
     monkeypatch.setattr(linalg, "_openblas", lambda: (lambda: 1, lambda n: None))
     pids = _forks(monkeypatch)
     with pytest.raises(ConvergenceFailure, match="no convergence for task 2 in ") as info:
@@ -101,23 +101,24 @@ def test_a_dead_worker_lets_the_live_one_finish_its_row_first(monkeypatch):
             os.waitpid(pid, os.WNOHANG)
 
 
-@pytest.fixture
-def fresh_heap_policy():
-    """Clear the process's cached heap policy before the test and after it."""
-    pool.keep_freed_heap.cache_clear()
-    yield
-    pool.keep_freed_heap.cache_clear()
+def _fake_libc(monkeypatch, **symbols) -> None:
+    """Make every ``ctypes.CDLL`` this C library, and stub the BLAS lookup, which opens one too."""
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(**symbols))
+    monkeypatch.setattr(linalg, "_openblas", lambda: None)
 
 
-@pytest.mark.skipif(os.name != "posix", reason="the policy is looked up in the C library of a POSIX process")
-def test_the_heap_policy_sets_both_thresholds_once_per_process(monkeypatch, fresh_heap_policy):
-    calls = []
-
+def _recording_mallopt(calls: list):
     def mallopt(param, value):
         calls.append((param, value))
         return 1
 
-    monkeypatch.setattr(pool.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    return mallopt
+
+
+@pytest.mark.skipif(os.name != "posix", reason="the policy is looked up in the C library of a POSIX process")
+def test_the_heap_policy_sets_both_thresholds_once_per_process(monkeypatch, fresh_policy):
+    calls = []
+    _fake_libc(monkeypatch, mallopt=(mallopt := _recording_mallopt(calls)))
     assert list(pool._run_rows(operator.neg, [1, 2], 1)) == [-1, -2]
     # forked workers inherit the policy and make no call of their own
     assert list(pool._run_rows(lambda _: len(calls), [0, 1, 2], 2)) == [2, 2, 2]
@@ -125,8 +126,18 @@ def test_the_heap_policy_sets_both_thresholds_once_per_process(monkeypatch, fres
     assert mallopt.argtypes == [ctypes.c_int, ctypes.c_int] and mallopt.restype is ctypes.c_int
 
 
-def test_a_c_library_without_mallopt_leaves_the_pool_working(monkeypatch, fresh_heap_policy):
-    monkeypatch.setattr(pool.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+@pytest.mark.skipif(os.name != "posix", reason="the policy is looked up in the C library of a POSIX process")
+def test_a_cli_command_that_runs_no_pool_sets_the_heap_policy(monkeypatch, fresh_policy):
+    # the CLI owns its process: a single chern cell gets the policy too
+    calls = []
+    _fake_libc(monkeypatch, mallopt=_recording_mallopt(calls))
+    args = ["chern", "--theta1", "3pi/8", "--theta2", "1.0", "--gamma-x", "0.7", "--gamma-y", "0.5", "--grid", "11"]
+    assert cli.cli_dispatch(args) == 0 and cli.cli_dispatch(args) == 0
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+
+def test_a_c_library_without_mallopt_leaves_the_pool_working(monkeypatch, fresh_policy):
+    _fake_libc(monkeypatch)
     assert list(pool._run_rows(operator.neg, list(range(5)), 2)) == [0, -1, -2, -3, -4]
     assert list(pool._run_rows(operator.neg, [7], 1)) == [-7]
 
@@ -157,3 +168,28 @@ def test_a_chern_row_after_the_first_takes_no_fresh_pages():
     warm, second = map(int, proc.stdout.split())
     assert warm > 0  # the counter counts: the first row touches new pages
     assert second <= 5, (warm, second)
+
+
+_CLI_FAULTS = """
+import contextlib, io, resource
+from lossywalk.cli import cli_dispatch
+
+for _ in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli_dispatch(["chern", "--theta1", "3pi/8", "--theta2", "1.0", "--gamma-x", "0.7", "--gamma-y", "0.5"])
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's allocator and Linux fault counts")
+def test_a_chern_command_after_the_first_takes_no_fresh_pages():
+    # lossywalk chern at the default 201x201 grid runs no pool, yet its
+    # process gets the policy: without it each call faults in over 1600 pages
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pool.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _CLI_FAULTS], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    first, *later = map(int, proc.stdout.split())
+    assert first > 0  # the counter counts: the first call touches new pages
+    assert max(later) <= 50, (first, later)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import winding_row_by_cells
-from lossywalk import __version__, sweeps
+from lossywalk import __version__, pool, sweeps
 from lossywalk.errors import CheckpointMismatch, DegenerateCoin
 from lossywalk.sweeps import (
     STATUS_ERROR,
@@ -390,10 +390,10 @@ def test_tables_hold_plain_arrays_with_and_without_a_checkpoint(tmp_path):
 def test_default_workers_follow_cpu_affinity(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    assert sweeps._workers(None) == 3
-    assert sweeps._workers(2) == 2
+    assert pool._workers(None) == 3
+    assert pool._workers(2) == 2
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert sweeps._workers(None) == 8
+    assert pool._workers(None) == 8
 
 
 # The four public sweeps on a one-cell grid, as functions of their two axes.
