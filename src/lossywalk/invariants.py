@@ -15,19 +15,19 @@ the real parts coincide modulo 2 pi (real eigenvalue pairs, positive or
 negative) the decaying state (Im E < 0, |lambda| < 1) is the lower one.
 Both band functions return the lower band only.
 
-``_lower_band`` is the band step of both band functions: one
-``eig2_batch`` call, the collision mask, and the lower eigenvalue chosen
-from lambda0 alone (lambda1 = 1/lambda0, so Re E1 = -Re E0 = arg lambda0).
-The band functions then build one ``eig2_vector`` for it, so the states
-carry the raw adjugate gauge.  ``_links`` forms the overlaps
-<s(k)|s(k + step)> along one axis, for the 1D loop and for both 2D link
-fields.  ``pancharatnam_phase`` is the holonomy Phi, the sum of the link
-phases arg<s_j|s_j+1> around the loop wrapped into (-pi, pi]; every
+``_lower_band`` is the band step of both band functions: the collision mask
+and the lower eigenvalue, chosen from lambda0 alone (lambda1 = 1/lambda0, so
+Re E1 = -Re E0 = arg lambda0); the 2D band takes lambda0 from unstacked
+entry arrays (``walks._u2d``, ``linalg._eig2``).  One ``eig2_vector`` per
+band gives the states the raw adjugate gauge.  ``_links`` forms the overlaps
+<s(k)|s(k + step)> along one axis as component products, for the 1D loop and
+both 2D link fields.  ``pancharatnam_phase`` is the holonomy Phi, the sum of
+the link phases arg<s_j|s_j+1> around the loop wrapped into (-pi, pi]; every
 state's phase enters it once with + and once with -, so it is the same in
 any gauge.  A holonomy within CUT_REL_TOL of +-pi is taken as +pi, which
 fixes the loop orientation so the nontrivial phase of the split-step walk
-comes out at +1.  It is exactly pi * integer in the real-spectrum regime
-and moves continuously once the spectrum turns complex.
+comes out at +1.  It is exactly pi * integer in the real-spectrum regime and
+moves continuously once the spectrum turns complex.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GapClosure, OrthogonalLink
-from .linalg import eig2_batch, eig2_vector
-from .walks import WalkParams1D, WalkParams2D, momentum_grid, u1d_ssqw_k, u2d_k
+from .linalg import _eig2, eig2_batch, eig2_vector
+from .walks import WalkParams1D, WalkParams2D, _u2d, momentum_grid, u1d_ssqw_k, u2d_k
 
 __all__ = [
     "BandData1D",
@@ -49,6 +49,7 @@ __all__ = [
     "pancharatnam_phase",
     "winding_number",
     "chern_number",
+    "u2d_k",  # re-exported: the benchmark times the 2D builder at this lookup site
 ]
 
 LINK_TOL = 1e-12
@@ -98,21 +99,20 @@ class WindingResult:
     is_integer: bool
 
 
-def _lower_band(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """(collisions, lower lambda, entries) of a (..., 2, 2) stack of walk steps.
+def _lower_band(lam0: np.ndarray, lam1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(collisions, lower lambda) of an eigenvalue pair, lam0 = ``_eig2``'s and lam1 = 1/lam0.
 
-    lambda1 = 1/lambda0, so Re E1 = -Re E0 = arg lambda0 and lambda0 is the
-    lower one where arg lambda0 > 0.  Where 2 arg lambda0 is within
-    DEGENERACY_TOL of 2 pi Z (a real pair, whose real parts tie modulo
-    2 pi) the decaying lambda, |lambda| <= 1, is the lower one.
+    Re E1 = -Re E0 = arg lambda0, so lambda0 is the lower one where
+    arg lambda0 > 0, which off the tie set is Im lambda0 > 0.  The tie set,
+    where 2 arg lambda0 is within DEGENERACY_TOL of 2 pi Z (a real pair,
+    whose real parts tie modulo 2 pi), is |Im lambda0| < (DEGENERACY_TOL/2)
+    |lambda0|; there the decaying lambda, |lambda| <= 1, is the lower one.
     """
-    values, entries = eig2_batch(u)
-    lam0, lam1 = values[..., 0], values[..., 1]
     collisions = np.abs(lam0 - lam1) < GAP_COLLISION_TOL
-    arg = np.angle(lam0)
-    tie = np.abs((2.0 * arg + np.pi) % (2.0 * np.pi) - np.pi) < DEGENERACY_TOL
-    first = np.where(tie, np.abs(lam0) <= 1.0, arg > 0.0)
-    return collisions, np.where(first, lam0, lam1), entries
+    mag = np.abs(lam0)
+    tie = np.abs(lam0.imag) < 0.5 * DEGENERACY_TOL * mag
+    first = np.where(tie, mag <= 1.0, lam0.imag > 0.0)
+    return collisions, np.where(first, lam0, lam1)
 
 
 def band_spectrum_1d(p: WalkParams1D, n_points: int) -> BandData1D:
@@ -128,7 +128,8 @@ def band_spectrum_1d(p: WalkParams1D, n_points: int) -> BandData1D:
     non-finite states in another cell raise FloatingPointError.
     """
     ks = momentum_grid(n_points)
-    collisions, lam, entries = _lower_band(u1d_ssqw_k(p, ks))
+    values, entries = eig2_batch(u1d_ssqw_k(p, ks))
+    collisions, lam = _lower_band(values[..., 0], values[..., 1])
     if collisions.ndim == 1 and np.any(collisions):
         raise GapClosure(ks[collisions])
     states = eig2_vector(entries, lam)
@@ -144,7 +145,7 @@ def band_spectrum_2d(p: WalkParams2D, nx: int, ny: int) -> BandData2D:
     """Diagonalize the 2D walk over one full period per momentum axis; return the lower band.
 
     The operator is pi-periodic in each momentum, so the sampled zone is
-    one pi-period per axis; plaquette wraparound via roll is exact.  The
+    one pi-period per axis; the cyclic plaquettes are exact.  The
     grid is offset by a quarter step, q_j = (-pi + 2 pi (j + 1/4) / N) / 2,
     which never lands on the high-symmetry momenta {0, +-pi/2} where the
     phase-boundary gap closings sit.  Raises GapClosure (with the offending
@@ -162,7 +163,9 @@ def band_spectrum_2d(p: WalkParams2D, nx: int, ny: int) -> BandData2D:
         raise ValueError(f"grid sizes must be positive, got {nx} x {ny}")
     qx = (-np.pi + 2.0 * np.pi * (np.arange(nx) + 0.25) / nx) / 2.0
     qy = (-np.pi + 2.0 * np.pi * (np.arange(ny) + 0.25) / ny) / 2.0
-    collisions, lam, entries = _lower_band(u2d_k(p, qx[:, None], qy[None, :]))
+    entries = _u2d(p, qx[:, None], qy[None, :])
+    lam0 = _eig2(*entries)
+    collisions, lam = _lower_band(lam0, 1.0 / lam0)
     if np.any(collisions):
         kxg, kyg = np.meshgrid(qx, qy, indexing="ij")
         ks = np.stack([kxg[collisions], kyg[collisions]], axis=-1)
@@ -170,9 +173,16 @@ def band_spectrum_2d(p: WalkParams2D, nx: int, ny: int) -> BandData2D:
     return BandData2D(kx=qx, ky=qy, states=eig2_vector(entries, lam))
 
 
+def _next(a: np.ndarray, axis: int) -> np.ndarray:
+    """a(k + step) along ``axis``, cyclic: the slice after the first sample, then the first."""
+    before = (slice(None),) * (axis % a.ndim)
+    return np.concatenate([a[before + (slice(1, None),)], a[before + (slice(0, 1),)]], axis=axis)
+
+
 def _links(states: np.ndarray, axis: int) -> np.ndarray:
     """Overlaps <s(k)|s(k + step)> of unit states (..., 2) along ``axis``, cyclic."""
-    return np.einsum("...i,...i->...", np.conj(states), np.roll(states, -1, axis=axis))
+    products = np.conj(states) * _next(states, axis)
+    return products[..., 0] + products[..., 1]
 
 
 def pancharatnam_phase(band: BandData1D) -> float:
@@ -218,7 +228,7 @@ def chern_number(band: BandData2D) -> tuple[int, np.ndarray]:
     thin = (np.abs(ux) < LINK_TOL) | (np.abs(uy) < LINK_TOL)
     if np.any(thin):
         raise OrthogonalLink(f"orthogonal plaquette link(s) at grid indices {np.argwhere(thin)[:4].tolist()}")
-    field = np.angle(ux * np.roll(uy, -1, axis=0) * np.conj(np.roll(ux, -1, axis=1) * uy))
+    field = np.angle(ux * _next(uy, 0) * np.conj(_next(ux, 1) * uy))
     total = field.sum() / (2.0 * np.pi)
     c = int(np.rint(total))
     if abs(total - c) > INTEGER_TOL:

@@ -2,9 +2,10 @@
 
 Stacks of 2x2 unit-determinant operators (every walk step in the package)
 are solved analytically in two steps, both vectorized over leading axes
-and the hot path of every momentum-grid computation.  ``eig2_batch`` is the
-eigenvalue step: lambda0 = (a + d)/2 +- sqrt(D) with the backward-stable
-discriminant D = ((a - d)/2)^2 + bc, and lambda1 = 1/lambda0.
+and the hot path of every momentum-grid computation.  ``_eig2`` is the
+eigenvalue step on the four entry arrays: lambda0 = (a + d)/2 +- sqrt(D)
+with the backward-stable discriminant D = ((a - d)/2)^2 + bc, and
+lambda1 = 1/lambda0; ``eig2_batch`` applies it to a (..., 2, 2) stack.
 ``eig2_vector`` is the vector step: the unit adjugate eigenvector of one
 chosen eigenvalue per matrix, so a caller that needs one band builds one
 vector and a caller that needs only the spectrum builds none.
@@ -95,50 +96,59 @@ def _process_policy() -> bool:
     return get is not None
 
 
-def eig2_batch(m: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Analytic eigenvalues of a (..., 2, 2) stack of unit-determinant matrices.
+def _eig2(a, b, c, d) -> np.ndarray:
+    """lambda0 of unit-determinant matrices given by their entries, the other eigenvalue being 1/lambda0.
 
-    Returns the values, shape (..., 2), and the entries ``(a, b, c, d)`` as
-    complex arrays, for ``eig2_vector``.  The roots are tr/2 +- sqrt(D)
-    with D = ((a - d)/2)^2 + bc, which equals (tr/2)^2 - 1 for det = 1 but
-    keeps a normal degenerate pair split by O(eps), not O(sqrt(eps));
-    values[..., 0] takes the sign that grows |lambda|, so |lambda0| >= 1,
-    and values[..., 1] = 1/lambda0.  No determinant is formed: ad - bc
-    would cancel between products of the size of the entries squared.  The
-    input is not checked for unit determinant.
+    tr/2 +- sqrt(D) with D = ((a - d)/2)^2 + bc, which equals (tr/2)^2 - 1
+    for det = 1 but keeps a normal degenerate pair split by O(eps), not
+    O(sqrt(eps)), with the sign that grows |lambda|: |lambda0| >= 1.  No
+    determinant is formed (ad - bc would cancel) and none is checked.
     """
-    m = np.asarray(m, dtype=complex)
-    a, b = m[..., 0, 0], m[..., 0, 1]
-    c, d = m[..., 1, 0], m[..., 1, 1]
     half_tr, half_diff = 0.5 * (a + d), 0.5 * (a - d)
     disc = np.sqrt(half_diff * half_diff + b * c)
     # avoid cancellation: add the root on the side that grows |lambda|
     flip = np.real(np.conj(half_tr) * disc) < 0
-    lam0 = half_tr + np.where(flip, -disc, disc)
-    return np.stack([lam0, 1.0 / lam0], axis=-1), (a, b, c, d)
+    return half_tr + np.where(flip, -disc, disc)
+
+
+def eig2_batch(m: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Analytic eigenvalues of a (..., 2, 2) stack of unit-determinant matrices.
+
+    Returns the values, shape (..., 2), and the entries ``(a, b, c, d)`` as
+    complex arrays, for ``eig2_vector``: values[..., 0] is ``_eig2``'s
+    lambda0 and values[..., 1] = 1/lambda0.
+    """
+    m = np.asarray(m, dtype=complex)
+    entries = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    lam0 = _eig2(*entries)
+    return np.stack([lam0, 1.0 / lam0], axis=-1), entries
+
+
+def _sq(z: np.ndarray) -> np.ndarray:
+    """|z|^2 from the real and imaginary parts, with no hypot."""
+    return np.square(z.real) + np.square(z.imag)
 
 
 def eig2_vector(entries: tuple[np.ndarray, ...], lam: np.ndarray) -> np.ndarray:
     """Unit adjugate eigenvector (..., 2) of one eigenvalue ``lam`` per matrix.
 
-    ``entries`` are the ``(a, b, c, d)`` of ``eig2_batch``.  The vector is
-    the larger-norm column of adj(M - lam): (b, lam - a) or (lam - d, c);
-    a defective matrix has one.  Where the matrix is isotropic (a scaled
-    identity: both columns vanish to rounding) the vector is e1.
+    ``entries`` are the ``(a, b, c, d)`` of the matrices.  The vector is the
+    column of adj(M - lam), (b, lam - a) or (lam - d, c), with the larger
+    squared norm; a defective matrix has one.  Where the matrix is
+    isotropic (a scaled identity: both columns vanish to rounding) the
+    vector is e1.
     """
     a, b, c, d = entries
     lam_a, lam_d = lam - a, lam - d
-    abs_b, abs_c = np.abs(b), np.abs(c)
-    n1 = abs_b ** 2 + np.abs(lam_a) ** 2
-    n2 = np.abs(lam_d) ** 2 + abs_c ** 2
+    sq_b, sq_c = _sq(b), _sq(c)
+    n1, n2 = sq_b + _sq(lam_a), _sq(lam_d) + sq_c
     first = n1 >= n2
-    nrm = np.sqrt(np.where(first, n1, n2))
-    scale = np.maximum(np.maximum(np.abs(a), abs_b), np.maximum(abs_c, np.abs(d)))
-    isotropic = nrm <= 1e-14 * np.maximum(1.0, scale)
-    nrm = np.where(isotropic, 1.0, nrm)
-    v0 = np.where(isotropic, 1.0, np.where(first, b, lam_d))
-    v1 = np.where(isotropic, 0.0, np.where(first, lam_a, c))
-    return np.stack([v0 / nrm, v1 / nrm], axis=-1)
+    v0, v1, n = np.where(first, b, lam_d), np.where(first, lam_a, c), np.maximum(n1, n2)
+    isotropic = n <= 1e-28 * np.maximum(np.maximum(np.maximum(_sq(a), sq_b), np.maximum(sq_c, _sq(d))), 1.0)
+    if np.any(isotropic):
+        v0, v1, n = np.where(isotropic, 1.0, v0), np.where(isotropic, 0.0, v1), np.where(isotropic, 1.0, n)
+    inv = 1.0 / np.sqrt(n)
+    return np.stack([v0 * inv, v1 * inv], axis=-1)
 
 
 def eig_general(m: np.ndarray, vectors: bool = True) -> np.ndarray | tuple[np.ndarray, np.ndarray]:

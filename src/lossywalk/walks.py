@@ -311,12 +311,17 @@ def u2d_k(p: WalkParams2D, kx, ky) -> np.ndarray:
     (nx, ny) grid with O(nx + ny) factor work plus one elementwise product;
     meshgrid inputs give the same values at O(nx ny) cost.
     """
+    return _stack2(*_u2d(p, kx, ky))
+
+
+def _u2d(p: WalkParams2D, kx, ky):
+    """The step of ``u2d_k`` as an entry tuple, for callers that never stack it."""
     r1 = _rot(p.theta1)
     ikx, iky = 1j * np.asarray(kx), 1j * np.asarray(ky)
     gy = p.gamma_y
     x_half = _x_half(r1, p.theta2, ikx, p.gamma_x)
     y_half = _rows(_phase(iky + gy), _cols(r1, _phase(iky - gy)))
-    return _stack2(*_mul(y_half, x_half))
+    return _mul(y_half, x_half)
 
 
 def u2d_triangular_k(theta1: float, theta2: float, kx, ky) -> np.ndarray:

@@ -4,7 +4,8 @@ import numpy as np
 
 from lossywalk.errors import GapClosure, OrthogonalLink
 from lossywalk.invariants import (
-    CUT_REL_TOL, DEGENERACY_TOL, GAP_COLLISION_TOL, LINK_TOL, BandData1D, band_spectrum_1d, winding_number,
+    CUT_REL_TOL, DEGENERACY_TOL, GAP_COLLISION_TOL, INTEGER_TOL, LINK_TOL, BandData1D, band_spectrum_1d,
+    winding_number,
 )
 from lossywalk.lattice import build_strip_operator
 from lossywalk.linalg import eig2_batch, eig2_vector, quasienergy
@@ -230,6 +231,79 @@ def chern_by_eig(p, n):
         raise OrthogonalLink("vanishing plaquette link")
     field = np.angle(links[0] * links[1] * links[2] * links[3])
     return int(np.rint(field.sum() / (2.0 * np.pi))), field, separation
+
+
+def lower_pick_by_angle(lam0, lam1):
+    """The lower of each pair (lam0, lam1 = 1/lam0) picked from np.angle, the tie by %.
+
+    lambda0 is the lower one where arg lambda0 > 0; where 2 arg lambda0 is
+    within DEGENERACY_TOL of 2 pi Z (a tie) the decaying one, |lambda| <= 1.
+    """
+    arg = np.angle(lam0)
+    tie = np.abs((2.0 * arg + np.pi) % (2.0 * np.pi) - np.pi) < DEGENERACY_TOL
+    return np.where(np.where(tie, np.abs(lam0) <= 1.0, arg > 0.0), lam0, lam1)
+
+
+def eig2_vector_by_hypot(entries, lam):
+    """The unit adjugate eigenvector with the column norms from np.abs, one hypot per entry.
+
+    The larger-norm column of adj(M - lam), (b, lam - a) or (lam - d, c);
+    e1 where both vanish to 1e-14 of the largest entry (or of 1).
+    """
+    a, b, c, d = entries
+    lam_a, lam_d = lam - a, lam - d
+    n1 = np.abs(b) ** 2 + np.abs(lam_a) ** 2
+    n2 = np.abs(lam_d) ** 2 + np.abs(c) ** 2
+    first = n1 >= n2
+    nrm = np.sqrt(np.where(first, n1, n2))
+    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d)))
+    isotropic = nrm <= 1e-14 * np.maximum(1.0, scale)
+    nrm = np.where(isotropic, 1.0, nrm)
+    v0 = np.where(isotropic, 1.0, np.where(first, b, lam_d))
+    v1 = np.where(isotropic, 0.0, np.where(first, lam_a, c))
+    return np.stack([v0 / nrm, v1 / nrm], axis=-1)
+
+
+def links_by_roll(states, axis):
+    """Overlaps <s(k)|s(k + step)> of states (..., 2) along ``axis`` from einsum and np.roll."""
+    return np.einsum("...i,...i->...", np.conj(states), np.roll(states, -1, axis=axis))
+
+
+def chern_cell_by_stack(p, n):
+    """(C, plaquette field) of one n x n Chern cell through a (..., 2, 2) stack.
+
+    band_spectrum_2d's quarter-offset grid stacked by u2d_k, eig2_batch,
+    lower_pick_by_angle, eig2_vector_by_hypot, then chern_number's link
+    fields and plaquettes from links_by_roll and np.roll.  Every check of
+    the library path is here: colliding eigenvalues raise GapClosure, a
+    link below LINK_TOL OrthogonalLink, a sum off an integer ArithmeticError.
+    """
+    q = (-np.pi + 2.0 * np.pi * (np.arange(n) + 0.25) / n) / 2.0
+    values, entries = eig2_batch(u2d_k(p, q[:, None], q[None, :]))
+    lam0, lam1 = values[..., 0], values[..., 1]
+    if np.any(np.abs(lam0 - lam1) < GAP_COLLISION_TOL):
+        raise GapClosure([])
+    states = eig2_vector_by_hypot(entries, lower_pick_by_angle(lam0, lam1))
+    ux, uy = links_by_roll(states, 0), links_by_roll(states, 1)
+    if np.any((np.abs(ux) < LINK_TOL) | (np.abs(uy) < LINK_TOL)):
+        raise OrthogonalLink("vanishing plaquette link")
+    field = np.angle(ux * np.roll(uy, -1, axis=0) * np.conj(np.roll(ux, -1, axis=1) * uy))
+    total = field.sum() / (2.0 * np.pi)
+    c = int(np.rint(total))
+    if abs(total - c) > INTEGER_TOL:
+        raise ArithmeticError(f"plaquette sum {total} is not an integer")
+    return c, field
+
+
+def cell_outcome(cell, *args):
+    """(value, field, status) of ``cell(*args)`` -> (C, field), as a sweep row records it."""
+    try:
+        c, field = cell(*args)
+    except (GapClosure, OrthogonalLink):
+        return None, None, STATUS_GAP_CLOSED
+    except Exception:
+        return None, None, STATUS_ERROR
+    return c, field, STATUS_OK
 
 
 def _diag(d0, d1):

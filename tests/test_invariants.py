@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lossywalk import invariants
+from lossywalk.cli import parse_angle, parse_range
 from lossywalk.errors import GapClosure, OrthogonalLink
 from lossywalk.invariants import (
     BandData1D,
@@ -15,10 +18,12 @@ from lossywalk.invariants import (
     winding_number,
 )
 from lossywalk.linalg import eig2_batch, eig2_vector, quasienergy
+from lossywalk.sweeps import STATUS_GAP_CLOSED, STATUS_OK
 from lossywalk.walks import WalkParams1D, WalkParams2D, critical_gamma, momentum_grid, u1d_ssqw_k, u2d_k
 
 from helpers import (
-    _eig_lower_first, branch_dist, chern_by_eig, upper_band_by_eig, winding_by_eig, winding_row_by_cells,
+    _eig_lower_first, branch_dist, cell_outcome, chern_by_eig, chern_cell_by_stack, links_by_roll,
+    lower_pick_by_angle, upper_band_by_eig, winding_by_eig, winding_row_by_cells,
 )
 
 FIG3A = WalkParams1D(-3 * np.pi / 8, np.pi / 8, 0.25)   # winding 1 phase
@@ -86,10 +91,16 @@ def test_pancharatnam_orthogonal_link_raises():
 # --------------------------------------------------------------------------
 # 1D band construction
 
+def _lower(u):
+    """(lower lambda, entries) of a (..., 2, 2) stack: eig2_batch, then ``_lower_band``'s pick."""
+    values, entries = eig2_batch(u)
+    return invariants._lower_band(values[..., 0], values[..., 1])[1], entries
+
+
 def _band_energies(p, n):
     """Quasi-energies of the lower band's lambda (``_lower_band``) and of the other eig2_batch eigenvalue."""
     u = u1d_ssqw_k(p, momentum_grid(n))
-    lower = quasienergy(invariants._lower_band(u)[1])
+    lower = quasienergy(_lower(u)[0])
     es = quasienergy(eig2_batch(u)[0])
     assert np.all((lower == es[:, 0]) | (lower == es[:, 1]))
     return lower, np.where(lower == es[:, 0], es[:, 1], es[:, 0])
@@ -100,7 +111,7 @@ def test_band_spectrum_basics():
     assert np.all(np.diff(lower.k_samples) > 0)
     assert np.max(np.abs(np.linalg.norm(lower.states, axis=1) - 1.0)) < 1e-12
     # the states are the adjugate vectors of _lower_band's lambda
-    _, lam, entries = invariants._lower_band(u1d_ssqw_k(FIG3A, lower.k_samples))
+    lam, entries = _lower(u1d_ssqw_k(FIG3A, lower.k_samples))
     assert lower.states.tobytes() == eig2_vector(entries, lam).tobytes()
     # energies pair to zero sum per momentum (real parts mod 2 pi)
     energies, other = _band_energies(FIG3A, 201)
@@ -148,11 +159,11 @@ def test_batched_band_spectrum_marks_closed_cells_and_matches_scalar_calls():
     lower = band_spectrum_1d(WalkParams1D(*cols), 200)
     assert lower.states.shape == (3, 200, 2)
     assert np.isnan(lower.states[1]).all()
-    energies = quasienergy(invariants._lower_band(u1d_ssqw_k(WalkParams1D(*cols), lower.k_samples))[1])
+    energies = quasienergy(_lower(u1d_ssqw_k(WalkParams1D(*cols), lower.k_samples))[0])
     for i in (0, 2):
         want = band_spectrum_1d(WalkParams1D(*cells[i]), 200)
         assert lower.states[i].tobytes() == want.states.tobytes()
-        want_energies = quasienergy(invariants._lower_band(u1d_ssqw_k(WalkParams1D(*cells[i]), want.k_samples))[1])
+        want_energies = quasienergy(_lower(u1d_ssqw_k(WalkParams1D(*cells[i]), want.k_samples))[0])
         assert energies[i].tobytes() == want_energies.tobytes()
     result = winding_number(lower)
     assert np.isnan(result.w[1]) and result.is_integer.tolist() == [True, False, False]
@@ -354,11 +365,108 @@ def test_lower_band_sits_on_the_oracle_band_on_real_pairs():
     p1 = WalkParams1D(-3 * np.pi / 8, np.pi / 8, np.array([[0.3], [0.6], [1.2]]))
     band1 = band_spectrum_1d(p1, 201)
     stacks = [u2d_k(p2, band2.kx[:, None], band2.ky[None, :]), u1d_ssqw_k(p1, band1.k_samples)]
-    got = np.concatenate([quasienergy(invariants._lower_band(u)[1]).ravel() for u in stacks])
+    got = np.concatenate([quasienergy(_lower(u)[0]).ravel() for u in stacks])
     want = np.concatenate([quasienergy(_eig_lower_first(u)[0][..., 0]).ravel() for u in stacks])
     assert np.count_nonzero(np.abs(np.sin(want.real)) < 1e-9) > 1000
     off = np.count_nonzero(~(branch_dist(got, want) < 1e-9))
     assert off == 0, f"{off} of {got.size} samples off the oracle's lower band"
+
+
+def _library_cell(p, n):
+    return chern_number(band_spectrum_2d(p, n, n))
+
+
+def _cells_match_the_stack(params, n):
+    """Assert the library's C, status and field equal chern_cell_by_stack's per cell; the statuses."""
+    statuses = []
+    for p in params:
+        c, field, status = cell_outcome(_library_cell, p, n)
+        want_c, want_field, want_status = cell_outcome(chern_cell_by_stack, p, n)
+        assert (c, status) == (want_c, want_status), p
+        if status == STATUS_OK:
+            assert np.max(np.abs(field - want_field)) < 1e-12, p
+        statuses.append(status)
+    return statuses
+
+
+@pytest.mark.parametrize("n", [13, 25, 51])
+def test_chern_cells_equal_the_stacked_path_on_random_cells(n):
+    # the entry-array cell against u2d_k -> eig2_batch -> angle pick -> hypot
+    # vector -> einsum/roll links, on lossy cells with real pairs (ties)
+    rng = np.random.default_rng(1000 + n)
+    params = [WalkParams2D(*rng.uniform(0.0, 2 * np.pi, 2), rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.0))
+              for _ in range(40)]
+    assert STATUS_OK in _cells_match_the_stack(params, n)
+
+
+def test_chern_cells_equal_the_stacked_path_on_the_fig2b_gap_lines():
+    # theta2 in {0, 2 pi} closes the gap for every theta1 (docs/NOTES.md)
+    params = [WalkParams2D(t1, t2) for t2 in (0.0, 2 * np.pi) for t1 in parse_range("0:2pi:51")]
+    assert set(_cells_match_the_stack(params, 13)) == {STATUS_GAP_CLOSED}
+
+
+@pytest.mark.parametrize("row", [0, 25])
+def test_chern_cells_equal_the_stacked_path_on_a_chern_loss_row(row):
+    # the benchmark's chern_loss at seed 0 (figure 5, panel 4): at
+    # theta2 = 0 (row 0) about 1000 grid points per cell are real pairs, tied
+    # modulo 2 pi; at row 25 C goes 1, 0, 1, 0 along gamma_x
+    t2 = parse_range("0:2pi:31")[row]
+    params = [WalkParams2D(parse_angle("3pi/8"), t2, gx, 0.5) for gx in parse_range("0:2:31")]
+    assert set(_cells_match_the_stack(params, 51)) == {STATUS_OK}
+
+
+def _tie_samples():
+    """lambda0 on and off the tie set, with |lambda0| on both sides of 1."""
+    rng = np.random.default_rng(17)
+    mags = np.concatenate([rng.uniform(0.2, 5.0, 200), [1.0 - 1e-3, 1.0 + 1e-3, 3.0, 1 / 3.0]])
+    half_tol = invariants.DEGENERACY_TOL / 2
+    args = np.concatenate([rng.uniform(-np.pi, np.pi, 200),
+                           [s * f * half_tol for s in (1, -1) for f in (10.0, 2.0, 0.5, 0.1)],
+                           [s * (np.pi - f * half_tol) for s in (1, -1) for f in (10.0, 2.0, 0.5, 0.1)]])
+    lam0 = (mags[:, None] * np.exp(1j * args)[None, :]).ravel()
+    # exact real pairs of both signs, with either signed zero imaginary part
+    real = [complex(x, z) for x in (-3.0, -1.5, 1.5, 3.0, -0.5, 0.5) for z in (0.0, -0.0)]
+    return np.concatenate([lam0, np.array(real)])
+
+
+def test_im_form_tie_picks_as_the_angle_form():
+    # arg lambda0 > 0 <=> Im lambda0 > 0 off the tie set, and the tie
+    # |Im lambda0| < (DEGENERACY_TOL/2) |lambda0| is the % form's away
+    # from its threshold: both pick the same lambda on every sample
+    lam0 = _tie_samples()
+    lam1 = 1.0 / lam0
+    got = invariants._lower_band(lam0, lam1)[1]
+    assert got.tobytes() == lower_pick_by_angle(lam0, lam1).tobytes()
+    # the samples reach both branches of the tie
+    tie = np.abs(lam0.imag) < invariants.DEGENERACY_TOL / 2 * np.abs(lam0)
+    assert 0 < np.count_nonzero(tie) < tie.size and np.any(tie & (got == lam0))
+
+
+def test_sliced_links_match_einsum_and_roll():
+    rng = np.random.default_rng(23)
+
+    def unit_states(*shape):
+        s = rng.normal(size=shape + (2,)) + 1j * rng.normal(size=shape + (2,))
+        return s / np.linalg.norm(s, axis=-1, keepdims=True)
+
+    for states, axes in ((unit_states(51), [-2]), (unit_states(7, 51), [-2]), (unit_states(13, 25), [0, 1])):
+        for axis in axes:
+            got = invariants._links(states, axis)
+            assert np.max(np.abs(got - links_by_roll(states, axis))) < 1e-15
+
+
+def test_isotropic_points_pass_band_spectrum_2d_vector_step_silently(monkeypatch):
+    # at zero angles and loss the step is diag(e^{2i(kx+ky)}, c.c.), a scaled
+    # identity on the 13 grid points with 4 (kx + ky) in 2 pi Z.  With the
+    # collision check off they reach the vector step, which gives e1 there
+    # and raises no RuntimeWarning
+    monkeypatch.setattr(invariants, "GAP_COLLISION_TOL", 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        band = band_spectrum_2d(WalkParams2D(0.0, 0.0), 13, 13)
+    isotropic = (band.states[..., 0] == 1.0) & (band.states[..., 1] == 0.0)
+    assert np.count_nonzero(isotropic) == 13
+    assert np.max(np.abs(np.linalg.norm(band.states, axis=-1) - 1.0)) < 1e-15
 
 
 def test_chern_gap_closure_names_the_colliding_grid_points():

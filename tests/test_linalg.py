@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SIGMA_Z, assert_multiset_close, bloch_axis, branch_dist, eig2_pair, exp_bloch, is_unitary
+from helpers import (
+    SIGMA_Z, assert_multiset_close, bloch_axis, branch_dist, eig2_pair, eig2_vector_by_hypot, exp_bloch, is_unitary,
+)
 
 from lossywalk import linalg, pool
 from lossywalk.linalg import eig2_batch, eig2_vector, eig_general, quasienergy
@@ -76,6 +78,33 @@ def test_eig2_defective_flagged_not_raised():
 
 
 ANGLES = st.floats(-2 * np.pi, 2 * np.pi)
+
+
+def test_squared_norm_column_is_the_hypot_column():
+    # eig2_vector takes the column norms from real and imaginary parts; the
+    # hypot form picks the same column and gives the same unit vector,
+    # except where n1 and n2 agree to a few ulp (either column is valid)
+    rng = np.random.default_rng(31)
+    q = momentum_grid(25) / 2
+    cases = [eig2_batch(u2d_k(WalkParams2D(*rng.uniform(0, 2 * np.pi, 2), *rng.uniform(0, 1, 2)),
+                              q[:, None], q[None, :])) for _ in range(6)]
+    cases += [eig2_batch(u1d_ssqw_k(WalkParams1D(*rng.uniform(-np.pi, np.pi, 2), rng.uniform(0, 2)),
+                                    momentum_grid(201))) for _ in range(6)]
+    scale = 10.0 ** rng.uniform(-3, 3, size=(5, 4000))
+    z = scale * (rng.normal(size=scale.shape) + 1j * rng.normal(size=scale.shape))
+    cases.append((np.stack([z[4], 1.0 / z[4]], axis=-1), tuple(z[:4])))
+    clear_total = 0
+    for values, entries in cases:
+        a, b, c, d = entries
+        for lam in (values[..., 0], values[..., 1]):
+            n1 = np.abs(b) ** 2 + np.abs(lam - a) ** 2
+            n2 = np.abs(lam - d) ** 2 + np.abs(c) ** 2
+            clear = np.abs(n1 - n2) > 8 * np.finfo(float).eps * np.maximum(n1, n2)
+            got, want = eig2_vector(entries, lam), eig2_vector_by_hypot(entries, lam)
+            assert np.max(np.abs(got - want)[clear]) < 1e-15
+            assert np.max(np.abs(np.linalg.norm(got, axis=-1) - 1.0)) < 1e-15
+            clear_total += np.count_nonzero(clear)
+    assert clear_total > 0.99 * sum(2 * v[..., 0].size for v, _ in cases)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

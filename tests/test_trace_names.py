@@ -63,19 +63,18 @@ def test_winding_sweep_calls_band_and_winding_once_per_row(monkeypatch):
 
 
 def test_chern_sweep_calls_band_chern_and_builder_once_per_cell(monkeypatch):
-    # the traced invariants.band_spectrum_2d / chern_number and walks.u2d_k
-    # spans are per-cell figures: the cell kernel goes through all three once
+    # the traced invariants.band_spectrum_2d / chern_number spans are
+    # per-cell figures, and the cell builds its grid once, as entry arrays
+    # (walks._u2d): the 2D path never stacks, so the tracer's walks.u2d_k and
+    # linalg.eig2_batch spans, at invariants.u2d_k and invariants.eig2_batch,
+    # are not on it and their time is band_spectrum_2d's own
     calls = {}
     _count_calls(monkeypatch, calls, sweeps, ["band_spectrum_2d", "chern_number"])
-    _count_calls(monkeypatch, calls, invariants, ["u2d_k"])
-    # the linalg.eig2_batch span wraps invariants.eig2_batch on this path too
-    eigen = {}
-    _count_calls(monkeypatch, eigen, invariants, ["eig2_batch"])
+    _count_calls(monkeypatch, calls, invariants, ["_u2d", "u2d_k", "eig2_batch"])
     table = sweeps.sweep_chern_vs_gamma(np.pi / 4, np.linspace(0.5, 2.0, 3), np.array([0.0, 0.3]),
                                         grid=21, workers=1)
     assert np.all(table.status == sweeps.STATUS_OK)
-    assert calls == {"band_spectrum_2d": 6, "chern_number": 6, "u2d_k": 6}
-    assert eigen == {"eig2_batch": 6}
+    assert calls == {"band_spectrum_2d": 6, "chern_number": 6, "_u2d": 6, "u2d_k": 0, "eig2_batch": 0}
 
 
 def test_ep_search_takes_one_eigenvalue_step_per_check(monkeypatch):
