@@ -155,9 +155,9 @@ def band_spectrum_2d(p: WalkParams2D, nx: int, ny: int) -> BandData2D:
     ``_lower_band`` picks the lower eigenvalue, and only it gets
     eigenvectors, in the adjugate gauge of ``eig2_vector`` (no phase fix:
     ``chern_number`` is gauge-invariant).  The upper band's Chern number
-    is minus the lower one's.  The builder gets the axes as (nx, 1) and
-    (1, ny) columns, so its factors are evaluated per axis and only the
-    final product fills the grid.
+    is minus the lower one's.  The builder ``walks._u2d`` gets the axes as
+    (nx, 1) and (1, ny) columns and returns four entry arrays, never a
+    stack; only its final product fills the grid.
     """
     if nx < 1 or ny < 1:
         raise ValueError(f"grid sizes must be positive, got {nx} x {ny}")

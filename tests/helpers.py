@@ -296,7 +296,11 @@ def chern_cell_by_stack(p, n):
 
 
 def cell_outcome(cell, *args):
-    """(value, field, status) of ``cell(*args)`` -> (C, field), as a sweep row records it."""
+    """(C, field, status) of a cell function returning (C, field), as a sweep row records it.
+
+    A gap closure or a vanishing link is gap_closed and any other exception
+    error, both with no C and no field.
+    """
     try:
         c, field = cell(*args)
     except (GapClosure, OrthogonalLink):
